@@ -1,13 +1,16 @@
-// Microbenchmarks: the acquisition chain (band-pass + rectify +
-// resample), window-feature extraction, and end-to-end featurization of
-// one motion — the per-capture costs an online application pays.
+// Microbenchmarks: text ingest (TRC and EMG CSV parsing), the
+// acquisition chain (band-pass + rectify + resample), window-feature
+// extraction, and end-to-end featurization of one motion — the
+// per-capture costs an online application pays.
 
 #include <benchmark/benchmark.h>
 
 #include "core/classifier.h"
 #include "core/window_features.h"
 #include "emg/acquisition.h"
+#include "emg/emg_io.h"
 #include "eval/protocols.h"
+#include "mocap/trc_io.h"
 #include "synth/dataset.h"
 #include "util/logging.h"
 
@@ -25,6 +28,32 @@ const CapturedMotion& SharedTrial() {
   }();
   return *trial;
 }
+
+// Parses the shared trial's marker trajectories from TRC text.
+void BM_ParseTrc(benchmark::State& state) {
+  const std::string text = WriteTrc(SharedTrial().mocap);
+  for (auto _ : state) {
+    auto parsed = ParseTrc(text);
+    MOCEMG_CHECK_OK(parsed.status());
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ParseTrc);
+
+// Parses the shared trial's raw EMG from the CSV exchange format.
+void BM_ParseEmgCsv(benchmark::State& state) {
+  const std::string text = WriteEmgCsv(SharedTrial().emg_raw);
+  for (auto _ : state) {
+    auto parsed = ParseEmgCsv(text);
+    MOCEMG_CHECK_OK(parsed.status());
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ParseEmgCsv);
 
 void BM_ConditionRecording(benchmark::State& state) {
   const CapturedMotion& trial = SharedTrial();

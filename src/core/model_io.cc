@@ -58,15 +58,14 @@ struct Line {
 
 class LineReader {
  public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+  explicit LineReader(std::string_view text) : lines_(text) {}
 
   /// Next non-empty line; fails at end of input.
   Result<Line> Next(const char* expected_key = nullptr) {
-    std::string raw;
-    while (std::getline(in_, raw)) {
-      if (!raw.empty() && raw.back() == '\r') raw.pop_back();
+    std::string_view raw;
+    while (lines_.Next(&raw)) {
       if (Trim(raw).empty()) continue;
-      std::vector<std::string> parts = Split(raw, '\t');
+      const std::vector<std::string_view> parts = Split(raw, '\t');
       Line line;
       line.key = parts[0];
       line.fields.assign(parts.begin() + 1, parts.end());
@@ -83,7 +82,7 @@ class LineReader {
   }
 
  private:
-  std::istringstream in_;
+  LineCursor lines_;
 };
 
 Result<double> OneDouble(const Line& line) {

@@ -35,6 +35,21 @@ Result<Matrix> Matrix::FromRows(
   return m;
 }
 
+Result<Matrix> Matrix::FromRowMajor(size_t rows, size_t cols,
+                                    std::vector<double> data) {
+  if (data.size() != rows * cols) {
+    return Status::InvalidArgument(
+        "row-major buffer holds " + std::to_string(data.size()) +
+        " values, expected " + std::to_string(rows) + " x " +
+        std::to_string(cols));
+  }
+  Matrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.data_ = std::move(data);
+  return m;
+}
+
 Matrix Matrix::Identity(size_t n) {
   Matrix m(n, n);
   for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;

@@ -36,6 +36,11 @@ class Matrix {
   static Result<Matrix> FromRows(
       const std::vector<std::vector<double>>& rows);
 
+  /// \brief Takes ownership of a row-major buffer; fails unless it holds
+  /// exactly rows × cols values.
+  static Result<Matrix> FromRowMajor(size_t rows, size_t cols,
+                                     std::vector<double> data);
+
   /// \brief n×n identity.
   static Matrix Identity(size_t n);
 

@@ -1,7 +1,9 @@
 #include "mocap/trc_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/csv.h"
@@ -11,36 +13,69 @@
 namespace mocemg {
 namespace {
 
-// Splits a TRC line on tabs, collapsing nothing (TRC pads marker names
-// with empty columns).
-std::vector<std::string> TabFields(const std::string& line) {
-  return Split(line, '\t');
-}
-
-Result<std::string> NextLine(std::istringstream* in, const char* what) {
-  std::string line;
-  if (!std::getline(*in, line)) {
+Result<std::string_view> NextLine(LineCursor* lines, const char* what) {
+  std::string_view line;
+  if (!lines->Next(&line)) {
     return Status::ParseError(std::string("truncated TRC: missing ") +
                               what);
   }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
   return line;
+}
+
+// Parses the coordinates of data row `row` (1-based, for messages),
+// scales them to mm and appends them to `out`. A row with too few
+// fields reports that before any bad value in it.
+Status ParseDataRow(std::string_view line, size_t num_markers,
+                    double unit_to_mm, size_t row, std::vector<double>* out) {
+  const size_t coords = 3 * num_markers;
+  auto fail = [&](Status value_error) {
+    const size_t fields = std::count(line.begin(), line.end(), '\t') + 1;
+    if (fields >= 2 + coords) return value_error;
+    return Status::ParseError(
+        "data row " + std::to_string(row) + " has " +
+        std::to_string(fields) + " fields, expected >= " +
+        std::to_string(2 + coords) + " (truncated capture?)");
+  };
+  // Skip the Frame# and Time columns.
+  size_t pos = line.find('\t');
+  if (pos != std::string_view::npos) pos = line.find('\t', pos + 1);
+  for (size_t m = 0; m < coords; ++m) {
+    if (pos == std::string_view::npos) return fail(Status::OK());
+    const size_t begin = pos + 1;
+    pos = line.find('\t', begin);
+    const std::string_view field =
+        line.substr(begin, std::min(pos, line.size()) - begin);
+    Result<double> v = ParseDouble(field);
+    if (!v.ok()) return fail(v.status());
+    if (!std::isfinite(*v)) {
+      return fail(Status::ParseError(
+          "non-finite coordinate '" + std::string(Trim(field)) +
+          "' in data row " + std::to_string(row) +
+          "; occluded markers must be repaired upstream, not "
+          "serialized as NaN"));
+    }
+    out->push_back(*v * unit_to_mm);
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Result<MotionSequence> ParseTrc(const std::string& text) {
-  std::istringstream in(text);
-  MOCEMG_ASSIGN_OR_RETURN(std::string line1, NextLine(&in, "header line 1"));
+  LineCursor lines(text);
+  MOCEMG_ASSIGN_OR_RETURN(std::string_view line1,
+                          NextLine(&lines, "header line 1"));
   if (!StartsWith(line1, "PathFileType")) {
     return Status::ParseError("not a TRC file (no PathFileType header)");
   }
-  MOCEMG_ASSIGN_OR_RETURN(std::string line2, NextLine(&in, "header line 2"));
-  MOCEMG_ASSIGN_OR_RETURN(std::string line3, NextLine(&in, "header line 3"));
+  MOCEMG_ASSIGN_OR_RETURN(std::string_view line2,
+                          NextLine(&lines, "header line 2"));
+  MOCEMG_ASSIGN_OR_RETURN(std::string_view line3,
+                          NextLine(&lines, "header line 3"));
 
   // Map header fields to values.
-  const std::vector<std::string> keys = TabFields(line2);
-  const std::vector<std::string> vals = TabFields(line3);
+  const std::vector<std::string_view> keys = Split(line2, '\t');
+  const std::vector<std::string_view> vals = Split(line3, '\t');
   double data_rate = 120.0;
   size_t num_frames = 0;
   size_t num_markers = 0;
@@ -73,9 +108,10 @@ Result<MotionSequence> ParseTrc(const std::string& text) {
     return Status::ParseError("TRC header declares zero markers");
   }
 
-  MOCEMG_ASSIGN_OR_RETURN(std::string name_line,
-                          NextLine(&in, "marker-name line"));
-  const std::vector<std::string> name_fields = TabFields(name_line);
+  MOCEMG_ASSIGN_OR_RETURN(std::string_view name_line,
+                          NextLine(&lines, "marker-name line"));
+  // TRC pads each marker name with two empty columns.
+  const std::vector<std::string_view> name_fields = Split(name_line, '\t');
   if (name_fields.size() < 2 || Trim(name_fields[0]) != "Frame#") {
     return Status::ParseError("malformed marker-name line");
   }
@@ -94,57 +130,37 @@ Result<MotionSequence> ParseTrc(const std::string& text) {
 
   // Sub-header (X1 Y1 Z1 ...) — present in well-formed files; tolerate a
   // file that jumps straight to data by peeking at the first field.
-  MOCEMG_ASSIGN_OR_RETURN(std::string subheader,
-                          NextLine(&in, "coordinate sub-header"));
-  std::vector<std::vector<double>> rows;
-  auto consume_data_line = [&](const std::string& line) -> Status {
-    const std::string_view t = Trim(line);
-    if (t.empty()) return Status::OK();
-    const std::vector<std::string> fields = TabFields(line);
-    if (fields.size() < 2 + 3 * num_markers) {
-      return Status::ParseError(
-          "data row " + std::to_string(rows.size() + 1) + " has " +
-          std::to_string(fields.size()) + " fields, expected >= " +
-          std::to_string(2 + 3 * num_markers) +
-          " (truncated capture?)");
+  MOCEMG_ASSIGN_OR_RETURN(std::string_view line,
+                          NextLine(&lines, "coordinate sub-header"));
+  const size_t cols = 3 * num_markers;
+  std::vector<double> data;
+  // Room for the declared frames, capped by what the remaining text can
+  // hold (a coordinate takes at least a digit and a tab).
+  data.reserve(std::min(num_frames, lines.rest().size() / (2 * cols) + 1) *
+               cols);
+  size_t frames = 0;
+  bool is_data = ParseInt(line.substr(0, line.find('\t'))).ok();
+  do {
+    if (is_data && !Trim(line).empty()) {
+      MOCEMG_RETURN_NOT_OK(
+          ParseDataRow(line, num_markers, unit_to_mm, frames + 1, &data));
+      ++frames;
     }
-    std::vector<double> row(3 * num_markers);
-    for (size_t m = 0; m < 3 * num_markers; ++m) {
-      MOCEMG_ASSIGN_OR_RETURN(double v, ParseDouble(fields[2 + m]));
-      if (!std::isfinite(v)) {
-        return Status::ParseError(
-            "non-finite coordinate '" +
-            std::string(Trim(fields[2 + m])) + "' in data row " +
-            std::to_string(rows.size() + 1) +
-            "; occluded markers must be repaired upstream, not "
-            "serialized as NaN");
-      }
-      row[m] = v * unit_to_mm;
-    }
-    rows.push_back(std::move(row));
-    return Status::OK();
-  };
-
-  // Is the sub-header actually a data row (starts with a number)?
-  {
-    const std::vector<std::string> fields = TabFields(subheader);
-    if (!fields.empty() && ParseInt(fields[0]).ok()) {
-      MOCEMG_RETURN_NOT_OK(consume_data_line(subheader));
-    }
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    MOCEMG_RETURN_NOT_OK(consume_data_line(line));
-  }
-  if (num_frames != 0 && rows.size() != num_frames) {
+    is_data = true;
+  } while (lines.Next(&line));
+  if (num_frames != 0 && frames != num_frames) {
     return Status::ParseError("TRC header declares " +
                               std::to_string(num_frames) +
                               " frames but file contains " +
-                              std::to_string(rows.size()));
+                              std::to_string(frames));
   }
 
-  MOCEMG_ASSIGN_OR_RETURN(Matrix positions, Matrix::FromRows(rows));
+  // An empty capture keeps the 0x0 shape MotionSequence::Create rejects.
+  Matrix positions;
+  if (frames > 0) {
+    MOCEMG_ASSIGN_OR_RETURN(
+        positions, Matrix::FromRowMajor(frames, cols, std::move(data)));
+  }
   return MotionSequence::Create(MarkerSet(std::move(segments)),
                                 std::move(positions), data_rate);
 }

@@ -1,72 +1,77 @@
 #include "util/csv.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "util/macros.h"
 #include "util/string_util.h"
 
 namespace mocemg {
-namespace {
 
-// Splits one physical CSV line into fields, honoring double-quote
-// escaping. Quoted fields may contain the delimiter and doubled quotes.
-Result<std::vector<std::string>> SplitCsvLine(const std::string& line,
-                                              char delim, size_t line_no) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
+Status CsvLineSplitter::Split(std::string_view line, size_t line_no) {
+  line_no_ = line_no;
+  fields_.clear();
+  unquoted_.clear();
+  // Unescaped text is never longer than the line, so the buffer does not
+  // reallocate below and views into it stay valid.
+  unquoted_.reserve(line.size());
+  size_t i = 0;
+  while (true) {
+    size_t end;
+    if (i < line.size() && line[i] == '"') {
+      const size_t begin = unquoted_.size();
+      bool closed = false;
+      for (++i; i < line.size(); ++i) {
+        if (line[i] != '"') {
+          unquoted_.push_back(line[i]);
+        } else if (i + 1 < line.size() && line[i + 1] == '"') {
+          unquoted_.push_back('"');
           ++i;
         } else {
-          in_quotes = false;
+          closed = true;
+          ++i;
+          break;
         }
-      } else {
-        cur.push_back(c);
       }
+      if (!closed) {
+        return Status::ParseError("unterminated quote on line " +
+                                  std::to_string(line_no));
+      }
+      end = std::min(line.find(delimiter_, i), line.size());
+      unquoted_.append(line.substr(i, end - i));
+      fields_.emplace_back(unquoted_.data() + begin,
+                           unquoted_.size() - begin);
     } else {
-      if (c == '"' && cur.empty()) {
-        in_quotes = true;
-      } else if (c == delim) {
-        fields.push_back(std::move(cur));
-        cur.clear();
-      } else {
-        cur.push_back(c);
-      }
+      end = std::min(line.find(delimiter_, i), line.size());
+      fields_.push_back(line.substr(i, end - i));
     }
+    if (end == line.size()) return Status::OK();
+    i = end + 1;
   }
-  if (in_quotes) {
-    return Status::ParseError("unterminated quote on line " +
-                              std::to_string(line_no));
-  }
-  fields.push_back(std::move(cur));
-  return fields;
 }
 
-}  // namespace
+Status CsvLineSplitter::CheckFieldCount(size_t expected) const {
+  if (fields_.size() == expected) return Status::OK();
+  return Status::ParseError("row on line " + std::to_string(line_no_) +
+                            " has " + std::to_string(fields_.size()) +
+                            " fields, expected " + std::to_string(expected));
+}
 
 Result<CsvTable> CsvTable::FromString(const std::string& text,
                                       const CsvOptions& options) {
   CsvTable table;
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
+  LineCursor lines(text);
+  CsvLineSplitter splitter(options.delimiter);
+  std::string_view line;
   bool header_done = !options.has_header;
   size_t expected_fields = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty()) continue;
-    if (trimmed.front() == options.comment_char) continue;
-    MOCEMG_ASSIGN_OR_RETURN(
-        std::vector<std::string> fields,
-        SplitCsvLine(line, options.delimiter, line_no));
+  while (lines.Next(&line)) {
+    const std::string_view trimmed = Trim(line);
+    if (trimmed.empty() || trimmed.front() == options.comment_char) continue;
+    MOCEMG_RETURN_NOT_OK(splitter.Split(line, lines.line_no()));
+    std::vector<std::string> fields(splitter.fields().begin(),
+                                    splitter.fields().end());
     if (!header_done) {
       table.header_ = std::move(fields);
       expected_fields = table.header_.size();
@@ -74,11 +79,8 @@ Result<CsvTable> CsvTable::FromString(const std::string& text,
       continue;
     }
     if (expected_fields == 0) expected_fields = fields.size();
-    if (!options.allow_ragged_rows && fields.size() != expected_fields) {
-      return Status::ParseError(
-          "row on line " + std::to_string(line_no) + " has " +
-          std::to_string(fields.size()) + " fields, expected " +
-          std::to_string(expected_fields));
+    if (!options.allow_ragged_rows) {
+      MOCEMG_RETURN_NOT_OK(splitter.CheckFieldCount(expected_fields));
     }
     table.rows_.push_back(std::move(fields));
   }
@@ -164,10 +166,25 @@ Status CsvWriter::ToFile(const std::string& path) const {
 Result<std::string> ReadFileToString(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "' for reading");
-  std::ostringstream ss;
-  ss << in.rdbuf();
+  // Size the string from the file and read it in one call. Files with no
+  // size up front (pipes) or that grew since are read on to EOF.
+  std::error_code ec;
+  uintmax_t size = 0;
+  if (std::filesystem::is_regular_file(path, ec)) {
+    size = std::filesystem::file_size(path, ec);
+    if (ec) size = 0;
+  }
+  std::string out(static_cast<size_t>(size), '\0');
+  in.read(out.data(), static_cast<std::streamsize>(out.size()));
+  size_t got = static_cast<size_t>(in.gcount());
+  while (got == out.size() && in.peek() != std::ifstream::traits_type::eof()) {
+    out.resize(std::max<size_t>(2 * out.size(), 4096));
+    in.read(out.data() + got, static_cast<std::streamsize>(out.size() - got));
+    got += static_cast<size_t>(in.gcount());
+  }
   if (in.bad()) return Status::IOError("read failure on '" + path + "'");
-  return ss.str();
+  out.resize(got);
+  return out;
 }
 
 Status WriteStringToFile(const std::string& path,

@@ -12,6 +12,7 @@
 #define MOCEMG_UTIL_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -62,6 +63,35 @@ class CsvTable {
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// \brief Splits CSV lines into fields without copying plain cells.
+///
+/// The one CSV field splitter: CsvTable and the EMG reader both use it.
+/// A field that opens with '"' is quoted: it may hold the delimiter, a
+/// doubled quote stands for one quote, and any text between the closing
+/// quote and the next delimiter is kept literally. Quoted fields are
+/// unescaped into a buffer the splitter owns; every other field is a view
+/// into the line. Fields stay valid until the next Split().
+class CsvLineSplitter {
+ public:
+  explicit CsvLineSplitter(char delimiter = ',') : delimiter_(delimiter) {}
+
+  /// \brief Splits one line (without its newline). `line_no` labels
+  /// errors about this line.
+  Status Split(std::string_view line, size_t line_no);
+
+  /// \brief Fields of the line last split.
+  const std::vector<std::string_view>& fields() const { return fields_; }
+
+  /// \brief Fails unless the line last split had `expected` fields.
+  Status CheckFieldCount(size_t expected) const;
+
+ private:
+  char delimiter_;
+  size_t line_no_ = 0;
+  std::vector<std::string_view> fields_;
+  std::string unquoted_;
 };
 
 /// \brief Streaming CSV writer with quoting.

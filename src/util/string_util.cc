@@ -2,22 +2,25 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace mocemg {
 
-std::vector<std::string> Split(std::string_view input, char delim) {
-  std::vector<std::string> out;
+std::vector<std::string_view> Split(std::string_view input, char delim) {
+  std::vector<std::string_view> out;
   size_t start = 0;
   while (true) {
     size_t pos = input.find(delim, start);
     if (pos == std::string_view::npos) {
-      out.emplace_back(input.substr(start));
+      out.push_back(input.substr(start));
       break;
     }
-    out.emplace_back(input.substr(start, pos - start));
+    out.push_back(input.substr(start, pos - start));
     start = pos + 1;
   }
   return out;
@@ -46,36 +49,82 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-Result<double> ParseDouble(std::string_view token) {
-  std::string t(Trim(token));
-  if (t.empty()) return Status::ParseError("empty numeric token");
+namespace {
+
+// The reference grammar: strtod on a NUL-terminated copy of the trimmed
+// token. Only tokens the from_chars fast path does not settle reach it.
+Result<double> ParseDoubleStrtod(std::string_view t) {
+  const std::string copy(t);
   errno = 0;
   char* end = nullptr;
-  double v = std::strtod(t.c_str(), &end);
+  const double v = std::strtod(copy.c_str(), &end);
   if (errno == ERANGE) {
-    return Status::ParseError("numeric overflow in token '" + t + "'");
+    return Status::ParseError("numeric overflow in token '" + copy + "'");
   }
-  if (end != t.c_str() + t.size()) {
-    return Status::ParseError("trailing garbage in numeric token '" + t +
+  if (end != copy.c_str() + copy.size()) {
+    return Status::ParseError("trailing garbage in numeric token '" + copy +
                               "'");
   }
   return v;
 }
 
+}  // namespace
+
+Result<double> ParseDouble(std::string_view token) {
+  const std::string_view t = Trim(token);
+  if (t.empty()) return Status::ParseError("empty numeric token");
+  // from_chars takes a subset of strtod's grammar (no '+', no hex prefix)
+  // and rounds correctly, as glibc strtod does, so a full match is the
+  // strtod value. glibc also raises ERANGE on results that were tiny
+  // before rounding, which can round up to DBL_MIN itself; only values
+  // strictly above DBL_MIN are certain to be range-clean. Zero, DBL_MIN,
+  // subnormals, inf/nan, range errors and non-matches go to strtod.
+  double v = 0.0;
+  const char* last = t.data() + t.size();
+  const auto [ptr, ec] = std::from_chars(t.data(), last, v);
+  if (ec == std::errc() && ptr == last && std::fabs(v) > DBL_MIN &&
+      std::fabs(v) <= DBL_MAX) {
+    return v;
+  }
+  return ParseDoubleStrtod(t);
+}
+
 Result<int64_t> ParseInt(std::string_view token) {
-  std::string t(Trim(token));
+  const std::string_view t = Trim(token);
   if (t.empty()) return Status::ParseError("empty integer token");
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(t.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::ParseError("integer overflow in token '" + t + "'");
+  const char* first = t.data();
+  const char* last = t.data() + t.size();
+  // strtoll takes a '+' sign; from_chars does not.
+  if (*first == '+' && t.size() > 1 &&
+      std::isdigit(static_cast<unsigned char>(first[1]))) {
+    ++first;
   }
-  if (end != t.c_str() + t.size()) {
-    return Status::ParseError("trailing garbage in integer token '" + t +
-                              "'");
+  int64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::ParseError("integer overflow in token '" +
+                              std::string(t) + "'");
   }
-  return static_cast<int64_t>(v);
+  if (ec != std::errc() || ptr != last) {
+    return Status::ParseError("trailing garbage in integer token '" +
+                              std::string(t) + "'");
+  }
+  return v;
+}
+
+bool LineCursor::Next(std::string_view* line) {
+  if (rest_.empty()) return false;
+  const size_t nl = rest_.find('\n');
+  if (nl == std::string_view::npos) {
+    *line = rest_;
+    rest_ = {};
+  } else {
+    *line = rest_.substr(0, nl);
+    rest_.remove_prefix(nl + 1);
+  }
+  if (!line->empty() && line->back() == '\r') line->remove_suffix(1);
+  ++line_no_;
+  return true;
 }
 
 std::string Join(const std::vector<std::string>& parts,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/model_io.h"
@@ -42,6 +43,22 @@ std::string Mutate(const std::string& input, int count, Rng* rng) {
     }
   }
   return s;
+}
+
+// Whatever a parser accepts must be rectangular and finite.
+void ExpectRectangularAndFinite(const MotionSequence& motion) {
+  const Matrix& p = motion.positions();
+  EXPECT_EQ(p.cols(), 3 * motion.num_markers());
+  ASSERT_EQ(p.size(), p.rows() * p.cols());
+  for (double v : p.data()) ASSERT_TRUE(std::isfinite(v));
+}
+
+void ExpectRectangularAndFinite(const EmgRecording& recording) {
+  for (size_t c = 0; c < recording.num_channels(); ++c) {
+    const std::vector<double>& channel = recording.channel(c);
+    ASSERT_EQ(channel.size(), recording.num_samples());
+    for (double v : channel) ASSERT_TRUE(std::isfinite(v));
+  }
 }
 
 class ParserRobustnessTest : public ::testing::Test {
@@ -85,11 +102,7 @@ TEST_F(ParserRobustnessTest, TrcSurvivesMutations) {
     const std::string mutated =
         Mutate(*trc_text_, 1 + static_cast<int>(rng.NextBelow(8)), &rng);
     auto parsed = ParseTrc(mutated);  // must not crash
-    if (parsed.ok()) {
-      // Whatever parsed must be internally consistent.
-      EXPECT_EQ(parsed->positions().cols(),
-                3 * parsed->num_markers());
-    }
+    if (parsed.ok()) ExpectRectangularAndFinite(*parsed);
   }
 }
 
@@ -103,6 +116,7 @@ TEST_F(ParserRobustnessTest, EmgCsvSurvivesMutations) {
       EXPECT_GT(parsed->sample_rate_hz(), 0.0);
       EXPECT_TRUE(parsed->Validate().ok() ||
                   parsed->num_samples() == 0);
+      ExpectRectangularAndFinite(*parsed);
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 namespace mocemg {
 namespace {
@@ -28,6 +29,37 @@ TEST(TrcIoTest, RoundTripPreservesData) {
   EXPECT_DOUBLE_EQ(parsed->frame_rate_hz(), 120.0);
   EXPECT_TRUE(parsed->positions().AllClose(original.positions(), 1e-4));
   EXPECT_EQ(parsed->marker_set().segments()[1], Segment::kHand);
+}
+
+TEST(TrcIoTest, CrlfLineEndingsParseLikeLf) {
+  const std::string lf = WriteTrc(MakeMotion());
+  std::string crlf;
+  for (char ch : lf) {
+    if (ch == '\n') crlf.push_back('\r');
+    crlf.push_back(ch);
+  }
+  auto a = ParseTrc(lf);
+  auto b = ParseTrc(crlf);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(a->positions().data(), b->positions().data());
+  EXPECT_EQ(a->marker_set().segments(), b->marker_set().segments());
+}
+
+TEST(TrcIoTest, FileWithoutSubHeaderStartsDataOnLineFive) {
+  const std::string text = WriteTrc(MakeMotion());
+  // Drop line 5, the X1 Y1 Z1 ... sub-header.
+  size_t line5 = 0;
+  for (int i = 0; i < 4; ++i) line5 = text.find('\n', line5) + 1;
+  std::string no_sub = text;
+  no_sub.erase(line5, text.find('\n', line5) + 1 - line5);
+  ASSERT_EQ(no_sub.substr(line5, 2), "1\t");
+  auto a = ParseTrc(text);
+  auto b = ParseTrc(no_sub);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(b->num_frames(), 3u);
+  EXPECT_EQ(a->positions().data(), b->positions().data());
 }
 
 TEST(TrcIoTest, RejectsNonTrc) {

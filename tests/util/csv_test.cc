@@ -136,5 +136,29 @@ TEST(CsvTest, ReadWriteStringFile) {
   std::remove(path.c_str());
 }
 
+TEST(CsvTest, ReadEmptyFileGivesEmptyString) {
+  const std::string path = ::testing::TempDir() + "/csv_test_empty.txt";
+  ASSERT_TRUE(WriteStringToFile(path, "").ok());
+  auto content = ReadFileToString(path);
+  ASSERT_TRUE(content.ok()) << content.status();
+  EXPECT_TRUE(content->empty());
+  std::remove(path.c_str());
+}
+
+TEST(CsvTest, ReadDirectoryIsIOError) {
+  auto content = ReadFileToString(::testing::TempDir());
+  ASSERT_FALSE(content.ok());
+  EXPECT_TRUE(content.status().IsIOError());
+}
+
+TEST(CsvTest, QuotedFieldKeepsTextAfterClosingQuote) {
+  auto table = CsvTable::FromString("a,b,c\n\"x,y\"z,\"\"\"\",\"\"\n");
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ(table->rows()[0].size(), 3u);
+  EXPECT_EQ(table->rows()[0][0], "x,yz");
+  EXPECT_EQ(table->rows()[0][1], "\"");
+  EXPECT_EQ(table->rows()[0][2], "");
+}
+
 }  // namespace
 }  // namespace mocemg
