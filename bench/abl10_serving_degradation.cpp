@@ -22,12 +22,13 @@
 #include <string>
 #include <vector>
 
-#include "db/feature_index.h"
 #include "db/index_snapshot.h"
 #include "db/motion_database.h"
 #include "db/query_server.h"
 #include "db/serving_faults.h"
+#include "db/sharded_index.h"
 #include "util/clock.h"
+#include "util/csv.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -99,7 +100,7 @@ struct PressureResult {
 };
 
 PressureResult RunPressure(const MotionDatabase& db,
-                           const FeatureIndex& index,
+                           const ShardedFeatureIndex& index,
                            const std::vector<std::vector<double>>& queries,
                            uint64_t stall_us, size_t threads) {
   FakeClock fake;
@@ -187,24 +188,45 @@ PressureResult RunPressure(const MotionDatabase& db,
   return out;
 }
 
+// Reads the manifest and its shard files as one byte string.
+std::string SnapshotBytes(const std::string& path, size_t num_shards) {
+  std::string bytes;
+  for (size_t s = 0; s <= num_shards; ++s) {
+    const std::string file =
+        s == 0 ? path : path + ".shard" + std::to_string(s - 1);
+    auto part = ReadFileToString(file);
+    MOCEMG_CHECK_OK(part.status());
+    bytes += *part;
+  }
+  return bytes;
+}
+
+void RemoveSnapshot(const std::string& path, size_t num_shards) {
+  std::remove(path.c_str());
+  for (size_t s = 0; s < num_shards; ++s) {
+    std::remove((path + ".shard" + std::to_string(s)).c_str());
+  }
+}
+
 void CheckSnapshotRoundTrip(const MotionDatabase& db,
-                            const FeatureIndex& index,
-                            const FeatureIndexOptions& iopts) {
+                            const ShardedFeatureIndex& index,
+                            const ShardedIndexOptions& iopts) {
   const std::string path = "/tmp/abl10_snapshot.bin";
-  MOCEMG_CHECK_OK(SaveFeatureIndex(index, path));
-  IndexSnapshotLoadInfo info;
-  auto loaded = LoadOrRebuildFeatureIndex(path, &db, iopts, &info);
+  const std::string resaved = path + ".resaved";
+  const size_t shards = index.num_shards();
+  MOCEMG_CHECK_OK(SaveShardedFeatureIndex(index, path));
+  ShardedSnapshotLoadInfo info;
+  auto loaded = LoadOrRebuildShardedFeatureIndex(path, &db, iopts, &info);
   MOCEMG_CHECK_OK(loaded.status());
   MOCEMG_CHECK(info.loaded_from_snapshot);
-  auto a = SerializeFeatureIndex(index);
-  auto b = SerializeFeatureIndex(*loaded);
-  MOCEMG_CHECK_OK(a.status());
-  MOCEMG_CHECK_OK(b.status());
-  MOCEMG_CHECK(*a == *b);
-  std::remove(path.c_str());
+  MOCEMG_CHECK_OK(SaveShardedFeatureIndex(*loaded, resaved));
+  const std::string a = SnapshotBytes(path, shards);
+  MOCEMG_CHECK(a == SnapshotBytes(resaved, shards));
+  RemoveSnapshot(path, shards);
+  RemoveSnapshot(resaved, shards);
   std::printf("# snapshot round-trip: OK (%zu bytes, reload "
               "re-serializes bit-identically)\n",
-              a->size());
+              a.size());
 }
 
 }  // namespace
@@ -226,9 +248,9 @@ int main(int argc, char** argv) {
               smoke ? " (smoke)" : "");
 
   MotionDatabase db = MakeDb(records, dim, 17);
-  FeatureIndexOptions iopts;
-  iopts.quantized_min_rows = 1;  // arm the coarse tier at bench scale
-  auto index = FeatureIndex::Build(&db, iopts);
+  ShardedIndexOptions iopts;
+  iopts.index.quantized_min_rows = 1;  // arm the coarse tier at bench scale
+  auto index = ShardedFeatureIndex::Build(&db, iopts);
   MOCEMG_CHECK_OK(index.status());
   MOCEMG_CHECK(index->has_quantized_tier());
   auto queries = MakeQueries(burst, dim, 18);

@@ -6,8 +6,8 @@
 
 #include <map>
 
-#include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "db/sharded_index.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -60,7 +60,7 @@ BENCHMARK(BM_LinearKnn)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_IndexedKnn(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   MotionDatabase db = MakeDb(n, 30, 3);
-  auto index = FeatureIndex::Build(&db);
+  auto index = ShardedFeatureIndex::Build(&db);
   MOCEMG_CHECK_OK(index.status());
   const auto query = MakeQuery(30, 4);
   for (auto _ : state) {
@@ -80,7 +80,7 @@ void BM_IndexedKnnDim(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const size_t n = 4000;
   MotionDatabase db = MakeDb(n, dim, 3);
-  auto index = FeatureIndex::Build(&db);
+  auto index = ShardedFeatureIndex::Build(&db);
   MOCEMG_CHECK_OK(index.status());
   const auto query = MakeQuery(dim, 4);
   for (auto _ : state) {
@@ -111,10 +111,10 @@ void BM_QuantIndexedKnnDim(benchmark::State& state) {
     dbs->emplace(dim, MakeDb(n, dim, 3));
   }
   const MotionDatabase& db = dbs->at(dim);
-  FeatureIndexOptions opts;
-  opts.num_partitions = 8;
-  opts.quantized_scan = quantized;
-  auto index = FeatureIndex::Build(&db, opts);
+  ShardedIndexOptions opts;
+  opts.index.num_partitions = 8;
+  opts.index.quantized_scan = quantized;
+  auto index = ShardedFeatureIndex::Build(&db, opts);
   MOCEMG_CHECK_OK(index.status());
   const auto query = MakeQuery(dim, 4);
   for (auto _ : state) {
@@ -145,11 +145,12 @@ void BM_IndexedKnnF32(benchmark::State& state) {
     dbs->emplace(dim, MakeDb(n, dim, 5));
   }
   const MotionDatabase& db = dbs->at(dim);
-  FeatureIndexOptions opts;
-  opts.num_partitions = 8;
-  opts.quantized_scan = false;
-  opts.exact_precision = f32 ? ExactPrecision::kF32 : ExactPrecision::kF64;
-  auto index = FeatureIndex::Build(&db, opts);
+  ShardedIndexOptions opts;
+  opts.index.num_partitions = 8;
+  opts.index.quantized_scan = false;
+  opts.index.exact_precision =
+      f32 ? ExactPrecision::kF32 : ExactPrecision::kF64;
+  auto index = ShardedFeatureIndex::Build(&db, opts);
   MOCEMG_CHECK_OK(index.status());
   const auto query = MakeQuery(dim, 6);
   for (auto _ : state) {
@@ -168,7 +169,7 @@ void BM_IndexBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   MotionDatabase db = MakeDb(n, 30, 3);
   for (auto _ : state) {
-    auto index = FeatureIndex::Build(&db);
+    auto index = ShardedFeatureIndex::Build(&db);
     benchmark::DoNotOptimize(index);
   }
 }

@@ -20,8 +20,8 @@
 
 #include "cluster/fcm.h"
 #include "cluster/kmeans.h"
-#include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "db/sharded_index.h"
 #include "linalg/matrix.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -93,7 +93,7 @@ std::vector<QueryHit> SeedLinearScan(
   return hits;
 }
 
-// Replica of the seed FeatureIndex: per-partition reference + member
+// Replica of the seed's cluster-pruned index: per-partition reference + member
 // indices + radius, records scattered as AoS rows, scalar scan.
 struct SeedIndex {
   struct Part {
@@ -138,7 +138,7 @@ SeedIndex BuildSeedIndex(const MotionDatabase& db,
   return index;
 }
 
-// Replica of the seed FeatureIndex::NearestNeighbors query loop:
+// Replica of the seed index's NearestNeighbors query loop:
 // sqrt-bearing prune, per-record scalar squared distance through the
 // AoS indirection.
 std::vector<QueryHit> SeedIndexedScan(
@@ -211,7 +211,7 @@ void BM_KnnScan(benchmark::State& state) {
 BENCHMARK(BM_KnnScan)->ArgsProduct({{30, 64, 128, 240}, {0, 1}});
 
 // Args: {dim, mode}; mode 0 = seed AoS indexed scan, 1 = SoA dot-form
-// kernel scan (FeatureIndex::NearestNeighbors). Same partition
+// kernel scan (ShardedFeatureIndex::NearestNeighbors). Same partition
 // geometry on both sides.
 void BM_IndexedScan(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
@@ -220,7 +220,7 @@ void BM_IndexedScan(benchmark::State& state) {
   MotionDatabase db = MakeDb(n, dim, 3);
   const auto records = AosRecords(db);
   const auto query = MakeQuery(dim, 4);
-  auto index = FeatureIndex::Build(&db);
+  auto index = ShardedFeatureIndex::Build(&db);
   MOCEMG_CHECK_OK(index.status());
   const SeedIndex seed_index = BuildSeedIndex(db, records);
   for (auto _ : state) {

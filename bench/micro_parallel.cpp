@@ -13,8 +13,8 @@
 #include "cluster/fcm.h"
 #include "core/classifier.h"
 #include "core/window_features.h"
-#include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "db/sharded_index.h"
 #include "emg/acquisition.h"
 #include "eval/protocols.h"
 #include "synth/dataset.h"
@@ -139,9 +139,9 @@ void BM_ParallelBatchKnn(benchmark::State& state) {
     for (double& v : r.feature) v = rng.NextDouble();
     MOCEMG_CHECK_OK(db.Insert(std::move(r)));
   }
-  FeatureIndexOptions opts;
-  opts.parallel.max_threads = static_cast<size_t>(state.range(0));
-  auto index = FeatureIndex::Build(&db, opts);
+  ShardedIndexOptions opts;
+  opts.index.parallel.max_threads = static_cast<size_t>(state.range(0));
+  auto index = ShardedFeatureIndex::Build(&db, opts);
   MOCEMG_CHECK_OK(index.status());
   std::vector<std::vector<double>> queries(64,
                                            std::vector<double>(dim));

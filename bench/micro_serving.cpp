@@ -24,11 +24,12 @@
 //   BM_ShardedKnn/<S>          scatter-gather batch kNN at S shards, one
 //                              thread — the fan-out overhead sweep
 //                              (BENCH_pr7.json).
-//   BM_ServedKnnSharded/<mode> mode 0: single-index server; mode 1: 4
+//   BM_ServedKnnSharded/<mode> mode 0: 1-shard server; mode 1: 4
 //                              shards + 2-deep wave pipeline (annotated,
 //                              not gated, on 1-CPU hosts).
-//   BM_ServedKnnMutate/<mode>  mutate-then-serve passes. mode 0: stale
-//                              index → exact fallback + full cache loss.
+//   BM_ServedKnnMutate/<mode>  mutate-then-serve passes. mode 0: 1-shard
+//                              index left stale (no ApplyUpdate) → exact
+//                              fallback + full cache loss.
 //                              mode 1: ApplyUpdate + shard-aware
 //                              revalidation keeps the untouched shards'
 //                              cache entries (BENCH_pr7.json).
@@ -51,7 +52,6 @@
 #include <map>
 #include <vector>
 
-#include "db/feature_index.h"
 #include "db/motion_database.h"
 #include "db/query_server.h"
 #include "db/sharded_index.h"
@@ -102,11 +102,12 @@ const MotionDatabase& SharedDb() {
   return *db;
 }
 
-const FeatureIndex& SharedIndex() {
-  static const FeatureIndex* index = [] {
-    auto built = FeatureIndex::Build(&SharedDb());
+// The default (1-shard) index over SharedDb().
+const ShardedFeatureIndex& SharedIndex() {
+  static const ShardedFeatureIndex* index = [] {
+    auto built = ShardedFeatureIndex::Build(&SharedDb());
     MOCEMG_CHECK_OK(built.status());
-    return new FeatureIndex(std::move(*built));
+    return new ShardedFeatureIndex(std::move(*built));
   }();
   return *index;
 }
@@ -189,7 +190,7 @@ void BM_ShardedKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedKnn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Single-index serving vs 4-shard serving with a 2-deep wave pipeline,
+// 1-shard serving vs 4-shard serving with a 2-deep wave pipeline,
 // identical workload and answers. With one CPU online the pipeline
 // cannot overlap stages and the pair measures scatter-gather overhead;
 // run_benchmarks.sh annotates (does not gate) the ratio accordingly.
@@ -236,9 +237,10 @@ BENCHMARK(BM_ServedKnnSharded)->Arg(0)->Arg(1);
 // each pass mutates one record, then serves a hot working set of
 // queries whose answers live mostly in OTHER shards.
 //
-//   mode 0: plain-index server. The mutation leaves the index stale —
-//           every request falls back to the exact scan and the whole
-//           result cache invalidates on the epoch bump.
+//   mode 0: 1-shard server that never applies the update. The
+//           mutation leaves the index stale — every request falls back
+//           to the exact scan and the whole result cache invalidates
+//           on the epoch bump.
 //   mode 1: 4-shard server with ApplyUpdate absorbed between passes —
 //           the index stays fresh, and only cache entries that
 //           provably depended on the mutated shard re-evaluate; the
@@ -296,9 +298,9 @@ void BM_ServedKnnMutate(benchmark::State& state) {
       MOCEMG_CHECK_OK(hits.status());
     }
   } else {
-    auto built = FeatureIndex::Build(db);
+    auto built = ShardedFeatureIndex::Build(db);
     MOCEMG_CHECK_OK(built.status());
-    FeatureIndex index(std::move(*built));
+    ShardedFeatureIndex index(std::move(*built));
     auto server = QueryServer::Create(db, &index, opts);
     MOCEMG_CHECK_OK(server.status());
     for (auto _ : state) {
@@ -354,16 +356,16 @@ void BM_BatchedKnn(benchmark::State& state) {
   const bool batched = state.range(2) == 1;
   struct Fixture {
     MotionDatabase db;
-    FeatureIndex index;
+    ShardedFeatureIndex index;
   };
   static std::map<size_t, Fixture*>* fixtures =
       new std::map<size_t, Fixture*>();
   Fixture*& fx = (*fixtures)[dim];
   if (fx == nullptr) {
-    fx = new Fixture{MakeDb(kRecords, dim, 11), FeatureIndex()};
-    FeatureIndexOptions iopts;
-    iopts.parallel.max_threads = 1;
-    auto built = FeatureIndex::Build(&fx->db, iopts);
+    fx = new Fixture{MakeDb(kRecords, dim, 11), ShardedFeatureIndex()};
+    ShardedIndexOptions iopts;
+    iopts.index.parallel.max_threads = 1;
+    auto built = ShardedFeatureIndex::Build(&fx->db, iopts);
     MOCEMG_CHECK_OK(built.status());
     fx->index = std::move(*built);
   }

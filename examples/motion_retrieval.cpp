@@ -13,8 +13,8 @@
 #include <cstdlib>
 
 #include "core/classifier.h"
-#include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "db/sharded_index.h"
 #include "eval/protocols.h"
 #include "synth/dataset.h"
 #include "util/logging.h"
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
               reloaded->size(), reloaded->feature_dimension(),
               db_path.c_str());
 
-  auto index = FeatureIndex::Build(&*reloaded);
+  auto index = ShardedFeatureIndex::Build(&*reloaded);
   MOCEMG_CHECK_OK(index.status());
   std::printf("index: %zu k-means partitions\n", index->num_partitions());
 

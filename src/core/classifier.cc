@@ -366,8 +366,7 @@ Result<std::vector<size_t>> MotionClassifier::ClassifyBatch(
   if (final_db_ != nullptr) {
     QueryServerOptions srv;
     srv.parallel = parallel;
-    auto server = QueryServer::Create(
-        final_db_.get(), static_cast<const FeatureIndex*>(nullptr), srv);
+    auto server = QueryServer::Create(final_db_.get(), nullptr, srv);
     if (server.ok()) {
       auto labels = server->ClassifyBatch(features, 1);
       if (labels.ok()) return *std::move(labels);

@@ -181,8 +181,8 @@ class MotionClassifier {
   /// the retrieval-side view of this classifier (record i holds final
   /// feature row i with labels_[i]). Built once at Train/FromParts;
   /// null only if that build failed (batch classification then uses
-  /// the per-trial path). Callers use it to build a FeatureIndex or a
-  /// QueryServer over the trained model.
+  /// the per-trial path). Callers use it to build a ShardedFeatureIndex
+  /// or a QueryServer over the trained model.
   const MotionDatabase* final_database() const { return final_db_.get(); }
 
   /// \brief Training-set final features as rows (one per motion).

@@ -26,15 +26,13 @@ namespace {
 // guaranteed upstream — no NaN.
 constexpr double kF32TierNormGate = 1e30;
 
-// Query-block scan knobs (DESIGN.md §16). kDefaultQueryBlock is the
-// auto block size for the batch entry points; kBlockRowSlab caps one
-// visit group's per-tier kernel output at g × slab entries, so block
-// scratch stays bounded on huge partitions. Both are pure performance
-// knobs: every per-(query, row) quantity is bit-identical at any
-// value, because each pair's kernel accumulation is self-contained and
-// every gate either evolves per-row within one query (coarse) or is
-// frozen at partition entry (dot-form tiers).
-constexpr size_t kDefaultQueryBlock = 32;
+// Query-block scan knob (DESIGN.md §16): kBlockRowSlab caps one visit
+// group's per-tier kernel output at g × slab entries, so block scratch
+// stays bounded on huge partitions. A pure performance knob: every
+// per-(query, row) quantity is bit-identical at any value, because
+// each pair's kernel accumulation is self-contained and every gate
+// either evolves per-row within one query (coarse) or is frozen at
+// partition entry (dot-form tiers).
 constexpr size_t kBlockRowSlab = 4096;
 
 // Second prune stage for the dot-form tiers' frozen-gate survivors
@@ -1119,291 +1117,6 @@ bool IndexPartitionSet::AllBeyond(const std::vector<double>& query,
     }
   }
   return true;
-}
-
-Result<FeatureIndex> FeatureIndex::Build(
-    const MotionDatabase* database, const FeatureIndexOptions& options) {
-  if (database == nullptr) {
-    return Status::InvalidArgument("null database");
-  }
-  FeatureIndex index;
-  index.database_ = database;
-  index.options_ = options;
-  MOCEMG_RETURN_NOT_OK(index.Rebuild());
-  return index;
-}
-
-Status FeatureIndex::Rebuild() {
-  if (database_ == nullptr || database_->empty()) {
-    return Status::FailedPrecondition("database is empty");
-  }
-  // Resolve the precision once per build and store the concrete value
-  // back, so snapshots and later refreshes see f64/f32, never
-  // "default" (env precedence: env < options < CLI, DESIGN.md §15.4).
-  options_.exact_precision = ResolveExactPrecision(options_.exact_precision);
-  MOCEMG_ASSIGN_OR_RETURN(IndexLayout layout,
-                          ComputeIndexLayout(*database_, options_));
-  MOCEMG_RETURN_NOT_OK(
-      set_.Pack(*database_, layout.references, layout.members, options_));
-  built_epoch_ = database_->epoch();
-  return Status::OK();
-}
-
-Result<std::vector<QueryHit>> FeatureIndex::NearestNeighbors(
-    const std::vector<double>& query, size_t k,
-    IndexQueryStats* stats) const {
-  Scratch scratch;
-  return NearestNeighborsImpl(query, k, stats, &scratch);
-}
-
-Status FeatureIndex::ValidateQuery(const std::vector<double>& query,
-                                   size_t k) const {
-  if (database_ == nullptr || set_.num_partitions() == 0) {
-    return Status::FailedPrecondition("index is not built");
-  }
-  if (database_->epoch() != built_epoch_) {
-    return Status::FailedPrecondition(
-        "index is stale: the database mutated (epoch " +
-        std::to_string(database_->epoch()) + ") after the index was "
-        "built (epoch " + std::to_string(built_epoch_) +
-        "); call Rebuild()");
-  }
-  if (query.size() != database_->feature_dimension()) {
-    return Status::InvalidArgument("query dimension mismatch");
-  }
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  for (double v : query) {
-    if (!std::isfinite(v)) {
-      return Status::InvalidArgument(
-          "query feature contains a non-finite value");
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<QueryHit>> FeatureIndex::NearestNeighborsImpl(
-    const std::vector<double>& query, size_t k, IndexQueryStats* stats,
-    Scratch* scratch) const {
-  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
-  IndexQueryStats local;
-  const double q_sq = SquaredNorm(query.data(), query.size());
-  BoundedTopK& top = scratch->top;
-  top.Reset(std::min(k, database_->size()));
-  set_.ScanExact(query, q_sq, &top, scratch, &local);
-  top.ExtractSorted(&scratch->entries);
-  std::vector<QueryHit> out(scratch->entries.size());
-  for (size_t i = 0; i < scratch->entries.size(); ++i) {
-    out[i].record_index = scratch->entries[i].second;
-    out[i].distance = std::sqrt(scratch->entries[i].first);
-  }
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-Result<std::vector<QueryHit>> FeatureIndex::CoarseNearestNeighbors(
-    const std::vector<double>& query, size_t k, double* error_bound,
-    IndexQueryStats* stats) const {
-  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
-  IndexQueryStats local;
-  const double q_sq = SquaredNorm(query.data(), query.size());
-  double bound = 0.0;
-  BoundedTopK top(std::min(k, database_->size()));
-  set_.ScanCoarse(query, q_sq, &top, &bound, &local);
-  std::vector<TopKEntry> entries;
-  top.ExtractSorted(&entries);
-  std::vector<QueryHit> out(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out[i].record_index = entries[i].second;
-    out[i].distance = entries[i].first;  // already in distance space
-  }
-  if (error_bound != nullptr) *error_bound = bound;
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-namespace {
-
-void AccumulateStats(const IndexQueryStats& from, IndexQueryStats* into) {
-  into->distance_computations += from.distance_computations;
-  into->partitions_visited += from.partitions_visited;
-  into->partitions_pruned += from.partitions_pruned;
-  into->coarse_computations += from.coarse_computations;
-  into->coarse_pruned += from.coarse_pruned;
-  into->f32_scans += from.f32_scans;
-  into->f32_refined += from.f32_refined;
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<QueryHit>>>
-FeatureIndex::BatchNearestNeighbors(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    IndexQueryStats* stats,
-    const ParallelOptions* parallel_override) const {
-  std::vector<std::vector<QueryHit>> results(queries.size());
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = IndexQueryStats{};
-    return results;
-  }
-  // Validate up front, so an invalid query is reported identically at
-  // every thread count and block size (the lowest offending query
-  // index wins, matching the per-query path's ascending order).
-  for (size_t q = 0; q < queries.size(); ++q) {
-    Status st = ValidateQuery(queries[q], k);
-    if (!st.ok()) {
-      return st.WithContext("while answering batch query " +
-                            std::to_string(q));
-    }
-  }
-  const ParallelOptions& parallel =
-      parallel_override != nullptr ? *parallel_override
-                                   : options_.parallel;
-  const size_t dim = database_->feature_dimension();
-  const size_t heap_k = std::min(k, database_->size());
-  // The batch is cut into fixed consecutive query blocks — a pure
-  // function of (query count, query_block), independent of the thread
-  // chunking — and each block runs the lockstep many-to-many scan.
-  size_t qb = options_.query_block != 0 ? options_.query_block
-                                        : kDefaultQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, queries.size()));
-  const size_t num_blocks = (queries.size() + qb - 1) / qb;
-  // Threads chunk over blocks (grain 1: one block already bundles qb
-  // queries of work). Stats are accumulated per chunk (scratch is also
-  // per chunk) and combined in ascending chunk order afterwards — the
-  // same fixed-order combine contract as every other parallel
-  // reduction (DESIGN.md §8.1); block totals are integer sums, so the
-  // grouping cannot change the result.
-  ParallelOptions block_parallel = parallel;
-  block_parallel.grain = 1;
-  const size_t num_chunks = ParallelNumChunks(num_blocks, 1);
-  std::vector<IndexQueryStats> per_chunk(
-      stats != nullptr ? num_chunks : 0);
-  Status st = ParallelFor(
-      num_blocks,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
-        IndexQueryStats chunk_stats;
-        for (size_t blk = begin; blk < end; ++blk) {
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, queries.size() - q0);
-          bs.queries.resize(bq * dim);
-          bs.query_sqs.resize(bq);
-          for (size_t i = 0; i < bq; ++i) {
-            std::memcpy(bs.queries.data() + i * dim,
-                        queries[q0 + i].data(), dim * sizeof(double));
-            bs.query_sqs[i] = SquaredNorm(queries[q0 + i].data(), dim);
-            tops[i].Reset(heap_k);
-          }
-          set_.ScanExactBlock(bs.queries.data(), bs.query_sqs.data(), bq,
-                              dim, tops.data(), &bs, &chunk_stats);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&bs.solo.entries);
-            std::vector<QueryHit>& out = results[q0 + i];
-            out.resize(bs.solo.entries.size());
-            for (size_t h = 0; h < out.size(); ++h) {
-              out[h].record_index = bs.solo.entries[h].second;
-              out[h].distance = std::sqrt(bs.solo.entries[h].first);
-            }
-          }
-        }
-        if (stats != nullptr) per_chunk[chunk] = chunk_stats;
-        return Status::OK();
-      },
-      block_parallel);
-  MOCEMG_RETURN_NOT_OK(st);
-  if (stats != nullptr) {
-    IndexQueryStats total;
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      AccumulateStats(per_chunk[chunk], &total);
-    }
-    *stats = total;
-  }
-  return results;
-}
-
-Result<std::vector<std::vector<QueryHit>>>
-FeatureIndex::BatchCoarseNearestNeighbors(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    std::vector<double>* error_bounds, IndexQueryStats* stats,
-    const ParallelOptions* parallel_override) const {
-  std::vector<std::vector<QueryHit>> results(queries.size());
-  if (error_bounds != nullptr) {
-    error_bounds->assign(queries.size(), 0.0);
-  }
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = IndexQueryStats{};
-    return results;
-  }
-  // Same preconditions (and messages) as CoarseNearestNeighbors, with
-  // the batch-query context the exact batch path adds.
-  for (size_t q = 0; q < queries.size(); ++q) {
-    Status st = ValidateQuery(queries[q], k);
-    if (!st.ok()) {
-      return st.WithContext("while answering batch query " +
-                            std::to_string(q));
-    }
-  }
-  const ParallelOptions& parallel =
-      parallel_override != nullptr ? *parallel_override
-                                   : options_.parallel;
-  const size_t dim = database_->feature_dimension();
-  const size_t heap_k = std::min(k, database_->size());
-  size_t qb = options_.query_block != 0 ? options_.query_block
-                                        : kDefaultQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, queries.size()));
-  const size_t num_blocks = (queries.size() + qb - 1) / qb;
-  ParallelOptions block_parallel = parallel;
-  block_parallel.grain = 1;
-  const size_t num_chunks = ParallelNumChunks(num_blocks, 1);
-  std::vector<IndexQueryStats> per_chunk(
-      stats != nullptr ? num_chunks : 0);
-  std::vector<double> bounds(queries.size(), 0.0);
-  Status st = ParallelFor(
-      num_blocks,
-      [&](size_t begin, size_t end, size_t chunk) -> Status {
-        BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
-        IndexQueryStats chunk_stats;
-        for (size_t blk = begin; blk < end; ++blk) {
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, queries.size() - q0);
-          bs.queries.resize(bq * dim);
-          bs.query_sqs.resize(bq);
-          for (size_t i = 0; i < bq; ++i) {
-            std::memcpy(bs.queries.data() + i * dim,
-                        queries[q0 + i].data(), dim * sizeof(double));
-            bs.query_sqs[i] = SquaredNorm(queries[q0 + i].data(), dim);
-            tops[i].Reset(heap_k);
-          }
-          set_.ScanCoarseBlock(bs.queries.data(), bs.query_sqs.data(), bq,
-                               dim, tops.data(), bounds.data() + q0, &bs,
-                               &chunk_stats);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&bs.solo.entries);
-            std::vector<QueryHit>& out = results[q0 + i];
-            out.resize(bs.solo.entries.size());
-            for (size_t h = 0; h < out.size(); ++h) {
-              out[h].record_index = bs.solo.entries[h].second;
-              // Coarse estimates are already in distance space.
-              out[h].distance = bs.solo.entries[h].first;
-            }
-          }
-        }
-        if (stats != nullptr) per_chunk[chunk] = chunk_stats;
-        return Status::OK();
-      },
-      block_parallel);
-  MOCEMG_RETURN_NOT_OK(st);
-  if (stats != nullptr) {
-    IndexQueryStats total;
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      AccumulateStats(per_chunk[chunk], &total);
-    }
-    *stats = total;
-  }
-  if (error_bounds != nullptr) *error_bounds = std::move(bounds);
-  return results;
 }
 
 }  // namespace mocemg

@@ -1,18 +1,18 @@
 /// \file feature_index.h
-/// \brief Cluster-pruned exact kNN index over final feature vectors — the
-/// iDistance-style "indexing technique to prune irrelevant motions" the
-/// paper points to for fast searching (its refs [14]/[13]).
+/// \brief The scan engine of the cluster-pruned exact kNN index
+/// (ShardedFeatureIndex, sharded_index.h): build options, the global
+/// partition layout, and the packed partition set every shard scans.
 ///
-/// Construction partitions the records with k-means; each partition keeps
-/// its reference point (centroid), covering radius, a contiguous
-/// row-major copy of its member records plus their squared norms
-/// (DESIGN.md §10.3), and — since the quantized tier (§11) — int8
-/// per-dimension affine codes of the same rows with a measured
+/// ComputeIndexLayout partitions the records with k-means. Each
+/// partition keeps its reference point (centroid), covering radius, a
+/// contiguous row-major copy of its member records plus their squared
+/// norms (DESIGN.md §10.3), and — the quantized tier (§11) — int8 or
+/// 4-bit per-dimension affine codes of the same rows with a measured
 /// reconstruction-error bound. A query visits partitions in ascending
 /// distance-to-reference order, prunes whole partitions with the
 /// triangle-inequality bound d(q, ref) − radius, and inside a surviving
 /// partition runs a two-tier scan: an exact-integer coarse pass over
-/// the int8 codes (1 byte/dim of memory traffic instead of 8, int32
+/// the codes (1 byte/dim of memory traffic instead of 8, int32
 /// arithmetic instead of doubles) discards every record whose
 /// *provable* distance lower bound exceeds the current k-th best, and
 /// only the survivors are re-ranked with the exact full-precision
@@ -20,21 +20,12 @@
 /// tier only ever changes how much full-precision work is done, never
 /// which hits are reported.
 ///
-/// Since the sharded serving layer (§13) the partition machinery is
-/// split in two: ComputeIndexLayout runs the k-means and produces the
-/// global partition layout (references + memberships), and
-/// IndexPartitionSet packs and scans an arbitrary subset of those
-/// partitions. FeatureIndex is the single-set composition;
-/// ShardedFeatureIndex (sharded_index.h) distributes the same global
-/// layout across N sets. Because every per-record quantity (exact
-/// distance, coarse estimate, prune bound) is a pure function of the
-/// partition that owns the record, regrouping partitions into shards
-/// cannot change any reported hit — that is the §13 bit-identity
-/// argument.
-///
-/// Staleness: the index records the database epoch it was built
-/// against; once the database mutates (Insert/UpdateFeature), queries
-/// fail with FailedPrecondition until Rebuild().
+/// IndexPartitionSet packs and scans an arbitrary subset of the layout's
+/// partitions; ShardedFeatureIndex distributes the layout across N >= 1
+/// sets. Because every per-record quantity (exact distance, coarse
+/// estimate, prune bound) is a pure function of the partition that
+/// owns the record, regrouping partitions into shards cannot change
+/// any reported hit — that is the §13 bit-identity argument.
 
 #ifndef MOCEMG_DB_FEATURE_INDEX_H_
 #define MOCEMG_DB_FEATURE_INDEX_H_
@@ -141,15 +132,28 @@ struct IndexQueryStats {
   /// margin of the k-th best and were re-evaluated in double. The f32
   /// tier's win is f32_refined staying a small fraction of f32_scans.
   size_t f32_refined = 0;
+
+  /// Field-wise sum: the one fold every per-shard, per-cell and
+  /// per-batch total goes through. A counter added above must be added
+  /// here too (feature_index_test pins every field).
+  IndexQueryStats& operator+=(const IndexQueryStats& other) {
+    distance_computations += other.distance_computations;
+    partitions_visited += other.partitions_visited;
+    partitions_pruned += other.partitions_pruned;
+    coarse_computations += other.coarse_computations;
+    coarse_pruned += other.coarse_pruned;
+    f32_scans += other.f32_scans;
+    f32_refined += other.f32_refined;
+    return *this;
+  }
 };
 
 class IndexSnapshotCodec;
 
 /// \brief The global partition layout: k-means references plus each
 /// partition's member records (ascending database order). Empty
-/// partitions are already dropped. Both the single index and every
-/// shard pack from the same layout, which is what makes sharded
-/// results bit-identical to the single scan.
+/// partitions are already dropped. Every shard packs from the same
+/// layout, which is what makes results identical at any shard count.
 struct IndexLayout {
   /// Partition references packed row-major (num_partitions × dim).
   Matrix references;
@@ -165,11 +169,9 @@ Result<IndexLayout> ComputeIndexLayout(const MotionDatabase& database,
                                        const FeatureIndexOptions& options);
 
 /// \brief A packed, scannable set of partitions — the storage + scan
-/// engine behind FeatureIndex (one set holding every partition) and
-/// ShardedFeatureIndex (one set per shard holding a subset). Scans
-/// accumulate into a caller-owned BoundedTopK so per-set results can
-/// be merged in fixed order with the usual (distance, index)
-/// tie-break.
+/// engine behind each ShardedFeatureIndex shard. Scans accumulate into
+/// a caller-owned BoundedTopK so per-set results can be merged in
+/// fixed order with the usual (distance, index) tie-break.
 class IndexPartitionSet {
  public:
   struct Partition {
@@ -419,124 +421,6 @@ class IndexPartitionSet {
   Matrix references_;
   size_t max_partition_size_ = 0;
   size_t num_rows_ = 0;
-};
-
-/// \brief Exact cluster-pruned kNN index. The index copies each
-/// partition's features into its own packed block at Build/Rebuild;
-/// rebuilding after inserts is the caller's responsibility (Rebuild()).
-class FeatureIndex {
- public:
-  FeatureIndex() = default;
-
-  /// \brief Builds over the database's current records.
-  static Result<FeatureIndex> Build(const MotionDatabase* database,
-                                    const FeatureIndexOptions& options = {});
-
-  /// \brief Rebuilds over the database's current records (repacks every
-  /// partition block, its norms, and its quantized codes from the
-  /// database's packed features) and adopts the database's current
-  /// epoch.
-  Status Rebuild();
-
-  /// \brief Exact kNN; identical results to the database's linear scan.
-  ///
-  /// The coarse int8 pass (when enabled) prunes records whose
-  /// triangle-inequality lower bound — inflated by the §11.2 error
-  /// slack — provably exceeds the current k-th best; every survivor is
-  /// evaluated with the exact kernels, so the reported hits (indices
-  /// and distances, ties broken toward the smaller record index) are
-  /// bit-identical to the linear scan's. Fails with FailedPrecondition
-  /// when the database has mutated since the last Rebuild.
-  Result<std::vector<QueryHit>> NearestNeighbors(
-      const std::vector<double>& query, size_t k,
-      IndexQueryStats* stats = nullptr) const;
-
-  /// \brief kNN for a batch of queries, processed as query blocks of
-  /// options().query_block queries (0 = auto) through the blocked
-  /// many-to-many scan (DESIGN.md §16) and parallelized over blocks.
-  /// Element i equals NearestNeighbors(queries[i], k) exactly — hits
-  /// *and* per-query stat contributions are bit-identical to the
-  /// per-query path at any block size. `stats`, when given, is
-  /// accumulated per chunk and combined in ascending chunk order, so
-  /// it (like the hits) is identical at every thread count.
-  /// `parallel_override`, when non-null, replaces the build options'
-  /// ParallelOptions for this call (the query server passes its own
-  /// budget through here).
-  Result<std::vector<std::vector<QueryHit>>> BatchNearestNeighbors(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      IndexQueryStats* stats = nullptr,
-      const ParallelOptions* parallel_override = nullptr) const;
-
-  /// \brief Approximate kNN answered from the int8 coarse tier alone —
-  /// the query server's degraded mode under overload (DESIGN.md §12.2).
-  ///
-  /// Quantized partitions are scored with the integer code distance
-  /// only (1 byte/dim of traffic, no exact re-rank); a hit's reported
-  /// distance is the estimate `out + scale·√D` (out = the query's
-  /// certified out-of-box energy for that partition's grid). Partitions
-  /// without codes (below quantized_min_rows) are scanned with the
-  /// cheap dot-form kernel instead. `error_bound`, when non-null,
-  /// receives a certified absolute bound B such that every reported
-  /// hit's true distance lies within [estimate − B, estimate + B]
-  /// (derivation in DESIGN.md §12.2; B includes the §11.2 float slack).
-  /// Deterministic: partitions are visited in index order with the
-  /// usual (distance, index) tie-break, so the same query yields the
-  /// same degraded answer on every replay. Fails with
-  /// FailedPrecondition when the index is stale, exactly like the
-  /// exact path.
-  Result<std::vector<QueryHit>> CoarseNearestNeighbors(
-      const std::vector<double>& query, size_t k,
-      double* error_bound = nullptr,
-      IndexQueryStats* stats = nullptr) const;
-
-  /// \brief Degraded-mode kNN for a batch of queries through the
-  /// query-block coarse scan. Element i (and error_bounds[i], when
-  /// given) equals CoarseNearestNeighbors(queries[i], k) exactly at
-  /// any block size and thread count; stats follow the same fixed
-  /// ascending-chunk combine as BatchNearestNeighbors.
-  Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      std::vector<double>* error_bounds = nullptr,
-      IndexQueryStats* stats = nullptr,
-      const ParallelOptions* parallel_override = nullptr) const;
-
-  size_t num_partitions() const { return set_.num_partitions(); }
-
-  /// \brief True when at least one partition carries int8 codes — the
-  /// precondition for CoarseNearestNeighbors giving any speedup and
-  /// for the query server's degraded mode.
-  bool has_quantized_tier() const { return set_.has_quantized_tier(); }
-
-  /// \brief The database epoch this index was built against; queries
-  /// require database->epoch() to still equal it.
-  uint64_t built_epoch() const { return built_epoch_; }
-
-  /// \brief The options the index was built with (snapshots persist
-  /// them so a reloaded index rebuilds identically).
-  const FeatureIndexOptions& options() const { return options_; }
-
- private:
-  /// The snapshot codec (db/index_snapshot.cc) serializes and restores
-  /// the private representation verbatim.
-  friend class IndexSnapshotCodec;
-
-  using Scratch = IndexPartitionSet::Scratch;
-  using BlockScratch = IndexPartitionSet::BlockScratch;
-
-  /// The exact path's preconditions (built, fresh epoch, dimension,
-  /// k >= 1, finite query) with its exact status messages — shared by
-  /// the per-query and batch entry points so an invalid query fails
-  /// identically through either.
-  Status ValidateQuery(const std::vector<double>& query, size_t k) const;
-
-  Result<std::vector<QueryHit>> NearestNeighborsImpl(
-      const std::vector<double>& query, size_t k, IndexQueryStats* stats,
-      Scratch* scratch) const;
-
-  const MotionDatabase* database_ = nullptr;
-  FeatureIndexOptions options_;
-  IndexPartitionSet set_;
-  uint64_t built_epoch_ = 0;
 };
 
 }  // namespace mocemg

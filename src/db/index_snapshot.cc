@@ -14,33 +14,26 @@
 namespace mocemg {
 namespace {
 
-// Snapshot header: magic+version tag, payload byte count (detects
-// truncation), FNV-1a64 checksum of the payload (detects corruption).
-// The newline in the magic catches CRLF-mangling transfers early, the
-// digit at offset 8 is the format version. Version 2 added the
-// quantized code width (8- or 4-bit packed) to the options block and
-// to every partition. Version 3 added the resolved exact-scan
-// precision to the options block and the fp32 mirror (float block,
-// float row norms, max |element|) to every partition; version-2 files
-// are still read (their partitions simply carry no mirror and load
-// with exact_precision=f64), version-1 files are rejected with the
-// detected version named. Writers always emit version 3.
-constexpr char kMagic[] = "MOCEMGIX3\n";
-constexpr size_t kMagicLen = sizeof(kMagic) - 1;
-// Sharded snapshots: one manifest + one file per shard, same
-// header discipline per file.
+// Every snapshot file (manifest and shard) starts with the same header:
+// magic+version tag, payload byte count (detects truncation), FNV-1a64
+// checksum of the payload (detects corruption). The newline in the
+// magic catches CRLF-mangling transfers early; the digit at offset 8 is
+// the format version. Version 3 (the only one read or written) carries
+// the resolved exact-scan precision in the manifest's options and the
+// fp32 mirror (float block, float row norms, max |element|) in every
+// partition; any other version is rejected with the detected version
+// named.
 constexpr char kManifestMagic[] = "MOCEMGSM3\n";
 constexpr char kShardMagic[] = "MOCEMGSH3\n";
-constexpr size_t kShardMagicLen = sizeof(kShardMagic) - 1;
-constexpr size_t kManifestMagicLen = sizeof(kManifestMagic) - 1;
+constexpr size_t kMagicLen = sizeof(kManifestMagic) - 1;
+static_assert(sizeof(kShardMagic) - 1 == kMagicLen,
+              "snapshot magics share one header layout");
 // 8-byte family prefixes (magic minus version digit and newline), for
 // version-aware unframing.
-constexpr char kMagicPrefix[] = "MOCEMGIX";
 constexpr char kManifestPrefix[] = "MOCEMGSM";
 constexpr char kShardPrefix[] = "MOCEMGSH";
 constexpr size_t kPrefixLen = 8;
-constexpr int kMinReadVersion = 2;
-constexpr int kWriteVersion = 3;
+constexpr int kVersion = 3;
 
 uint64_t Fnv1a64(const char* data, size_t n) {
   uint64_t h = 14695981039346656037ULL;
@@ -190,31 +183,27 @@ class Reader {
 
 /// Wraps a payload in the standard header: magic, payload length,
 /// FNV-1a64 checksum.
-std::string FrameSnapshot(const char* magic, size_t magic_len,
-                          const std::string& payload) {
+std::string FrameSnapshot(const char* magic, const std::string& payload) {
   std::string out;
-  out.reserve(magic_len + 16 + payload.size());
-  out.append(magic, magic_len);
+  out.reserve(kMagicLen + 16 + payload.size());
+  out.append(magic, kMagicLen);
   PutU64(&out, payload.size());
   PutU64(&out, Fnv1a64(payload.data(), payload.size()));
   out += payload;
   return out;
 }
 
-/// A validated snapshot frame: the format version the file declared
-/// plus its checksummed payload window.
+/// A validated snapshot frame: its checksummed payload window.
 struct FramedPayload {
-  int version = 0;
   const char* payload = nullptr;
   uint64_t size = 0;
 };
 
 /// Validates the header of `bytes` against the 8-byte family `prefix`
-/// and returns the declared version plus the payload window. The
-/// version digit is parsed even on rejection, so an old or future file
-/// fails with its *detected* version named (and a regeneration hint)
-/// instead of an opaque magic mismatch. `what` names the file kind in
-/// error messages.
+/// and returns the payload window. The version digit is parsed even on
+/// rejection, so an old or future file fails with its *detected*
+/// version named (and a regeneration hint) instead of an opaque magic
+/// mismatch. `what` names the file kind in error messages.
 Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
                                       const char* prefix,
                                       const char* what) {
@@ -222,29 +211,21 @@ Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
     return Status::ParseError(std::string(what) +
                               " shorter than its header");
   }
-  if (bytes.compare(0, kPrefixLen, prefix, kPrefixLen) != 0 ||
-      bytes[kPrefixLen + 1] != '\n') {
-    return Status::ParseError(std::string(what) +
-                              " magic/version mismatch (expected " +
-                              std::string(prefix) +
-                              static_cast<char>('0' + kWriteVersion) +
-                              ")");
-  }
   const char version_digit = bytes[kPrefixLen];
-  if (version_digit < '0' || version_digit > '9') {
+  if (bytes.compare(0, kPrefixLen, prefix, kPrefixLen) != 0 ||
+      bytes[kPrefixLen + 1] != '\n' || version_digit < '0' ||
+      version_digit > '9') {
     return Status::ParseError(std::string(what) +
                               " magic/version mismatch (expected " +
                               std::string(prefix) +
-                              static_cast<char>('0' + kWriteVersion) +
-                              ")");
+                              static_cast<char>('0' + kVersion) + ")");
   }
   const int version = version_digit - '0';
-  if (version < kMinReadVersion || version > kWriteVersion) {
+  if (version != kVersion) {
     return Status::ParseError(
         std::string(what) + " is container version " +
-        std::to_string(version) + "; this reader supports versions " +
-        std::to_string(kMinReadVersion) + ".." +
-        std::to_string(kWriteVersion) +
+        std::to_string(version) + "; this reader supports version " +
+        std::to_string(kVersion) +
         " — regenerate the snapshot by re-saving the index");
   }
   Reader header(bytes.data() + kMagicLen, 16);
@@ -266,14 +247,14 @@ Result<FramedPayload> UnframeSnapshot(const std::string& bytes,
         "): file is corrupted");
   }
   FramedPayload out;
-  out.version = version;
   out.payload = payload;
   out.size = payload_size;
   return out;
 }
 
-/// Atomic write: temporary sibling + rename, the SaveFeatureIndex
-/// protocol shared by every snapshot file.
+/// Atomic write: the incomplete state only ever exists under the
+/// temporary sibling name, so a crash between write and rename leaves
+/// the previous file at `path` untouched.
 Status WriteSnapshotFile(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
   MOCEMG_RETURN_NOT_OK(WriteStringToFile(tmp, bytes));
@@ -308,10 +289,10 @@ struct ShardedManifest {
 
 }  // namespace
 
-/// Friend of FeatureIndex: reads and writes the private representation
-/// field-for-field so a restored index is bit-identical to the saved
-/// one (same partitions, same blocks, same quantized grids, same
-/// epoch).
+/// Friend of ShardedFeatureIndex and IndexPartitionSet: reads and
+/// writes the private representation field-for-field so a restored
+/// index is bit-identical to the saved one (same partitions, same
+/// blocks, same quantized grids, same epochs).
 class IndexSnapshotCodec {
  public:
   static void PutPartition(std::string* p,
@@ -328,14 +309,14 @@ class IndexSnapshotCodec {
     PutDoubles(p, part.norms_sq);
     PutDoubles(p, part.quant_offsets);
     PutBytes(p, part.quant_codes);
-    // Version 3: the fp32 mirror (empty when the partition is coded,
-    // the precision is f64, or the norm gate rejected it).
+    // The fp32 mirror (empty when the partition is coded, the precision
+    // is f64, or the norm gate rejected it).
     PutDouble(p, part.mirror_max_abs);
     PutFloats(p, part.block_f32);
     PutFloats(p, part.norms_f32);
   }
 
-  static Status ReadPartition(Reader* r, int version, uint64_t n_records,
+  static Status ReadPartition(Reader* r, uint64_t n_records,
                               uint64_t dim,
                               IndexPartitionSet::Partition* part) {
     MOCEMG_ASSIGN_OR_RETURN(part->radius, r->Double());
@@ -387,153 +368,23 @@ class IndexSnapshotCodec {
           std::to_string(quant_bits) + "-bit width implies " +
           std::to_string(expect_codes));
     }
-    // Version-2 partitions predate the fp32 mirror; leave it empty
-    // (the loaded index behaves exactly like an f64 build).
-    part->mirror_max_abs = 0.0;
-    part->block_f32.clear();
-    part->norms_f32.clear();
-    if (version >= 3) {
-      MOCEMG_ASSIGN_OR_RETURN(part->mirror_max_abs, r->Double());
-      MOCEMG_ASSIGN_OR_RETURN(part->block_f32, r->Floats(n * dim));
-      MOCEMG_ASSIGN_OR_RETURN(part->norms_f32, r->Floats(n));
-      // The mirror is all-or-nothing per partition: a float block of
-      // any size other than rows×dim (or a norms array that disagrees)
-      // would mis-index the fp32 scan, so reject it here.
-      if (part->block_f32.empty() ? !part->norms_f32.empty()
-                                  : (part->block_f32.size() != n * dim ||
-                                     part->norms_f32.size() != n)) {
-        return Status::ParseError(
-            "index snapshot fp32 mirror malformed: " +
-            std::to_string(part->block_f32.size()) + " floats and " +
-            std::to_string(part->norms_f32.size()) + " norms for " +
-            std::to_string(n) + " rows of dimension " +
-            std::to_string(dim));
-      }
+    MOCEMG_ASSIGN_OR_RETURN(part->mirror_max_abs, r->Double());
+    MOCEMG_ASSIGN_OR_RETURN(part->block_f32, r->Floats(n * dim));
+    MOCEMG_ASSIGN_OR_RETURN(part->norms_f32, r->Floats(n));
+    // The mirror is all-or-nothing per partition: a float block of any
+    // size other than rows×dim (or a norms array that disagrees) would
+    // mis-index the fp32 scan, so reject it here.
+    if (part->block_f32.empty() ? !part->norms_f32.empty()
+                                : (part->block_f32.size() != n * dim ||
+                                   part->norms_f32.size() != n)) {
+      return Status::ParseError(
+          "index snapshot fp32 mirror malformed: " +
+          std::to_string(part->block_f32.size()) + " floats and " +
+          std::to_string(part->norms_f32.size()) + " norms for " +
+          std::to_string(n) + " rows of dimension " + std::to_string(dim));
     }
     return Status::OK();
   }
-
-  static std::string Serialize(const FeatureIndex& index) {
-    std::string p;
-    PutU64(&p, index.built_epoch_);
-    PutU64(&p, index.database_ ? index.database_->feature_dimension() : 0);
-    PutU64(&p, index.set_.max_partition_size_);
-    // Build options, so a reloaded index Rebuild()s identically.
-    PutU64(&p, index.options_.num_partitions);
-    PutU64(&p, index.options_.seed);
-    PutU64(&p, index.options_.quantized_scan ? 1 : 0);
-    PutU64(&p, index.options_.quantized_min_rows);
-    PutU64(&p, index.options_.quant_bits);
-    // Version 3: the *resolved* exact-scan precision (Rebuild stores a
-    // concrete f64/f32 back into the options before packing).
-    PutU64(&p, static_cast<uint64_t>(index.options_.exact_precision));
-    PutU64(&p, index.options_.parallel.max_threads);
-    PutU64(&p, index.options_.parallel.grain);
-    // Packed references.
-    PutU64(&p, index.set_.references_.rows());
-    PutU64(&p, index.set_.references_.cols());
-    PutDoubles(&p, index.set_.references_.data());
-    // Partitions, in index order.
-    PutU64(&p, index.set_.partitions_.size());
-    for (const IndexPartitionSet::Partition& part : index.set_.partitions_) {
-      PutPartition(&p, part);
-    }
-    return p;
-  }
-
-  static Result<FeatureIndex> Deserialize(const char* payload, size_t size,
-                                          int version,
-                                          const MotionDatabase* database) {
-    Reader r(payload, size);
-    FeatureIndex index;
-    index.database_ = database;
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t epoch, r.U64());
-    index.built_epoch_ = epoch;
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t dim, r.U64());
-    if (dim != database->feature_dimension()) {
-      return Status::ParseError(
-          "index snapshot dimension " + std::to_string(dim) +
-          " does not match database dimension " +
-          std::to_string(database->feature_dimension()));
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t max_part, r.U64());
-    index.set_.max_partition_size_ = static_cast<size_t>(max_part);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t num_parts_opt, r.U64());
-    index.options_.num_partitions = static_cast<size_t>(num_parts_opt);
-    MOCEMG_ASSIGN_OR_RETURN(index.options_.seed, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qscan, r.U64());
-    index.options_.quantized_scan = qscan != 0;
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qmin, r.U64());
-    index.options_.quantized_min_rows = static_cast<size_t>(qmin);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qbits, r.U64());
-    if (qbits != 8 && qbits != 4) {
-      return Status::ParseError(
-          "index snapshot options carry quantized code width " +
-          std::to_string(qbits) + " bits; this reader supports 8 or 4");
-    }
-    index.options_.quant_bits = static_cast<size_t>(qbits);
-    if (version >= 3) {
-      MOCEMG_ASSIGN_OR_RETURN(uint64_t precision, r.U64());
-      if (precision != static_cast<uint64_t>(ExactPrecision::kF64) &&
-          precision != static_cast<uint64_t>(ExactPrecision::kF32)) {
-        return Status::ParseError(
-            "index snapshot options carry exact precision tag " +
-            std::to_string(precision) + "; this reader supports f64 (1) "
-            "or f32 (2)");
-      }
-      index.options_.exact_precision =
-          static_cast<ExactPrecision>(precision);
-    } else {
-      // Version-2 snapshots predate the fp32 tier and carry no
-      // mirrors: they load as concrete f64 regardless of the
-      // environment, so behavior is a property of the file, not of
-      // where it is opened.
-      index.options_.exact_precision = ExactPrecision::kF64;
-    }
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t threads, r.U64());
-    index.options_.parallel.max_threads = static_cast<size_t>(threads);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t grain, r.U64());
-    index.options_.parallel.grain = static_cast<size_t>(grain);
-
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t ref_rows, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t ref_cols, r.U64());
-    // Every count below is sanity-capped against what the database and
-    // dimension admit, so a crafted-size payload is rejected rather
-    // than allocating unbounded memory.
-    const uint64_t n_records = database->size();
-    if (ref_cols != dim || ref_rows > n_records + 1) {
-      return Status::ParseError("index snapshot references shape invalid");
-    }
-    MOCEMG_ASSIGN_OR_RETURN(std::vector<double> refs,
-                            r.Doubles(ref_rows * ref_cols));
-    if (refs.size() != ref_rows * ref_cols) {
-      return Status::ParseError("index snapshot references size mismatch");
-    }
-    index.set_.references_ = Matrix(static_cast<size_t>(ref_rows),
-                                    static_cast<size_t>(ref_cols));
-    index.set_.references_.mutable_data() = std::move(refs);
-
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t num_partitions, r.U64());
-    if (num_partitions != ref_rows) {
-      return Status::ParseError(
-          "index snapshot partition count does not match references");
-    }
-    index.set_.partitions_.resize(static_cast<size_t>(num_partitions));
-    for (IndexPartitionSet::Partition& part : index.set_.partitions_) {
-      MOCEMG_RETURN_NOT_OK(
-          ReadPartition(&r, version, n_records, dim, &part));
-    }
-    if (!r.exhausted()) {
-      return Status::ParseError("index snapshot has trailing bytes");
-    }
-    // num_rows_ / max_partition_size_ are derivable; recompute instead
-    // of trusting the payload (the stored max_partition_size field is
-    // kept for format stability).
-    index.set_.RefreshDerived();
-    return index;
-  }
-
-  // --- sharded snapshots --------------------------------------------
 
   static std::string SerializeShard(const ShardedFeatureIndex& index,
                                     size_t shard) {
@@ -584,8 +435,7 @@ class IndexSnapshotCodec {
   }
 
   static Result<ShardedManifest> ParseManifest(
-      const char* payload, size_t size, int version,
-      const MotionDatabase* database) {
+      const char* payload, size_t size, const MotionDatabase* database) {
     Reader r(payload, size);
     ShardedManifest m;
     MOCEMG_ASSIGN_OR_RETURN(m.applied_epoch, r.U64());
@@ -621,25 +471,29 @@ class IndexSnapshotCodec {
           std::to_string(qbits) + " bits; this reader supports 8 or 4");
     }
     m.options.index.quant_bits = static_cast<size_t>(qbits);
-    if (version >= 3) {
-      MOCEMG_ASSIGN_OR_RETURN(uint64_t precision, r.U64());
-      if (precision != static_cast<uint64_t>(ExactPrecision::kF64) &&
-          precision != static_cast<uint64_t>(ExactPrecision::kF32)) {
-        return Status::ParseError(
-            "sharded index manifest carries exact precision tag " +
-            std::to_string(precision) + "; this reader supports f64 (1) "
-            "or f32 (2)");
-      }
-      m.options.index.exact_precision =
-          static_cast<ExactPrecision>(precision);
-    } else {
-      m.options.index.exact_precision = ExactPrecision::kF64;
+    MOCEMG_ASSIGN_OR_RETURN(uint64_t precision, r.U64());
+    if (precision != static_cast<uint64_t>(ExactPrecision::kF64) &&
+        precision != static_cast<uint64_t>(ExactPrecision::kF32)) {
+      return Status::ParseError(
+          "sharded index manifest carries exact precision tag " +
+          std::to_string(precision) + "; this reader supports f64 (1) "
+          "or f32 (2)");
     }
+    m.options.index.exact_precision = static_cast<ExactPrecision>(precision);
     MOCEMG_ASSIGN_OR_RETURN(uint64_t threads, r.U64());
     m.options.index.parallel.max_threads = static_cast<size_t>(threads);
     MOCEMG_ASSIGN_OR_RETURN(uint64_t grain, r.U64());
     m.options.index.parallel.grain = static_cast<size_t>(grain);
+    // The options' shard count must be the file's: a manifest whose two
+    // counts disagree (or whose options name 0 shards) would rebuild
+    // into a different layout than the one it describes.
     MOCEMG_ASSIGN_OR_RETURN(uint64_t shards_opt, r.U64());
+    if (shards_opt != m.num_shards) {
+      return Status::ParseError(
+          "sharded index manifest options name " +
+          std::to_string(shards_opt) + " shards but the manifest holds " +
+          std::to_string(m.num_shards));
+    }
     m.options.num_shards = static_cast<size_t>(shards_opt);
     m.shard_epochs.resize(m.num_shards);
     for (uint64_t& e : m.shard_epochs) {
@@ -703,8 +557,8 @@ class IndexSnapshotCodec {
         FramedPayload window,
         UnframeSnapshot(bytes, kShardPrefix, "shard snapshot"));
     // The digest covers the payload bytes, mirror blocks included — a
-    // shard file from another save generation (or another container
-    // version) fails here before any of its fields are trusted.
+    // shard file from another save generation fails here before any of
+    // its fields are trusted.
     if (window.size != m.digests[shard].first ||
         Fnv1a64(window.payload, window.size) != m.digests[shard].second) {
       return Status::ParseError(
@@ -731,8 +585,7 @@ class IndexSnapshotCodec {
         static_cast<size_t>(num_local));
     for (size_t i = 0; i < parts.size(); ++i) {
       MOCEMG_RETURN_NOT_OK(
-          ReadPartition(&r, window.version, m.n_records, m.dim,
-                        &parts[i]));
+          ReadPartition(&r, m.n_records, m.dim, &parts[i]));
       if (parts[i].record_indices != shard_members[i]) {
         return Status::ParseError(
             "shard snapshot membership does not match the manifest "
@@ -816,112 +669,6 @@ class IndexSnapshotCodec {
   }
 };
 
-Result<std::string> SerializeFeatureIndex(const FeatureIndex& index) {
-  if (index.num_partitions() == 0) {
-    return Status::FailedPrecondition(
-        "cannot snapshot an index that has not been built");
-  }
-  std::string payload = IndexSnapshotCodec::Serialize(index);
-  std::string out;
-  out.reserve(kMagicLen + 16 + payload.size());
-  out.append(kMagic, kMagicLen);
-  PutU64(&out, payload.size());
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
-  out += payload;
-  return out;
-}
-
-namespace {
-
-/// Shared by DeserializeFeatureIndex and LoadFeatureIndex: unframe,
-/// deserialize, and report the container version the file declared so
-/// path-aware callers can log the v2→v3 regeneration hint.
-Result<FeatureIndex> DeserializeFeatureIndexDetecting(
-    const std::string& bytes, const MotionDatabase* database,
-    int* detected_version) {
-  if (database == nullptr) {
-    return Status::InvalidArgument("database must not be null");
-  }
-  MOCEMG_ASSIGN_OR_RETURN(
-      FramedPayload window,
-      UnframeSnapshot(bytes, kMagicPrefix, "index snapshot"));
-  if (detected_version != nullptr) *detected_version = window.version;
-  return IndexSnapshotCodec::Deserialize(window.payload, window.size,
-                                         window.version, database);
-}
-
-}  // namespace
-
-Result<FeatureIndex> DeserializeFeatureIndex(
-    const std::string& bytes, const MotionDatabase* database) {
-  return DeserializeFeatureIndexDetecting(bytes, database, nullptr);
-}
-
-Status SaveFeatureIndex(const FeatureIndex& index, const std::string& path) {
-  MOCEMG_ASSIGN_OR_RETURN(std::string bytes, SerializeFeatureIndex(index));
-  // Write-then-rename: the incomplete state only ever exists under the
-  // temporary name, so a crash between the two steps leaves the
-  // previous snapshot at `path` untouched.
-  const std::string tmp = path + ".tmp";
-  MOCEMG_RETURN_NOT_OK(WriteStringToFile(tmp, bytes));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("failed to rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-Result<FeatureIndex> LoadFeatureIndex(const std::string& path,
-                                      const MotionDatabase* database) {
-  MOCEMG_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  int version = 0;
-  Result<FeatureIndex> index =
-      DeserializeFeatureIndexDetecting(bytes, database, &version);
-  if (!index.ok()) {
-    return index.status().WithContext("loading index snapshot " + path);
-  }
-  if (version < kWriteVersion) {
-    MOCEMG_LOG(kWarning)
-        << "index snapshot " << path << " is container version "
-        << version << " (pre-fp32-mirror); loaded with "
-        << "exact_precision=f64 — re-save it to regenerate a version-"
-        << kWriteVersion << " snapshot and enable the fp32 exact tier";
-  }
-  return index;
-}
-
-Result<FeatureIndex> LoadOrRebuildFeatureIndex(
-    const std::string& path, const MotionDatabase* database,
-    const FeatureIndexOptions& rebuild_options,
-    IndexSnapshotLoadInfo* info) {
-  if (database == nullptr) {
-    return Status::InvalidArgument("database must not be null");
-  }
-  IndexSnapshotLoadInfo local;
-  IndexSnapshotLoadInfo* out = info ? info : &local;
-  *out = IndexSnapshotLoadInfo{};
-
-  Result<FeatureIndex> loaded = LoadFeatureIndex(path, database);
-  if (loaded.ok()) {
-    if (loaded->built_epoch() == database->epoch()) {
-      out->loaded_from_snapshot = true;
-      return loaded;
-    }
-    out->fallback_reason =
-        "snapshot built at epoch " + std::to_string(loaded->built_epoch()) +
-        " but database is at epoch " + std::to_string(database->epoch());
-  } else {
-    out->fallback_reason = loaded.status().ToString();
-  }
-  MOCEMG_LOG(kWarning) << "index snapshot " << path
-                       << " unusable, rebuilding from database: "
-                       << out->fallback_reason;
-  MOCEMG_ASSIGN_OR_RETURN(FeatureIndex rebuilt,
-                          FeatureIndex::Build(database, rebuild_options));
-  out->rebuilt = true;
-  return rebuilt;
-}
-
 Status SaveShardedFeatureIndex(const ShardedFeatureIndex& index,
                                const std::string& path) {
   if (index.num_shards() == 0 || index.num_partitions() == 0) {
@@ -939,12 +686,12 @@ Status SaveShardedFeatureIndex(const ShardedFeatureIndex& index,
                          Fnv1a64(payload.data(), payload.size()));
     MOCEMG_RETURN_NOT_OK(WriteSnapshotFile(
         ShardFilePath(path, s),
-        FrameSnapshot(kShardMagic, kShardMagicLen, payload)));
+        FrameSnapshot(kShardMagic, payload)));
   }
   const std::string manifest =
       IndexSnapshotCodec::SerializeManifest(index, digests);
   return WriteSnapshotFile(
-      path, FrameSnapshot(kManifestMagic, kManifestMagicLen, manifest));
+      path, FrameSnapshot(kManifestMagic, manifest));
 }
 
 Result<ShardedFeatureIndex> LoadShardedFeatureIndex(
@@ -959,15 +706,8 @@ Result<ShardedFeatureIndex> LoadShardedFeatureIndex(
     return window.status().WithContext("loading sharded index manifest " +
                                        path);
   }
-  if (window->version < kWriteVersion) {
-    MOCEMG_LOG(kWarning)
-        << "sharded index manifest " << path << " is container version "
-        << window->version << " (pre-fp32-mirror); loaded with "
-        << "exact_precision=f64 — re-save it to regenerate version-"
-        << kWriteVersion << " files and enable the fp32 exact tier";
-  }
   auto manifest = IndexSnapshotCodec::ParseManifest(
-      window->payload, window->size, window->version, database);
+      window->payload, window->size, database);
   if (!manifest.ok()) {
     return manifest.status().WithContext("loading sharded index manifest " +
                                          path);
@@ -997,18 +737,10 @@ Result<ShardedFeatureIndex> LoadOrRebuildShardedFeatureIndex(
         FramedPayload window,
         UnframeSnapshot(bytes, kManifestPrefix,
                         "sharded index manifest"));
-    if (window.version < kWriteVersion) {
-      MOCEMG_LOG(kWarning)
-          << "sharded index manifest " << path
-          << " is container version " << window.version
-          << " (pre-fp32-mirror); loaded with exact_precision=f64 — "
-          << "re-save it to regenerate version-" << kWriteVersion
-          << " files and enable the fp32 exact tier";
-    }
     MOCEMG_ASSIGN_OR_RETURN(
         ShardedManifest manifest,
         IndexSnapshotCodec::ParseManifest(window.payload, window.size,
-                                          window.version, database));
+                                          database));
     if (manifest.applied_epoch != database->epoch()) {
       return Status::FailedPrecondition(
           "manifest applied epoch " +

@@ -1,32 +1,40 @@
 /// \file index_snapshot.h
-/// \brief Crash-safe persistence for a built FeatureIndex.
+/// \brief Crash-safe persistence for a built ShardedFeatureIndex
+/// (DESIGN.md §12.3, §13.4).
 ///
-/// A FeatureIndex over millions of records takes seconds to minutes to
+/// An index over millions of records takes seconds to minutes to
 /// rebuild (k-means + SoA packing + quantization); losing it to a
-/// process restart turns every crash into a cold-start storm. This
-/// module serializes the full index representation — SoA partition
-/// blocks, norms, the quantized tier (int8 or 4-bit nibble-packed,
-/// with its code width recorded per partition), references, build
-/// options, and the database epoch it was built against — to a
-/// versioned, checksummed binary snapshot, and restores it
-/// bit-identically: a loaded index answers every query with exactly
-/// the bytes the saved one would have produced.
+/// process restart turns every crash into a cold-start storm. A
+/// snapshot is a checksummed *manifest* at `path` ("MOCEMGSM3") plus
+/// one checksummed file per shard at `path + ".shard<i>"`
+/// ("MOCEMGSH3"). The shard files hold the full packed representation
+/// — SoA partition blocks, norms, the quantized tier (int8 or 4-bit
+/// nibble-packed, code width recorded per partition), the fp32 mirror —
+/// so a loaded index answers every query with exactly the bytes the
+/// saved one would have produced. The manifest carries everything
+/// needed to repack any shard without re-running k-means: the applied
+/// and per-shard epochs, the build options, the global partition
+/// references, every record's owning partition, and each shard file's
+/// expected (size, checksum) digest — so a shard file from a different
+/// save generation is rejected exactly like a corrupted one.
 ///
-/// Format ("MOCEMGIX2", little-endian, DESIGN.md §12.3): a fixed
-/// header carrying the magic, the payload byte count, and an FNV-1a64
-/// checksum of the payload, then the payload itself. Truncation is
-/// caught by the length check, any in-place corruption by the
-/// checksum, format drift by the magic/version — each with a distinct
-/// ParseError so operators can tell a half-written file from a
-/// bit-rotted one. SaveFeatureIndex writes to a temporary sibling and
-/// commits with an atomic rename, so a crash mid-save can never leave
-/// a torn file at the target path (the model_io convention, hardened).
+/// Every file has the same little-endian header: the magic (8-byte
+/// family prefix, version digit, newline), the payload byte count, and
+/// an FNV-1a64 checksum of the payload. Truncation is caught by the
+/// length check, in-place corruption by the checksum, format drift by
+/// the magic/version (the detected version is named) — each with a
+/// distinct ParseError so operators can tell a half-written file from
+/// a bit-rotted one. Only version 3 is read. Saves write the shard
+/// files first and commit the manifest last, each to a temporary
+/// sibling renamed into place: a crash mid-save leaves the old
+/// manifest in charge, and any shard files it no longer matches fail
+/// digest validation and repack at load.
 ///
-/// LoadOrRebuildFeatureIndex is the recovery entry point servers use
-/// at boot: it tries the snapshot, validates it against the database
-/// (dimension, record indices, epoch), and on ANY failure logs the
-/// reason and falls back to a clean Build — corrupted state degrades
-/// to a slow start, never to wrong answers.
+/// LoadOrRebuildShardedFeatureIndex is the recovery entry point servers
+/// use at boot: it validates the snapshot against the database
+/// (dimension, record count, record indices, epochs) and on failure
+/// logs the reason and repacks the bad shards or rebuilds — corrupted
+/// state degrades to a slow start, never to wrong answers.
 
 #ifndef MOCEMG_DB_INDEX_SNAPSHOT_H_
 #define MOCEMG_DB_INDEX_SNAPSHOT_H_
@@ -35,73 +43,11 @@
 #include <string>
 #include <vector>
 
-#include "db/feature_index.h"
 #include "db/motion_database.h"
 #include "db/sharded_index.h"
 #include "util/result.h"
 
 namespace mocemg {
-
-/// \brief How a LoadOrRebuildFeatureIndex call obtained its index.
-struct IndexSnapshotLoadInfo {
-  /// True when the snapshot loaded and validated cleanly.
-  bool loaded_from_snapshot = false;
-  /// True when the index was rebuilt from the database instead.
-  bool rebuilt = false;
-  /// Human-readable reason for the fallback (empty on a clean load).
-  std::string fallback_reason;
-};
-
-/// \brief Serializes a built index to the snapshot byte format.
-/// Fails with FailedPrecondition when the index is not built.
-Result<std::string> SerializeFeatureIndex(const FeatureIndex& index);
-
-/// \brief Reconstructs an index over `database` from snapshot bytes.
-/// Validates magic/version, length (truncation), checksum (corruption),
-/// and shape against the database (dimension, record indices in
-/// range). The loaded index keeps the snapshot's built_epoch; if the
-/// database has mutated past it, queries fail with FailedPrecondition
-/// exactly as after any other mutation — staleness is not hidden by
-/// the load. `database` must outlive the returned index.
-Result<FeatureIndex> DeserializeFeatureIndex(
-    const std::string& bytes, const MotionDatabase* database);
-
-/// \brief Writes the snapshot atomically: serialize, write to
-/// `path + ".tmp"`, flush, then rename onto `path`. Readers of `path`
-/// therefore see either the old complete snapshot or the new complete
-/// snapshot, never a torn intermediate.
-Status SaveFeatureIndex(const FeatureIndex& index,
-                        const std::string& path);
-
-/// \brief Reads and validates a snapshot file.
-Result<FeatureIndex> LoadFeatureIndex(const std::string& path,
-                                      const MotionDatabase* database);
-
-/// \brief Boot-time recovery: load the snapshot at `path`, or — when
-/// the file is missing, truncated, corrupted, shape-invalid, or stale
-/// relative to the database epoch — log the reason and rebuild from
-/// the database with `rebuild_options`. `info`, when given, reports
-/// which path was taken and why (the serve CLI and the server's
-/// snapshot counters consume it).
-Result<FeatureIndex> LoadOrRebuildFeatureIndex(
-    const std::string& path, const MotionDatabase* database,
-    const FeatureIndexOptions& rebuild_options = {},
-    IndexSnapshotLoadInfo* info = nullptr);
-
-// --- sharded snapshots (DESIGN.md §13.4) ----------------------------
-//
-// A ShardedFeatureIndex persists as a checksummed *manifest* at `path`
-// ("MOCEMGSM2") plus one checksummed file per shard at
-// `path + ".shard<i>"` ("MOCEMGSH2"). The manifest carries everything
-// needed to repack any shard without re-running k-means: the applied
-// and per-shard epochs, the build options, the global partition
-// references, every record's owning partition, and each shard file's
-// expected (size, checksum) digest — so a shard file from a different
-// save generation is rejected exactly like a corrupted one. Saves
-// write the shard files first and commit the manifest last, each with
-// the atomic tmp+rename protocol: a crash mid-save leaves the old
-// manifest in charge, and any shard files it no longer matches fail
-// digest validation and repack at load.
 
 /// \brief How a LoadOrRebuildShardedFeatureIndex call obtained its
 /// index.
@@ -120,16 +66,19 @@ struct ShardedSnapshotLoadInfo {
 };
 
 /// \brief Writes the manifest + per-shard files atomically (shards
-/// first, manifest last). Fails with FailedPrecondition when the index
+/// first, manifest last; each written to `<file>.tmp`, flushed, then
+/// renamed into place). Fails with FailedPrecondition when the index
 /// is not built.
 Status SaveShardedFeatureIndex(const ShardedFeatureIndex& index,
                                const std::string& path);
 
 /// \brief Strict load: the manifest and every shard file must
 /// validate (magic, length, checksum, manifest digest, epochs,
-/// membership). The loaded index keeps the snapshot's epochs; if the
-/// database has mutated past them, queries fail with
-/// FailedPrecondition exactly as after any other mutation.
+/// membership, shape against the database). The loaded index keeps the
+/// snapshot's epochs; if the database has mutated past them, queries
+/// fail with FailedPrecondition exactly as after any other mutation —
+/// staleness is not hidden by the load. `database` must outlive the
+/// returned index.
 Result<ShardedFeatureIndex> LoadShardedFeatureIndex(
     const std::string& path, const MotionDatabase* database);
 

@@ -49,10 +49,11 @@ class MotionDatabase {
   Status UpdateFeature(size_t index, const std::vector<double>& feature);
 
   /// \brief Mutation epoch: incremented by every Insert and
-  /// UpdateFeature. Derived structures (FeatureIndex, QueryServer
-  /// cache entries) record the epoch they were built against and treat
-  /// any mismatch as staleness — the index fails queries with a
-  /// Status until Rebuild, the cache simply stops hitting.
+  /// UpdateFeature. Derived structures (ShardedFeatureIndex,
+  /// QueryServer cache entries) record the epoch they were built
+  /// against and treat any mismatch as staleness — the index fails
+  /// queries with a Status until ApplyUpdate/Rebuild, the cache simply
+  /// stops hitting.
   uint64_t epoch() const { return epoch_; }
 
   size_t size() const { return records_.size(); }

@@ -45,22 +45,11 @@ uint64_t HashKey(uint64_t seed, const std::vector<double>& query,
   return h;
 }
 
-void AccumulateIndexStats(IndexQueryStats* acc, const IndexQueryStats& s) {
-  acc->distance_computations += s.distance_computations;
-  acc->partitions_visited += s.partitions_visited;
-  acc->partitions_pruned += s.partitions_pruned;
-  acc->coarse_computations += s.coarse_computations;
-  acc->coarse_pruned += s.coarse_pruned;
-  acc->f32_scans += s.f32_scans;
-  acc->f32_refined += s.f32_refined;
-}
-
 }  // namespace
 
 struct QueryServer::Impl {
   const MotionDatabase* db = nullptr;
-  const FeatureIndex* index = nullptr;
-  const ShardedFeatureIndex* sharded = nullptr;
+  const ShardedFeatureIndex* index = nullptr;
   QueryServerOptions opts;
 
   mutable std::mutex mu;
@@ -108,7 +97,7 @@ struct QueryServer::Impl {
     /// Database epoch the hits were computed (or last revalidated) at.
     uint64_t db_epoch = 0;
     /// Per-shard epochs at store time when the entry was served
-    /// through a ShardedFeatureIndex; empty otherwise. The lookup-time
+    /// through the index; empty otherwise. The lookup-time
     /// revalidation walks exactly the shards whose epoch moved.
     std::vector<uint64_t> shard_epochs;
     /// The entry's k-th (worst) hit distance — the radius the
@@ -121,10 +110,9 @@ struct QueryServer::Impl {
   /// touches only the flight itself and the index captured into it,
   /// so the flights of one wave evaluate concurrently.
   struct Flight {
-    enum Mode { kExact, kIndex, kSharded };
+    enum Mode { kExact, kIndex };
     Mode mode = kExact;
-    const FeatureIndex* via_index = nullptr;
-    const ShardedFeatureIndex* via_sharded = nullptr;
+    const ShardedFeatureIndex* via_index = nullptr;
     uint64_t epoch = 0;
     bool degraded = false;
     bool formed = false;  ///< counted in `inflight`; must commit
@@ -140,7 +128,7 @@ struct QueryServer::Impl {
     std::vector<Plan> plan;
     std::vector<size_t> uniq;  ///< batch positions evaluated (first of dupes)
     uint64_t n_hits = 0, n_miss = 0, n_coal = 0;
-    /// Shard-epoch vector snapshot at formation (sharded mode);
+    /// Shard-epoch vector snapshot at formation (index mode);
     /// stamped into every cache entry this flight stores.
     std::vector<uint64_t> shard_epochs;
     // --- evaluation outputs ---
@@ -191,8 +179,8 @@ struct QueryServer::Impl {
                     std::vector<std::vector<QueryHit>*> hit_sinks) const;
   /// Cache lookup with validity check. An entry stored at the current
   /// epoch hits directly. After a mutation, an entry can survive only
-  /// through the sharded revalidation certificate (`shx` non-null =
-  /// serving through a fresh sharded index): for every shard whose
+  /// through the per-shard revalidation certificate (`shx` non-null =
+  /// serving through a fresh index): for every shard whose
   /// epoch moved, no cached hit may live in it and the shard must
   /// prove all its records lie strictly beyond the entry's k-th
   /// distance. Invalid entries are erased and attributed to the first
@@ -209,7 +197,7 @@ struct QueryServer::Impl {
   static void AddPerShard(Flight* f,
                           const std::vector<IndexQueryStats>& per_shard,
                           uint64_t scans_per_shard);
-  Status Swap(const FeatureIndex* fi, const ShardedFeatureIndex* si);
+  Status Swap(const ShardedFeatureIndex* next);
   /// expect: 0 = kNN ticket, 1 = classify ticket, -1 = either kind.
   Result<Outcome> Take(uint64_t ticket, int expect);
   void WorkerLoop();
@@ -284,7 +272,7 @@ bool QueryServer::Impl::LookupCache(uint64_t hash,
       return true;
     }
     // The database mutated since the entry was stored. Without a
-    // fresh sharded index there is no certificate to keep it alive.
+    // fresh index there is no certificate to keep it alive.
     if (shx != nullptr && e.shard_epochs.size() == shx->num_shards()) {
       const std::vector<uint64_t>& cur = shx->shard_epochs();
       bool valid = true;
@@ -439,14 +427,10 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   }
   // Serving-mode capture: the flight evaluates wholly through the
   // index installed NOW — a later SwapIndex cannot tear it (the swap
-  // waits for this flight to commit). A fresh sharded index wins; a
-  // fresh plain index is next; otherwise the exact blocked fallback.
-  if (sharded != nullptr && sharded->num_partitions() > 0 &&
-      sharded->applied_epoch() == epoch) {
-    f->mode = Flight::kSharded;
-    f->via_sharded = sharded;
-  } else if (index != nullptr && index->num_partitions() > 0 &&
-             index->built_epoch() == epoch) {
+  // waits for this flight to commit). A fresh index serves; otherwise
+  // the exact blocked fallback.
+  if (index != nullptr && index->num_partitions() > 0 &&
+      index->applied_epoch() == epoch) {
     f->mode = Flight::kIndex;
     f->via_index = index;
   } else {
@@ -455,9 +439,7 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   // Degradation needs a coarse tier on the serving index; without one
   // the exact path serves under any load.
   const bool coarse_capable =
-      (f->mode == Flight::kSharded &&
-       f->via_sharded->has_quantized_tier()) ||
-      (f->mode == Flight::kIndex && f->via_index->has_quantized_tier());
+      f->mode == Flight::kIndex && f->via_index->has_quantized_tier();
   // Degradation trigger: a pure function of post-sweep queue depth,
   // so a replayed request sequence degrades identically at any
   // thread count and pipeline depth (DESIGN.md §12.2).
@@ -473,11 +455,10 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   if (opts.faults != nullptr) {
     f->fault_status = opts.faults->OnBatchFormed(f->batch.size());
   }
-  if (f->mode == Flight::kSharded) {
-    f->shard_epochs = f->via_sharded->shard_epochs();
+  if (f->mode == Flight::kIndex) {
+    f->shard_epochs = f->via_index->shard_epochs();
   }
-  const ShardedFeatureIndex* shx =
-      f->mode == Flight::kSharded ? f->via_sharded : nullptr;
+  const ShardedFeatureIndex* shx = f->via_index;
   f->plan.resize(f->batch.size());
   for (size_t i = 0; i < f->batch.size(); ++i) {
     const Request& req = f->batch[i];
@@ -521,7 +502,7 @@ void QueryServer::Impl::AddPerShard(
     f->shard_scans.resize(per_shard.size(), 0);
   }
   for (size_t s = 0; s < per_shard.size(); ++s) {
-    AccumulateIndexStats(&f->per_shard[s], per_shard[s]);
+    f->per_shard[s] += per_shard[s];
     f->shard_scans[s] += scans_per_shard;
   }
 }
@@ -550,23 +531,16 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
       }
       IndexQueryStats st;
       std::vector<double> bounds;
-      Result<std::vector<std::vector<QueryHit>>> hits(
-          std::vector<std::vector<QueryHit>>{});
-      if (f->mode == Flight::kSharded) {
-        std::vector<IndexQueryStats> ps;
-        hits = f->via_sharded->BatchCoarseNearestNeighbors(
-            queries, k, &bounds, &st, &ps, &opts.parallel);
-        if (hits.ok()) AddPerShard(f, ps, slots.size());
-      } else {
-        hits = f->via_index->BatchCoarseNearestNeighbors(
-            queries, k, &bounds, &st, &opts.parallel);
-      }
+      std::vector<IndexQueryStats> ps;
+      auto hits = f->via_index->BatchCoarseNearestNeighbors(
+          queries, k, &bounds, &st, &ps, &opts.parallel);
       if (!hits.ok()) {
         eval_status =
             hits.status().WithContext("query server degraded batch");
         break;
       }
-      AccumulateIndexStats(&f->agg, st);
+      f->agg += st;
+      AddPerShard(f, ps, slots.size());
       for (size_t s = 0; s < slots.size(); ++s) {
         f->eval_hits[slots[s]] = std::move((*hits)[s]);
         f->eval_bounds[slots[s]] = bounds[s];
@@ -581,37 +555,21 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
       by_k[f->batch[f->uniq[u]].k].push_back(u);
     }
     for (const auto& [k, slots] : by_k) {
-      if (f->mode == Flight::kSharded) {
+      if (f->mode == Flight::kIndex) {
         std::vector<std::vector<double>> queries(slots.size());
         for (size_t s = 0; s < slots.size(); ++s) {
           queries[s] = f->batch[f->uniq[slots[s]]].query;
         }
         IndexQueryStats st;
         std::vector<IndexQueryStats> ps;
-        auto hits = f->via_sharded->BatchNearestNeighbors(
+        auto hits = f->via_index->BatchNearestNeighbors(
             queries, k, &st, &ps, &opts.parallel);
         if (!hits.ok()) {
           eval_status = hits.status().WithContext("query server batch");
           break;
         }
-        AccumulateIndexStats(&f->agg, st);
+        f->agg += st;
         AddPerShard(f, ps, slots.size());
-        for (size_t s = 0; s < slots.size(); ++s) {
-          f->eval_hits[slots[s]] = std::move((*hits)[s]);
-        }
-      } else if (f->mode == Flight::kIndex) {
-        std::vector<std::vector<double>> queries(slots.size());
-        for (size_t s = 0; s < slots.size(); ++s) {
-          queries[s] = f->batch[f->uniq[slots[s]]].query;
-        }
-        IndexQueryStats st;
-        auto hits = f->via_index->BatchNearestNeighbors(queries, k, &st,
-                                                        &opts.parallel);
-        if (!hits.ok()) {
-          eval_status = hits.status().WithContext("query server batch");
-          break;
-        }
-        AccumulateIndexStats(&f->agg, st);
         for (size_t s = 0; s < slots.size(); ++s) {
           f->eval_hits[slots[s]] = std::move((*hits)[s]);
         }
@@ -654,11 +612,9 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
     counters.cache_misses += f->n_miss;
     counters.coalesced += f->n_coal;
     if (f->degraded) ++counters.degraded_batches;
-    if (f->mode != Flight::kExact) {
-      AccumulateIndexStats(&counters.index_stats, f->agg);
-    }
-    if (f->mode == Flight::kSharded) {
-      EnsureShardStats(f->via_sharded->num_shards());
+    if (f->mode == Flight::kIndex) {
+      counters.index_stats += f->agg;
+      EnsureShardStats(f->via_index->num_shards());
       for (size_t s = 0; s < f->per_shard.size(); ++s) {
         ShardServeStats& ss = counters.shard_stats[s];
         ss.scans += f->shard_scans[s];
@@ -773,14 +729,12 @@ Status QueryServer::Impl::ServeWave(size_t* served_out) {
   return status;
 }
 
-Status QueryServer::Impl::Swap(const FeatureIndex* fi,
-                               const ShardedFeatureIndex* si) {
+Status QueryServer::Impl::Swap(const ShardedFeatureIndex* next) {
   {
     std::unique_lock<std::mutex> lock(mu);
     ++swapping;
     cv_swap.wait(lock, [&] { return inflight == 0; });
-    index = fi;
-    sharded = si;
+    index = next;
     --swapping;
   }
   cv_swap.notify_all();
@@ -884,9 +838,13 @@ Status ValidateServerOptions(const MotionDatabase* database,
 }  // namespace
 
 Result<QueryServer> QueryServer::Create(const MotionDatabase* database,
-                                        const FeatureIndex* index,
+                                        const ShardedFeatureIndex* index,
                                         const QueryServerOptions& options) {
   MOCEMG_RETURN_NOT_OK(ValidateServerOptions(database, options));
+  if (index != nullptr && index->database() != database) {
+    return Status::InvalidArgument(
+        "index is not built over the server's database");
+  }
   auto impl = std::make_unique<Impl>();
   impl->db = database;
   impl->index = index;
@@ -895,32 +853,12 @@ Result<QueryServer> QueryServer::Create(const MotionDatabase* database,
   return QueryServer(std::move(impl));
 }
 
-Result<QueryServer> QueryServer::Create(const MotionDatabase* database,
-                                        const ShardedFeatureIndex* index,
-                                        const QueryServerOptions& options) {
-  MOCEMG_RETURN_NOT_OK(ValidateServerOptions(database, options));
-  if (index != nullptr && index->database() != database) {
-    return Status::InvalidArgument(
-        "sharded index is not built over the server's database");
-  }
-  auto impl = std::make_unique<Impl>();
-  impl->db = database;
-  impl->sharded = index;
-  impl->opts = options;
-  impl->clock = options.clock != nullptr ? options.clock : SystemClock();
-  return QueryServer(std::move(impl));
-}
-
-Status QueryServer::SwapIndex(const FeatureIndex* index) {
-  return impl_->Swap(index, nullptr);
-}
-
 Status QueryServer::SwapIndex(const ShardedFeatureIndex* index) {
   if (index != nullptr && index->database() != impl_->db) {
     return Status::InvalidArgument(
-        "sharded index is not built over the server's database");
+        "index is not built over the server's database");
   }
-  return impl_->Swap(nullptr, index);
+  return impl_->Swap(index);
 }
 
 Result<uint64_t> QueryServer::SubmitNearestNeighbors(

@@ -1,7 +1,7 @@
 /// \file query_server.h
 /// \brief Batched query-serving front end over a MotionDatabase and an
-/// optional FeatureIndex or ShardedFeatureIndex: the production-facing
-/// path for the paper's Section 4 retrieval step.
+/// optional ShardedFeatureIndex: the production-facing path for the
+/// paper's Section 4 retrieval step.
 ///
 /// Serving mechanisms (DESIGN.md §11.3):
 ///
@@ -32,8 +32,8 @@
 ///  - **Seeded, shard-aware result cache**: hit lists are cached keyed
 ///    by (query bytes, k) under a seeded hash, with FIFO eviction at
 ///    `cache_capacity` entries. Each entry records the database epoch
-///    and — when serving through a ShardedFeatureIndex — the per-shard
-///    epoch vector and the entry's k-th (worst) hit distance. A lookup
+///    and — when serving through the index — the per-shard epoch
+///    vector and the entry's k-th (worst) hit distance. A lookup
 ///    after a mutation revalidates the entry per shard: a shard whose
 ///    epoch moved invalidates the entry only if one of the cached hits
 ///    lives in it or the shard cannot certify (triangle inequality,
@@ -57,7 +57,7 @@
 ///    before extraction) reaches `degrade_watermark`, the batch's
 ///    cache misses are answered from the index's int8 coarse tier
 ///    alone, grouped by k and drained through the blocked coarse scan
-///    ((Sharded)FeatureIndex::BatchCoarseNearestNeighbors, DESIGN.md
+///    (ShardedFeatureIndex::BatchCoarseNearestNeighbors, DESIGN.md
 ///    §16) — roughly an order of magnitude less full-precision work
 ///    per query, one many-to-many kernel pass per group instead of a
 ///    per-query loop — tagged `degraded=true`
@@ -72,7 +72,7 @@
 ///    the clock, or fail the batch with Unavailable (serving_faults.h).
 ///
 /// Exact-mode results are always bit-identical to a fresh exact linear
-/// scan: the index tier is exact (feature_index.h), the blocked
+/// scan: the index tier is exact (sharded_index.h), the blocked
 /// fallback uses the same kernels and tie-break as MotionDatabase, and
 /// cached entries are only ever served for the exact (bytes, k, epoch)
 /// they were computed under. Degraded-mode results are approximate but
@@ -154,7 +154,7 @@ struct QueryServerOptions {
 };
 
 /// \brief Per-shard serving counters, kept when the server serves
-/// through a ShardedFeatureIndex (empty otherwise). Aggregated in
+/// through an index (empty otherwise). Aggregated in
 /// batch-commit order, so the vector is deterministic for a given
 /// request sequence at any thread count and pipeline depth.
 struct ShardServeStats {
@@ -205,7 +205,7 @@ struct QueryServerStats {
   /// Snapshot loads that fell back to a rebuild.
   uint64_t snapshot_fallbacks = 0;
   /// Cache entries kept alive across a shard mutation by the per-shard
-  /// revalidation certificate (sharded serving only).
+  /// revalidation certificate (index serving only).
   uint64_t cache_revalidations = 0;
   /// Kernel backend every distance evaluation dispatched to
   /// ("scalar", "avx2", "avx512" or "neon"; kernel_dispatch.h). Filled
@@ -216,8 +216,9 @@ struct QueryServerStats {
   /// Aggregated index statistics over all index-served batches (zero
   /// when serving through the exact fallback).
   IndexQueryStats index_stats;
-  /// Per-shard serving counters; sized num_shards when serving through
-  /// a ShardedFeatureIndex, empty otherwise.
+  /// Per-shard serving counters; sized num_shards once a batch has
+  /// served through an index, empty while only the exact fallback has
+  /// served.
   std::vector<ShardServeStats> shard_stats;
 };
 
@@ -242,20 +243,13 @@ class QueryServer {
   QueryServer(QueryServer&&) noexcept;
   QueryServer& operator=(QueryServer&&) noexcept;
 
-  /// \brief Creates a server over `database`, serving through `index`
-  /// whenever it is non-null and fresh (matching epoch) and falling
-  /// back to the exact blocked scan otherwise. Both pointers must
-  /// outlive the server.
-  static Result<QueryServer> Create(const MotionDatabase* database,
-                                    const FeatureIndex* index = nullptr,
-                                    const QueryServerOptions& options = {});
-
   /// \brief Creates a server over `database` that serves scatter-gather
-  /// through the sharded index whenever it is non-null and fresh
-  /// (applied_epoch matching the database), falling back to the exact
-  /// blocked scan otherwise. Both pointers must outlive the server.
+  /// through `index` whenever it is non-null and fresh (applied_epoch
+  /// matching the database), falling back to the exact blocked scan
+  /// otherwise. The index must be built over `database`; both pointers
+  /// must outlive the server.
   static Result<QueryServer> Create(const MotionDatabase* database,
-                                    const ShardedFeatureIndex* index,
+                                    const ShardedFeatureIndex* index = nullptr,
                                     const QueryServerOptions& options = {});
 
   /// \brief Atomically replaces the serving index (nullptr = exact
@@ -265,7 +259,6 @@ class QueryServer {
   /// ever observes a torn index; each batch serves wholly through the
   /// index installed when it was formed. The new index must be over
   /// the server's database.
-  Status SwapIndex(const FeatureIndex* index);
   Status SwapIndex(const ShardedFeatureIndex* index);
 
   /// \brief Enqueues a kNN request; returns its ticket, or OutOfRange
@@ -339,7 +332,7 @@ class QueryServer {
 
   /// \brief Records an index-snapshot load attempt in the serving
   /// counters (the boot path calls this with
-  /// IndexSnapshotLoadInfo::loaded_from_snapshot).
+  /// ShardedSnapshotLoadInfo::loaded_from_snapshot).
   void NoteSnapshotLoad(bool loaded_from_snapshot);
 
   /// \brief Consistent snapshot of the serving counters.

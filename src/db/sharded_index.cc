@@ -14,20 +14,33 @@
 namespace mocemg {
 namespace {
 
-// Auto query-block size for the sharded batch grid — matches the
-// single-index default (feature_index.cc) so a 1-shard sharded index
-// forms literally the same blocks as FeatureIndex.
-constexpr size_t kDefaultShardQueryBlock = 32;
+// Auto query-block size for the batch entry points (DESIGN.md §16). A
+// pure performance knob: every block size yields bit-identical hits
+// and stats.
+constexpr size_t kDefaultQueryBlock = 32;
 
-void AccumulateShardStats(const IndexQueryStats& from,
-                          IndexQueryStats* into) {
-  into->distance_computations += from.distance_computations;
-  into->partitions_visited += from.partitions_visited;
-  into->partitions_pruned += from.partitions_pruned;
-  into->coarse_computations += from.coarse_computations;
-  into->coarse_pruned += from.coarse_pruned;
-  into->f32_scans += from.f32_scans;
-  into->f32_refined += from.f32_refined;
+// Merges one query's per-shard sorted lists (fixed shard order, the
+// usual (distance, index) tie-break) into `out`. The exact scans keep
+// squared distances and report their square roots; the coarse scans
+// already work in distance space. A single list is the answer as is —
+// merging it into a heap of the same capacity reproduces it exactly.
+void GatherHits(const std::vector<std::vector<TopKEntry>>& lists, size_t kk,
+                bool coarse, BoundedTopK* merged,
+                std::vector<TopKEntry>* entries,
+                std::vector<QueryHit>* out) {
+  const std::vector<TopKEntry>* sorted = &lists[0];
+  if (lists.size() > 1) {
+    merged->Reset(kk);
+    MergeSortedTopK(lists, merged);
+    merged->ExtractSorted(entries);
+    sorted = entries;
+  }
+  out->resize(sorted->size());
+  for (size_t i = 0; i < sorted->size(); ++i) {
+    (*out)[i].record_index = (*sorted)[i].second;
+    (*out)[i].distance =
+        coarse ? (*sorted)[i].first : std::sqrt((*sorted)[i].first);
+  }
 }
 
 }  // namespace
@@ -36,6 +49,9 @@ Result<ShardedFeatureIndex> ShardedFeatureIndex::Build(
     const MotionDatabase* database, const ShardedIndexOptions& options) {
   if (database == nullptr) {
     return Status::InvalidArgument("null database");
+  }
+  if (options.num_shards == 0) {
+    return Status::InvalidArgument("num_shards must be >= 1");
   }
   ShardedFeatureIndex index;
   index.database_ = database;
@@ -48,8 +64,9 @@ Status ShardedFeatureIndex::Rebuild() {
   if (database_ == nullptr || database_->empty()) {
     return Status::FailedPrecondition("database is empty");
   }
-  // Same resolve-and-store contract as FeatureIndex::Rebuild: shards
-  // pack (and snapshots persist) a concrete f64/f32, never "default".
+  // Resolve the precision once per build and store the concrete value
+  // back, so snapshots and later refreshes see f64/f32, never
+  // "default" (env precedence: env < options < CLI, DESIGN.md §15.4).
   options_.index.exact_precision =
       ResolveExactPrecision(options_.index.exact_precision);
   MOCEMG_ASSIGN_OR_RETURN(IndexLayout layout,
@@ -58,10 +75,7 @@ Status ShardedFeatureIndex::Rebuild() {
   if (num_parts >= std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("partition count overflows the shard map");
   }
-  size_t num_shards = options_.num_shards;
-  if (num_shards == 0) {
-    num_shards = std::max<size_t>(1, std::min<size_t>(4, num_parts));
-  }
+  const size_t num_shards = options_.num_shards;
   const size_t n = database_->size();
   const size_t d = database_->feature_dimension();
   record_to_partition_.assign(n, 0);
@@ -144,8 +158,9 @@ Status ShardedFeatureIndex::ValidateQuery(const std::vector<double>& query,
   return Status::OK();
 }
 
-Result<std::vector<QueryHit>> ShardedFeatureIndex::NearestNeighbors(
-    const std::vector<double>& query, size_t k, IndexQueryStats* stats,
+Result<std::vector<QueryHit>> ShardedFeatureIndex::ScanOne(
+    const std::vector<double>& query, size_t k, bool coarse,
+    double* error_bound, IndexQueryStats* stats,
     std::vector<IndexQueryStats>* per_shard) const {
   MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
   const size_t kk = std::min(k, database_->size());
@@ -153,44 +168,43 @@ Result<std::vector<QueryHit>> ShardedFeatureIndex::NearestNeighbors(
   const size_t num_shards = shards_.size();
   std::vector<std::vector<TopKEntry>> lists(num_shards);
   std::vector<IndexQueryStats> shard_stats(num_shards);
+  // The coarse scan has no cross-shard pruning (every row is scored),
+  // so the per-shard bound maxes to exactly the single-set bound.
+  double bound = 0.0;
   IndexPartitionSet::Scratch scratch;
   for (size_t s = 0; s < num_shards; ++s) {
     scratch.top.Reset(kk);
-    shards_[s].ScanExact(query, q_sq, &scratch.top, &scratch,
-                         &shard_stats[s]);
+    if (coarse) {
+      double shard_bound = 0.0;
+      shards_[s].ScanCoarse(query, q_sq, &scratch.top, &shard_bound,
+                            &shard_stats[s]);
+      bound = std::max(bound, shard_bound);
+    } else {
+      shards_[s].ScanExact(query, q_sq, &scratch.top, &scratch,
+                           &shard_stats[s]);
+    }
     scratch.top.ExtractSorted(&lists[s]);
   }
-  BoundedTopK merged(kk);
-  MergeSortedTopK(lists, &merged);
-  std::vector<TopKEntry> entries;
-  merged.ExtractSorted(&entries);
-  std::vector<QueryHit> out(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out[i].record_index = entries[i].second;
-    out[i].distance = std::sqrt(entries[i].first);
-  }
+  std::vector<QueryHit> out;
+  GatherHits(lists, kk, coarse, &scratch.top, &scratch.entries, &out);
+  if (error_bound != nullptr) *error_bound = bound;
   if (stats != nullptr) {
     IndexQueryStats total;
-    for (const IndexQueryStats& s : shard_stats) {
-      total.distance_computations += s.distance_computations;
-      total.partitions_visited += s.partitions_visited;
-      total.partitions_pruned += s.partitions_pruned;
-      total.coarse_computations += s.coarse_computations;
-      total.coarse_pruned += s.coarse_pruned;
-      total.f32_scans += s.f32_scans;
-      total.f32_refined += s.f32_refined;
-    }
+    for (const IndexQueryStats& s : shard_stats) total += s;
     *stats = total;
   }
   if (per_shard != nullptr) *per_shard = std::move(shard_stats);
   return out;
 }
 
-Result<std::vector<std::vector<QueryHit>>>
-ShardedFeatureIndex::BatchNearestNeighbors(
-    const std::vector<std::vector<double>>& queries, size_t k,
-    IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard,
+Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
+    const std::vector<std::vector<double>>& queries, size_t k, bool coarse,
+    std::vector<double>* error_bounds, IndexQueryStats* stats,
+    std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
+  // Validate up front, so an invalid query is reported identically at
+  // every thread count and block size (the lowest offending query
+  // index wins, matching the per-query path's ascending order).
   for (size_t q = 0; q < queries.size(); ++q) {
     Status st = ValidateQuery(queries[q], k);
     if (!st.ok()) {
@@ -200,8 +214,10 @@ ShardedFeatureIndex::BatchNearestNeighbors(
   }
   const size_t num_shards = shards_.size();
   const size_t nq = queries.size();
-  const size_t kk = std::min(k, database_->size());
-  const size_t dim = database_->feature_dimension();
+  // An unbuilt index has no database but still answers an empty batch
+  // (with nothing), so the shape is read through a null check.
+  const size_t kk = std::min(k, database_ ? database_->size() : 0);
+  const size_t dim = database_ ? database_->feature_dimension() : 0;
   const ParallelOptions& parallel =
       parallel_override != nullptr ? *parallel_override
                                    : options_.index.parallel;
@@ -209,16 +225,20 @@ ShardedFeatureIndex::BatchNearestNeighbors(
   // into fixed consecutive query blocks — a pure function of (query
   // count, query_block), independent of the thread chunking — and each
   // cell runs one shard's lockstep block scan into per-query heaps.
-  // Every cell writes only its own (query, shard) list slots, so the
-  // grid parallelizes freely; the per-query gather below runs in fixed
+  // Every cell writes only its own (query, shard) slots, so the grid
+  // parallelizes freely; the per-query gather below runs in fixed
   // shard order, keeping results and stats thread-invariant.
   size_t qb = options_.index.query_block != 0 ? options_.index.query_block
-                                              : kDefaultShardQueryBlock;
+                                              : kDefaultQueryBlock;
   qb = std::max<size_t>(1, std::min(qb, std::max<size_t>(nq, 1)));
   const size_t num_blocks = (nq + qb - 1) / qb;
   const size_t cells = num_blocks * num_shards;
   std::vector<std::vector<TopKEntry>> lists(nq * num_shards);
   std::vector<IndexQueryStats> cell_stats(cells);
+  // Per-(query, shard) certified coarse bounds, shard-major so each
+  // cell's query-block slice is contiguous; the per-query bound maxes
+  // across shards afterwards, exactly like the per-query path.
+  std::vector<double> shard_bounds(coarse ? num_shards * nq : 0, 0.0);
   std::vector<double> packed(nq * dim);
   std::vector<double> q_sq(nq);
   for (size_t q = 0; q < nq; ++q) {
@@ -239,9 +259,17 @@ ShardedFeatureIndex::BatchNearestNeighbors(
           const size_t q0 = blk * qb;
           const size_t bq = std::min(qb, nq - q0);
           for (size_t i = 0; i < bq; ++i) tops[i].Reset(kk);
-          shards_[s].ScanExactBlock(packed.data() + q0 * dim,
-                                    q_sq.data() + q0, bq, dim, tops.data(),
-                                    &bs, &cell_stats[cell]);
+          if (coarse) {
+            shards_[s].ScanCoarseBlock(packed.data() + q0 * dim,
+                                       q_sq.data() + q0, bq, dim,
+                                       tops.data(),
+                                       shard_bounds.data() + s * nq + q0,
+                                       &bs, &cell_stats[cell]);
+          } else {
+            shards_[s].ScanExactBlock(packed.data() + q0 * dim,
+                                      q_sq.data() + q0, bq, dim,
+                                      tops.data(), &bs, &cell_stats[cell]);
+          }
           for (size_t i = 0; i < bq; ++i) {
             tops[i].ExtractSorted(&lists[(q0 + i) * num_shards + s]);
           }
@@ -252,6 +280,7 @@ ShardedFeatureIndex::BatchNearestNeighbors(
   MOCEMG_RETURN_NOT_OK(st);
   // Gather: merge each query's shard lists in shard order.
   std::vector<std::vector<QueryHit>> results(nq);
+  if (error_bounds != nullptr) error_bounds->assign(nq, 0.0);
   std::vector<std::vector<TopKEntry>> row(num_shards);
   BoundedTopK merged;
   std::vector<TopKEntry> entries;
@@ -259,13 +288,13 @@ ShardedFeatureIndex::BatchNearestNeighbors(
     for (size_t s = 0; s < num_shards; ++s) {
       row[s] = std::move(lists[q * num_shards + s]);
     }
-    merged.Reset(kk);
-    MergeSortedTopK(row, &merged);
-    merged.ExtractSorted(&entries);
-    results[q].resize(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      results[q][i].record_index = entries[i].second;
-      results[q][i].distance = std::sqrt(entries[i].first);
+    GatherHits(row, kk, coarse, &merged, &entries, &results[q]);
+    if (error_bounds != nullptr) {
+      double bound = 0.0;
+      for (size_t s = 0; s < num_shards; ++s) {
+        bound = std::max(bound, shard_bounds[s * nq + q]);
+      }
+      (*error_bounds)[q] = bound;
     }
   }
   // Stats fold in fixed (block, shard) cell order — identical at any
@@ -275,13 +304,34 @@ ShardedFeatureIndex::BatchNearestNeighbors(
     IndexQueryStats total;
     std::vector<IndexQueryStats> by_shard(num_shards);
     for (size_t cell = 0; cell < cells; ++cell) {
-      AccumulateShardStats(cell_stats[cell], &total);
-      AccumulateShardStats(cell_stats[cell], &by_shard[cell % num_shards]);
+      total += cell_stats[cell];
+      by_shard[cell % num_shards] += cell_stats[cell];
     }
     if (stats != nullptr) *stats = total;
     if (per_shard != nullptr) *per_shard = std::move(by_shard);
   }
   return results;
+}
+
+Result<std::vector<QueryHit>> ShardedFeatureIndex::NearestNeighbors(
+    const std::vector<double>& query, size_t k, IndexQueryStats* stats,
+    std::vector<IndexQueryStats>* per_shard) const {
+  return ScanOne(query, k, /*coarse=*/false, nullptr, stats, per_shard);
+}
+
+Result<std::vector<QueryHit>> ShardedFeatureIndex::CoarseNearestNeighbors(
+    const std::vector<double>& query, size_t k, double* error_bound,
+    IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard) const {
+  return ScanOne(query, k, /*coarse=*/true, error_bound, stats, per_shard);
+}
+
+Result<std::vector<std::vector<QueryHit>>>
+ShardedFeatureIndex::BatchNearestNeighbors(
+    const std::vector<std::vector<double>>& queries, size_t k,
+    IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard,
+    const ParallelOptions* parallel_override) const {
+  return ScanBatch(queries, k, /*coarse=*/false, nullptr, stats, per_shard,
+                   parallel_override);
 }
 
 Result<std::vector<std::vector<QueryHit>>>
@@ -290,148 +340,8 @@ ShardedFeatureIndex::BatchCoarseNearestNeighbors(
     std::vector<double>* error_bounds, IndexQueryStats* stats,
     std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
-  for (size_t q = 0; q < queries.size(); ++q) {
-    Status st = ValidateQuery(queries[q], k);
-    if (!st.ok()) {
-      return st.WithContext("while answering batch query " +
-                            std::to_string(q));
-    }
-  }
-  const size_t num_shards = shards_.size();
-  const size_t nq = queries.size();
-  const size_t kk = std::min(k, database_->size());
-  const size_t dim = database_->feature_dimension();
-  const ParallelOptions& parallel =
-      parallel_override != nullptr ? *parallel_override
-                                   : options_.index.parallel;
-  size_t qb = options_.index.query_block != 0 ? options_.index.query_block
-                                              : kDefaultShardQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, std::max<size_t>(nq, 1)));
-  const size_t num_blocks = (nq + qb - 1) / qb;
-  const size_t cells = num_blocks * num_shards;
-  std::vector<std::vector<TopKEntry>> lists(nq * num_shards);
-  std::vector<IndexQueryStats> cell_stats(cells);
-  // Per-(query, shard) certified bounds, shard-major so each cell's
-  // query-block slice is contiguous; the per-query bound maxes across
-  // shards afterwards, exactly like the per-query scatter-gather.
-  std::vector<double> shard_bounds(num_shards * nq, 0.0);
-  std::vector<double> packed(nq * dim);
-  std::vector<double> q_sq(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    std::memcpy(packed.data() + q * dim, queries[q].data(),
-                dim * sizeof(double));
-    q_sq[q] = SquaredNorm(queries[q].data(), queries[q].size());
-  }
-  ParallelOptions cell_parallel = parallel;
-  cell_parallel.grain = 1;
-  Status st = ParallelFor(
-      cells,
-      [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-        IndexPartitionSet::BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
-        for (size_t cell = begin; cell < end; ++cell) {
-          const size_t blk = cell / num_shards;
-          const size_t s = cell % num_shards;
-          const size_t q0 = blk * qb;
-          const size_t bq = std::min(qb, nq - q0);
-          for (size_t i = 0; i < bq; ++i) tops[i].Reset(kk);
-          shards_[s].ScanCoarseBlock(packed.data() + q0 * dim,
-                                     q_sq.data() + q0, bq, dim,
-                                     tops.data(),
-                                     shard_bounds.data() + s * nq + q0,
-                                     &bs, &cell_stats[cell]);
-          for (size_t i = 0; i < bq; ++i) {
-            tops[i].ExtractSorted(&lists[(q0 + i) * num_shards + s]);
-          }
-        }
-        return Status::OK();
-      },
-      cell_parallel);
-  MOCEMG_RETURN_NOT_OK(st);
-  std::vector<std::vector<QueryHit>> results(nq);
-  if (error_bounds != nullptr) error_bounds->assign(nq, 0.0);
-  std::vector<std::vector<TopKEntry>> row(num_shards);
-  BoundedTopK merged;
-  std::vector<TopKEntry> entries;
-  for (size_t q = 0; q < nq; ++q) {
-    for (size_t s = 0; s < num_shards; ++s) {
-      row[s] = std::move(lists[q * num_shards + s]);
-    }
-    merged.Reset(kk);
-    MergeSortedTopK(row, &merged);
-    merged.ExtractSorted(&entries);
-    results[q].resize(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      results[q][i].record_index = entries[i].second;
-      results[q][i].distance = entries[i].first;  // distance space
-    }
-    if (error_bounds != nullptr) {
-      double bound = 0.0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        bound = std::max(bound, shard_bounds[s * nq + q]);
-      }
-      (*error_bounds)[q] = bound;
-    }
-  }
-  if (stats != nullptr || per_shard != nullptr) {
-    IndexQueryStats total;
-    std::vector<IndexQueryStats> by_shard(num_shards);
-    for (size_t cell = 0; cell < cells; ++cell) {
-      AccumulateShardStats(cell_stats[cell], &total);
-      AccumulateShardStats(cell_stats[cell], &by_shard[cell % num_shards]);
-    }
-    if (stats != nullptr) *stats = total;
-    if (per_shard != nullptr) *per_shard = std::move(by_shard);
-  }
-  return results;
-}
-
-Result<std::vector<QueryHit>> ShardedFeatureIndex::CoarseNearestNeighbors(
-    const std::vector<double>& query, size_t k, double* error_bound,
-    IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard) const {
-  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
-  const size_t kk = std::min(k, database_->size());
-  const double q_sq = SquaredNorm(query.data(), query.size());
-  const size_t num_shards = shards_.size();
-  std::vector<std::vector<TopKEntry>> lists(num_shards);
-  std::vector<IndexQueryStats> shard_stats(num_shards);
-  // The coarse scan has no cross-shard pruning (every row is scored),
-  // so the per-shard bound maxes to exactly the single-set bound.
-  double bound = 0.0;
-  BoundedTopK top;
-  for (size_t s = 0; s < num_shards; ++s) {
-    top.Reset(kk);
-    double shard_bound = 0.0;
-    shards_[s].ScanCoarse(query, q_sq, &top, &shard_bound,
-                          &shard_stats[s]);
-    bound = std::max(bound, shard_bound);
-    top.ExtractSorted(&lists[s]);
-  }
-  BoundedTopK merged(kk);
-  MergeSortedTopK(lists, &merged);
-  std::vector<TopKEntry> entries;
-  merged.ExtractSorted(&entries);
-  std::vector<QueryHit> out(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    out[i].record_index = entries[i].second;
-    out[i].distance = entries[i].first;  // already in distance space
-  }
-  if (error_bound != nullptr) *error_bound = bound;
-  if (stats != nullptr) {
-    IndexQueryStats total;
-    for (const IndexQueryStats& s : shard_stats) {
-      total.distance_computations += s.distance_computations;
-      total.partitions_visited += s.partitions_visited;
-      total.partitions_pruned += s.partitions_pruned;
-      total.coarse_computations += s.coarse_computations;
-      total.coarse_pruned += s.coarse_pruned;
-      total.f32_scans += s.f32_scans;
-      total.f32_refined += s.f32_refined;
-    }
-    *stats = total;
-  }
-  if (per_shard != nullptr) *per_shard = std::move(shard_stats);
-  return out;
+  return ScanBatch(queries, k, /*coarse=*/true, error_bounds, stats,
+                   per_shard, parallel_override);
 }
 
 Result<size_t> ShardedFeatureIndex::ShardOfRecord(size_t record_index) const {

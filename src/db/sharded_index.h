@@ -1,15 +1,18 @@
 /// \file sharded_index.h
-/// \brief Sharded scatter-gather composition of the cluster-pruned kNN
-/// index (DESIGN.md §13).
+/// \brief The cluster-pruned exact kNN index over final feature vectors
+/// — the iDistance-style "indexing technique to prune irrelevant
+/// motions" the paper points to for fast searching (its refs [14]/[13])
+/// — split into N >= 1 scatter-gather shards (DESIGN.md §10–§13). The
+/// default is one shard.
 ///
-/// A ShardedFeatureIndex computes the SAME global k-means partition
-/// layout as FeatureIndex (same seed → same partitions, same quantized
-/// grids) and distributes whole partitions across N shards round-robin
-/// (partition p → shard p mod N). Each shard owns an IndexPartitionSet
-/// — its own SoA blocks, squared norms, int8 coarse tier — plus a
-/// per-shard epoch. kNN is scatter-gather: every shard scans into its
-/// own bounded top-k heap and the per-shard sorted lists are merged in
-/// fixed shard order with the usual (distance, index) tie-break.
+/// Build runs ComputeIndexLayout (seeded k-means → global partition
+/// layout) and distributes whole partitions across N shards
+/// round-robin (partition p → shard p mod N). Each shard owns an
+/// IndexPartitionSet — its own SoA blocks, squared norms, coarse tier,
+/// fp32 mirrors — plus a per-shard epoch. kNN is scatter-gather: every
+/// shard scans into its own bounded top-k heap and the per-shard
+/// sorted lists are merged in fixed shard order with the usual
+/// (distance, index) tie-break.
 ///
 /// Bit-identity argument: every per-record quantity the scans produce
 /// (exact distance, coarse estimate `out + s·√D`, the per-partition
@@ -18,19 +21,20 @@
 /// exact top-k is in turn a pure function of the candidate set under
 /// the (distance, index) order. Regrouping partitions into shards
 /// therefore changes only *where* candidates are scored, not any
-/// score, so merged results are bit-identical to the single-set scan
-/// for BOTH the exact and the degraded coarse path, at any shard
-/// count and any thread count. N = 1 is literally FeatureIndex's scan.
+/// score: exact answers are bit-identical to the linear scan, and
+/// degraded coarse answers and their certified bound are identical at
+/// any shard count and any thread count.
 ///
-/// Mutation model: the database epoch still advances on every
-/// mutation, but a ShardedFeatureIndex can absorb an UpdateFeature
-/// without a global rebuild: ApplyUpdate(record) repacks only the
-/// partition owning the record (O(partition) work: block row, norms,
-/// radius, re-quantize) and bumps only the owning shard's epoch. The
-/// serving cache keys validity on the shard-epoch vector, so a
-/// mutation invalidates only entries that provably depended on the
-/// mutated shard (query_server.h). Inserts/removals change the record
-/// set and still require a full Rebuild().
+/// Mutation model: the database epoch advances on every mutation, and
+/// queries fail with FailedPrecondition until the index catches up.
+/// ApplyUpdate(record) absorbs one UpdateFeature without a global
+/// rebuild: it repacks only the partition owning the record
+/// (O(partition) work: block row, norms, radius, re-quantize) and
+/// bumps only the owning shard's epoch. The serving cache keys
+/// validity on the shard-epoch vector, so a mutation invalidates only
+/// entries that provably depended on the mutated shard
+/// (query_server.h). Inserts change the record set and require a full
+/// Rebuild().
 ///
 /// Thread safety: queries are const and safe to run concurrently;
 /// ApplyUpdate/Rebuild mutate and require the caller to quiesce
@@ -53,27 +57,30 @@ namespace mocemg {
 
 /// \brief Sharded index construction parameters.
 struct ShardedIndexOptions {
-  /// Layout/quantization/parallel knobs, shared with FeatureIndex so
-  /// the same options produce the same global partition layout.
+  /// Layout/quantization/parallel knobs: the same options produce the
+  /// same global partition layout at every shard count.
   FeatureIndexOptions index;
-  /// Number of shards; 0 = auto (min(4, partition count)). More shards
-  /// than partitions is allowed — the excess shards are empty and
-  /// contribute nothing.
-  size_t num_shards = 0;
+  /// Number of shards, >= 1 (0 fails Build with InvalidArgument). More
+  /// shards than partitions is allowed — the excess shards are empty
+  /// and contribute nothing.
+  size_t num_shards = 1;
 };
 
-/// \brief N-shard scatter-gather kNN index; results bit-identical to
-/// FeatureIndex / the linear scan at any (shard count × thread count).
+/// \brief N-shard scatter-gather kNN index; exact results bit-identical
+/// to the linear scan at any (shard count × thread count).
 class ShardedFeatureIndex {
  public:
   ShardedFeatureIndex() = default;
 
-  /// \brief Builds over the database's current records.
+  /// \brief Builds over the database's current records. Fails with
+  /// InvalidArgument on a null database or num_shards == 0, and with
+  /// FailedPrecondition on an empty database.
   static Result<ShardedFeatureIndex> Build(
       const MotionDatabase* database, const ShardedIndexOptions& options = {});
 
-  /// \brief Full rebuild: re-runs the k-means layout, repacks every
-  /// shard, resets every shard epoch to the database's current epoch.
+  /// \brief Full rebuild: re-runs the k-means layout over the
+  /// database's current records, repacks every shard, and resets every
+  /// shard epoch to the database's current epoch.
   Status Rebuild();
 
   /// \brief Absorbs exactly one UpdateFeature mutation without a
@@ -86,9 +93,14 @@ class ShardedFeatureIndex {
   Status ApplyUpdate(size_t record_index);
 
   /// \brief Exact kNN, scatter-gather across shards (serial shard
-  /// loop); bit-identical to the database's linear scan. `per_shard`,
-  /// when given, is resized to num_shards() and receives each shard's
-  /// scan stats.
+  /// loop). The coarse tier (when built) prunes records whose
+  /// triangle-inequality lower bound — inflated by the §11.2 error
+  /// slack — provably exceeds the current k-th best; every survivor is
+  /// evaluated with the exact kernels, so the reported hits (indices
+  /// and distances, ties broken toward the smaller record index) are
+  /// bit-identical to the database's linear scan. `per_shard`, when
+  /// given, is resized to num_shards() and receives each shard's scan
+  /// stats.
   Result<std::vector<QueryHit>> NearestNeighbors(
       const std::vector<double>& query, size_t k,
       IndexQueryStats* stats = nullptr,
@@ -108,11 +120,15 @@ class ShardedFeatureIndex {
       std::vector<IndexQueryStats>* per_shard = nullptr,
       const ParallelOptions* parallel_override = nullptr) const;
 
-  /// \brief Degraded-mode kNN from the coarse tier (DESIGN.md §12.2),
-  /// scatter-gather: per-shard coarse scans merged in shard order, the
-  /// certified |est − true| bound maxed across shards. Bit-identical
-  /// to FeatureIndex::CoarseNearestNeighbors over the same layout at
-  /// any shard count.
+  /// \brief Degraded-mode kNN from the coarse tier (DESIGN.md §12.2) —
+  /// the query server's answer under overload. Coded partitions are
+  /// scored with the integer code distance only (no exact re-rank); a
+  /// hit's reported distance is the estimate `out + scale·√D`, and
+  /// partitions without codes are scanned with the dot-form kernel.
+  /// Per-shard scans merge in shard order; `error_bound`, when given,
+  /// receives the certified bound B (maxed across shards) such that
+  /// every hit's true distance lies within [estimate − B, estimate + B].
+  /// Identical answers and bound at any shard count.
   Result<std::vector<QueryHit>> CoarseNearestNeighbors(
       const std::vector<double>& query, size_t k,
       double* error_bound = nullptr, IndexQueryStats* stats = nullptr,
@@ -144,6 +160,8 @@ class ShardedFeatureIndex {
 
   size_t num_shards() const { return shards_.size(); }
   size_t num_partitions() const;
+  /// \brief True when at least one partition carries coarse codes — the
+  /// precondition for the query server's degraded mode.
   bool has_quantized_tier() const;
 
   /// \brief The database epoch the index has fully absorbed (build or
@@ -163,7 +181,25 @@ class ShardedFeatureIndex {
   /// the private representation verbatim.
   friend class IndexSnapshotCodec;
 
+  /// The query preconditions (built, fresh epoch, dimension, k >= 1,
+  /// finite query) shared by every entry point, so an invalid query
+  /// fails identically through each.
   Status ValidateQuery(const std::vector<double>& query, size_t k) const;
+
+  /// One query scattered over the shards' per-query scans (exact or
+  /// coarse) and gathered in shard order.
+  Result<std::vector<QueryHit>> ScanOne(
+      const std::vector<double>& query, size_t k, bool coarse,
+      double* error_bound, IndexQueryStats* stats,
+      std::vector<IndexQueryStats>* per_shard) const;
+
+  /// The (query-block × shard) scatter, per-query gather and stat fold
+  /// shared by the exact and coarse batch entry points.
+  Result<std::vector<std::vector<QueryHit>>> ScanBatch(
+      const std::vector<std::vector<double>>& queries, size_t k,
+      bool coarse, std::vector<double>* error_bounds,
+      IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard,
+      const ParallelOptions* parallel_override) const;
 
   const MotionDatabase* database_ = nullptr;
   ShardedIndexOptions options_;

@@ -10,8 +10,8 @@
 /// dispatcher probes the CPU once, picks the widest usable backend, and
 /// publishes a function-pointer table (`KernelOps`) that every kernel
 /// entry point (`SquaredL2OneToMany`, `QuantizedSsdOneToMany`, …) routes
-/// through. Consumers — MotionDatabase linear scan, FeatureIndex
-/// partition scan and coarse pass, ShardedFeatureIndex, k-means, FCM,
+/// through. Consumers — MotionDatabase linear scan, the
+/// ShardedFeatureIndex partition scan and coarse pass, k-means, FCM,
 /// GK, classifier kNN — therefore pick up the dispatched backend with
 /// no call-site changes.
 ///

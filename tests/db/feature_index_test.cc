@@ -5,11 +5,20 @@
 #include <cmath>
 #include <limits>
 
+#include "db/sharded_index.h"
 #include "util/distance_kernels.h"
 #include "util/random.h"
 
 namespace mocemg {
 namespace {
+
+/// The default one-shard index with the given layout/scan options.
+Result<ShardedFeatureIndex> BuildIndex(const MotionDatabase* db,
+                                       const FeatureIndexOptions& options = {}) {
+  ShardedIndexOptions sharded;
+  sharded.index = options;
+  return ShardedFeatureIndex::Build(db, sharded);
+}
 
 MotionDatabase MakeDb(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -29,14 +38,14 @@ MotionDatabase MakeDb(size_t n, uint64_t seed) {
 }
 
 TEST(FeatureIndexTest, BuildValidations) {
-  EXPECT_FALSE(FeatureIndex::Build(nullptr).ok());
+  EXPECT_FALSE(BuildIndex(nullptr).ok());
   MotionDatabase empty;
-  EXPECT_FALSE(FeatureIndex::Build(&empty).ok());
+  EXPECT_FALSE(BuildIndex(&empty).ok());
 }
 
 TEST(FeatureIndexTest, ResultsMatchLinearScanExactly) {
   MotionDatabase db = MakeDb(200, 7);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok()) << index.status();
   Rng rng(8);
   for (int q = 0; q < 50; ++q) {
@@ -82,7 +91,7 @@ MotionDatabase MakeDbDim(size_t n, size_t dim, uint64_t seed) {
 TEST(FeatureIndexTest, ResultsBitIdenticalToLinearScanAcrossDims) {
   for (size_t dim : {5, 16, 30, 33, 67}) {
     MotionDatabase db = MakeDbDim(150, dim, 40 + dim);
-    auto index = FeatureIndex::Build(&db);
+    auto index = BuildIndex(&db);
     ASSERT_TRUE(index.ok()) << index.status();
     Rng rng(50 + dim);
     for (int q = 0; q < 20; ++q) {
@@ -124,7 +133,7 @@ TEST(FeatureIndexTest, ParallelBatchBitIdenticalAcrossThreadCounts) {
   for (size_t threads : {1, 2, 8}) {
     FeatureIndexOptions opts;
     opts.parallel.max_threads = threads;
-    auto index = FeatureIndex::Build(&db, opts);
+    auto index = BuildIndex(&db, opts);
     ASSERT_TRUE(index.ok()) << index.status();
     IndexQueryStats stats;
     auto results = index->BatchNearestNeighbors(queries, 4, &stats);
@@ -156,7 +165,7 @@ TEST(FeatureIndexTest, PruningActuallyHappens) {
   MotionDatabase db = MakeDb(400, 9);
   FeatureIndexOptions opts;
   opts.num_partitions = 8;
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok());
   IndexQueryStats stats;
   // A query deep inside one cluster prunes distant partitions.
@@ -168,7 +177,7 @@ TEST(FeatureIndexTest, PruningActuallyHappens) {
 
 TEST(FeatureIndexTest, KLargerThanDatabase) {
   MotionDatabase db = MakeDb(10, 10);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   auto hits = index->NearestNeighbors({0.0, 0.0, 0.0}, 100);
   ASSERT_TRUE(hits.ok());
@@ -177,17 +186,17 @@ TEST(FeatureIndexTest, KLargerThanDatabase) {
 
 TEST(FeatureIndexTest, QueryValidations) {
   MotionDatabase db = MakeDb(20, 11);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE(index->NearestNeighbors({1.0}, 3).ok());
   EXPECT_FALSE(index->NearestNeighbors({1.0, 2.0, 3.0}, 0).ok());
-  FeatureIndex unbuilt;
+  ShardedFeatureIndex unbuilt;
   EXPECT_FALSE(unbuilt.NearestNeighbors({1.0}, 1).ok());
 }
 
 TEST(FeatureIndexTest, AutoPartitionCountIsSqrtN) {
   MotionDatabase db = MakeDb(100, 12);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   EXPECT_GE(index->num_partitions(), 5u);
   EXPECT_LE(index->num_partitions(), 10u);
@@ -195,7 +204,7 @@ TEST(FeatureIndexTest, AutoPartitionCountIsSqrtN) {
 
 TEST(FeatureIndexTest, SingletonDatabase) {
   MotionDatabase db = MakeDb(1, 13);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   auto hits = index->NearestNeighbors(db.record(0).feature, 1);
   ASSERT_TRUE(hits.ok());
@@ -209,7 +218,7 @@ TEST(FeatureIndexTest, SingletonDatabase) {
 // until Rebuild instead of silently scanning outdated blocks.
 TEST(FeatureIndexTest, StaleAfterMutationFailsUntilRebuild) {
   MotionDatabase db = MakeDb(80, 21);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   ASSERT_TRUE(index->NearestNeighbors({0.0, 0.0, 0.0}, 3).ok());
 
@@ -223,7 +232,7 @@ TEST(FeatureIndexTest, StaleAfterMutationFailsUntilRebuild) {
             StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(index->Rebuild().ok());
-  EXPECT_EQ(index->built_epoch(), db.epoch());
+  EXPECT_EQ(index->applied_epoch(), db.epoch());
   auto hits = index->NearestNeighbors({100.0, 100.0, 100.0}, 1);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ((*hits)[0].record_index, 5u);
@@ -243,7 +252,7 @@ TEST(FeatureIndexTest, CoarseTierPrunesExactEvaluations) {
   MotionDatabase db = MakeDbDim(2000, 32, 70);
   FeatureIndexOptions opts;
   opts.num_partitions = 4;  // fat partitions: little triangle pruning
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok());
   Rng rng(71);
   IndexQueryStats stats;
@@ -310,7 +319,7 @@ TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
     FeatureIndexOptions opts;
     opts.quantized_min_rows = 1;
     opts.num_partitions = 4;
-    auto index = FeatureIndex::Build(&db, opts);
+    auto index = BuildIndex(&db, opts);
     ASSERT_TRUE(index.ok()) << index.status();
     for (int q = 0; q < 25; ++q) {
       std::vector<double> query(dim, 0.0);
@@ -352,8 +361,8 @@ TEST(FeatureIndexTest, QuantizedOffMatchesQuantizedOn) {
   on.quantized_min_rows = 1;
   FeatureIndexOptions off;
   off.quantized_scan = false;
-  auto index_on = FeatureIndex::Build(&db, on);
-  auto index_off = FeatureIndex::Build(&db, off);
+  auto index_on = BuildIndex(&db, on);
+  auto index_off = BuildIndex(&db, off);
   ASSERT_TRUE(index_on.ok());
   ASSERT_TRUE(index_off.ok());
   Rng rng(81);
@@ -383,8 +392,8 @@ TEST(FeatureIndexTest, FourBitResultsBitIdenticalToLinearAndEightBit) {
     opts8.num_partitions = 4;
     FeatureIndexOptions opts4 = opts8;
     opts4.quant_bits = 4;
-    auto index8 = FeatureIndex::Build(&db, opts8);
-    auto index4 = FeatureIndex::Build(&db, opts4);
+    auto index8 = BuildIndex(&db, opts8);
+    auto index4 = BuildIndex(&db, opts4);
     ASSERT_TRUE(index8.ok()) << index8.status();
     ASSERT_TRUE(index4.ok()) << index4.status();
     EXPECT_TRUE(index4->has_quantized_tier());
@@ -419,7 +428,7 @@ TEST(FeatureIndexTest, InvalidQuantBitsRejected) {
   for (size_t bits : {0, 1, 2, 3, 5, 7, 16}) {
     FeatureIndexOptions opts;
     opts.quant_bits = bits;
-    auto index = FeatureIndex::Build(&db, opts);
+    auto index = BuildIndex(&db, opts);
     ASSERT_FALSE(index.ok()) << "quant_bits " << bits;
     EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
   }
@@ -433,7 +442,7 @@ TEST(FeatureIndexTest, FourBitCoarseErrorBoundHolds) {
   opts.quant_bits = 4;
   opts.quantized_min_rows = 1;
   opts.num_partitions = 6;
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   ASSERT_TRUE(index->has_quantized_tier());
   Rng rng(131);
@@ -474,7 +483,7 @@ TEST(FeatureIndexTest, F32TierBitIdenticalToF64AcrossDimsAndThreads) {
     FeatureIndexOptions f64opts;
     f64opts.quantized_scan = false;
     f64opts.num_partitions = 4;
-    auto f64idx = FeatureIndex::Build(&db, f64opts);
+    auto f64idx = BuildIndex(&db, f64opts);
     ASSERT_TRUE(f64idx.ok()) << f64idx.status();
 
     std::vector<std::vector<double>> queries;
@@ -491,7 +500,7 @@ TEST(FeatureIndexTest, F32TierBitIdenticalToF64AcrossDimsAndThreads) {
     ASSERT_TRUE(baseline.ok());
 
     for (size_t threads : {1, 2, 8}) {
-      auto f32idx = FeatureIndex::Build(&db, F32TierOptions(threads));
+      auto f32idx = BuildIndex(&db, F32TierOptions(threads));
       ASSERT_TRUE(f32idx.ok()) << f32idx.status();
       IndexQueryStats stats;
       auto results = f32idx->BatchNearestNeighbors(queries, 5, &stats);
@@ -606,7 +615,7 @@ TEST(FeatureIndexTest, F32RefineGateNeverDropsTrueNeighbors) {
     }
 
     for (size_t threads : {1, 2, 8}) {
-      auto index = FeatureIndex::Build(&db, F32TierOptions(threads));
+      auto index = BuildIndex(&db, F32TierOptions(threads));
       ASSERT_TRUE(index.ok()) << index.status();
       IndexQueryStats stats;
       const size_t k = 1 + static_cast<size_t>(trial) % 9;
@@ -656,12 +665,12 @@ TEST(FeatureIndexTest, F32NormGateFallsBackToF64) {
       for (double& v : r.feature) v = rng.Gaussian(0, 1e20);
       ASSERT_TRUE(db.Insert(std::move(r)).ok());
     }
-    auto f32idx = FeatureIndex::Build(&db, F32TierOptions());
+    auto f32idx = BuildIndex(&db, F32TierOptions());
     ASSERT_TRUE(f32idx.ok()) << f32idx.status();
     FeatureIndexOptions f64opts;
     f64opts.quantized_scan = false;
     f64opts.num_partitions = 4;
-    auto f64idx = FeatureIndex::Build(&db, f64opts);
+    auto f64idx = BuildIndex(&db, f64opts);
     ASSERT_TRUE(f64idx.ok());
     IndexQueryStats stats;
     for (int q = 0; q < 10; ++q) {
@@ -683,7 +692,7 @@ TEST(FeatureIndexTest, F32NormGateFallsBackToF64) {
   // Scan-side: small records (mirrors packed), huge query.
   {
     MotionDatabase db = MakeDbDim(100, dim, 171);
-    auto f32idx = FeatureIndex::Build(&db, F32TierOptions());
+    auto f32idx = BuildIndex(&db, F32TierOptions());
     ASSERT_TRUE(f32idx.ok());
     Rng rng(172);
     IndexQueryStats small_stats, huge_stats;
@@ -741,14 +750,50 @@ TEST(FeatureIndexTest, ExactPrecisionResolutionAndParsing) {
       ResolveExactPrecision(ExactPrecision::kDefault);
   EXPECT_NE(resolved, ExactPrecision::kDefault);
   MotionDatabase db = MakeDb(30, 180);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->options().exact_precision, resolved);
+  EXPECT_EQ(index->options().index.exact_precision, resolved);
+}
+
+// operator+= is the one fold every stat total goes through: each field
+// gets a distinct value on both sides, so a counter dropped from the
+// sum (or summed into the wrong field) fails here.
+TEST(FeatureIndexTest, StatsAccumulatorSumsEveryField) {
+  IndexQueryStats a;
+  a.distance_computations = 1;
+  a.partitions_visited = 2;
+  a.partitions_pruned = 3;
+  a.coarse_computations = 4;
+  a.coarse_pruned = 5;
+  a.f32_scans = 6;
+  a.f32_refined = 7;
+  IndexQueryStats b;
+  b.distance_computations = 100;
+  b.partitions_visited = 200;
+  b.partitions_pruned = 300;
+  b.coarse_computations = 400;
+  b.coarse_pruned = 500;
+  b.f32_scans = 600;
+  b.f32_refined = 700;
+  // Every field is a size_t: a new counter changes the struct size and
+  // must be added to operator+= and to this test.
+  static_assert(sizeof(IndexQueryStats) == 7 * sizeof(size_t),
+                "update IndexQueryStats::operator+= and this test");
+  IndexQueryStats& ret = (a += b);
+  EXPECT_EQ(&ret, &a);
+  EXPECT_EQ(a.distance_computations, 101u);
+  EXPECT_EQ(a.partitions_visited, 202u);
+  EXPECT_EQ(a.partitions_pruned, 303u);
+  EXPECT_EQ(a.coarse_computations, 404u);
+  EXPECT_EQ(a.coarse_pruned, 505u);
+  EXPECT_EQ(a.f32_scans, 606u);
+  EXPECT_EQ(a.f32_refined, 707u);
+  EXPECT_EQ(b.distance_computations, 100u) << "the right side is unchanged";
 }
 
 TEST(FeatureIndexTest, RebuildAfterInsert) {
   MotionDatabase db = MakeDb(50, 14);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   MotionRecord extra;
   extra.name = "new";

@@ -47,6 +47,14 @@ std::vector<std::vector<double>> MakeQueries(size_t n, size_t dim,
   return queries;
 }
 
+/// The default one-shard index with the given layout/scan options.
+Result<ShardedFeatureIndex> BuildIndex(const MotionDatabase* db,
+                                       const FeatureIndexOptions& options = {}) {
+  ShardedIndexOptions sharded;
+  sharded.index = options;
+  return ShardedFeatureIndex::Build(db, sharded);
+}
+
 void ExpectHitsIdentical(const std::vector<QueryHit>& a,
                          const std::vector<QueryHit>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -85,7 +93,7 @@ TEST(QueryBlockTest, BlockSizeSweepBitIdenticalToPerQuery) {
     for (ExactPrecision prec : {ExactPrecision::kF64, ExactPrecision::kF32}) {
       FeatureIndexOptions opts;
       opts.exact_precision = prec;
-      auto index = FeatureIndex::Build(&db, opts);
+      auto index = BuildIndex(&db, opts);
       ASSERT_TRUE(index.ok()) << index.status();
       // Per-query reference answers and per-query summed stats.
       std::vector<std::vector<QueryHit>> ref(queries.size());
@@ -95,18 +103,12 @@ TEST(QueryBlockTest, BlockSizeSweepBitIdenticalToPerQuery) {
         auto hits = index->NearestNeighbors(queries[q], 5, &st);
         ASSERT_TRUE(hits.ok()) << hits.status();
         ref[q] = std::move(*hits);
-        ref_stats.distance_computations += st.distance_computations;
-        ref_stats.partitions_visited += st.partitions_visited;
-        ref_stats.partitions_pruned += st.partitions_pruned;
-        ref_stats.coarse_computations += st.coarse_computations;
-        ref_stats.coarse_pruned += st.coarse_pruned;
-        ref_stats.f32_scans += st.f32_scans;
-        ref_stats.f32_refined += st.f32_refined;
+        ref_stats += st;
       }
       for (size_t block : {1, 3, 7, 32, 64}) {
         FeatureIndexOptions bopts = opts;
         bopts.query_block = block;
-        auto bindex = FeatureIndex::Build(&db, bopts);
+        auto bindex = BuildIndex(&db, bopts);
         ASSERT_TRUE(bindex.ok()) << bindex.status();
         IndexQueryStats st;
         auto hits = bindex->BatchNearestNeighbors(queries, 5, &st);
@@ -134,7 +136,7 @@ TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
   FeatureIndexOptions opts;
   opts.num_partitions = 4;  // ~30 records per partition
   opts.quantized_min_rows = 1;  // force the coarse tier on
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   for (size_t k : {30, 120, 500}) {
     std::vector<std::vector<QueryHit>> ref(queries.size());
@@ -146,7 +148,7 @@ TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
     for (size_t block : {1, 4, 32}) {
       FeatureIndexOptions bopts = opts;
       bopts.query_block = block;
-      auto bindex = FeatureIndex::Build(&db, bopts);
+      auto bindex = BuildIndex(&db, bopts);
       ASSERT_TRUE(bindex.ok()) << bindex.status();
       auto hits = bindex->BatchNearestNeighbors(queries, k);
       ASSERT_TRUE(hits.ok()) << hits.status();
@@ -164,7 +166,7 @@ TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
 TEST(QueryBlockTest, NonFiniteQueriesRejectedWithSlotContext) {
   const size_t kDim = 6;
   MotionDatabase db = MakeDb(80, kDim, 61);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok()) << index.status();
   auto queries = MakeQueries(8, kDim, 62);
   queries[2][3] = std::numeric_limits<double>::quiet_NaN();
@@ -194,7 +196,7 @@ TEST(QueryBlockTest, DuplicateQueriesInOneBlock) {
   MotionDatabase db = MakeDb(200, kDim, 71);
   FeatureIndexOptions opts;
   opts.query_block = 8;
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   const auto base = MakeQueries(3, kDim, 72);
   // 8 queries, one block: [a, b, a, a, c, b, a, c].
@@ -295,8 +297,8 @@ TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
   }
 }
 
-// The single-index coarse batch entry point (used by the query
-// server's degraded drain) against its per-query counterpart.
+// The one-shard coarse batch entry point (the query server's degraded
+// drain at the default shard count) against its per-query counterpart.
 TEST(QueryBlockTest, SingleIndexCoarseBatchMatchesPerQuery) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(250, kDim, 101);
@@ -304,7 +306,7 @@ TEST(QueryBlockTest, SingleIndexCoarseBatchMatchesPerQuery) {
   FeatureIndexOptions opts;
   opts.quantized_min_rows = 1;
   opts.query_block = 4;
-  auto index = FeatureIndex::Build(&db, opts);
+  auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   std::vector<double> bounds;
   auto batch = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);

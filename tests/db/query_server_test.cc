@@ -16,9 +16,13 @@
 namespace mocemg {
 namespace {
 
-/// Typed null so Create/SwapIndex overloads resolve to the plain-index
-/// flavor.
-constexpr const FeatureIndex* kNoIndex = nullptr;
+/// The default one-shard index with the given layout/scan options.
+Result<ShardedFeatureIndex> BuildIndex(const MotionDatabase* db,
+                                       const FeatureIndexOptions& options = {}) {
+  ShardedIndexOptions sharded;
+  sharded.index = options;
+  return ShardedFeatureIndex::Build(db, sharded);
+}
 
 MotionDatabase MakeDb(size_t n, size_t dim, uint64_t seed) {
   Rng rng(seed);
@@ -65,10 +69,10 @@ TEST(QueryServerTest, CreateValidations) {
   MotionDatabase db = MakeDb(10, 3, 1);
   QueryServerOptions bad;
   bad.max_queue = 0;
-  EXPECT_FALSE(QueryServer::Create(&db, kNoIndex, bad).ok());
+  EXPECT_FALSE(QueryServer::Create(&db, nullptr, bad).ok());
   bad = QueryServerOptions{};
   bad.max_batch = 0;
-  EXPECT_FALSE(QueryServer::Create(&db, kNoIndex, bad).ok());
+  EXPECT_FALSE(QueryServer::Create(&db, nullptr, bad).ok());
   EXPECT_TRUE(QueryServer::Create(&db).ok());
 }
 
@@ -107,7 +111,7 @@ TEST(QueryServerTest, ExactFallbackBitIdenticalToLinearScan) {
 // work done, never the hits.
 TEST(QueryServerTest, IndexPathBitIdenticalToLinearScan) {
   MotionDatabase db = MakeDb(300, 17, 5);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   auto server = QueryServer::Create(&db, &*index);
   ASSERT_TRUE(server.ok());
@@ -117,6 +121,11 @@ TEST(QueryServerTest, IndexPathBitIdenticalToLinearScan) {
   const QueryServerStats stats = server->stats();
   EXPECT_GT(stats.index_stats.partitions_visited, 0u)
       << "expected the fresh index to serve the batch";
+  // Index serving always keeps the per-shard counters, one shard here.
+  ASSERT_EQ(stats.shard_stats.size(), 1u);
+  EXPECT_EQ(stats.shard_stats[0].scans, queries.size());
+  EXPECT_EQ(stats.shard_stats[0].distance_computations,
+            stats.index_stats.distance_computations);
   for (size_t i = 0; i < queries.size(); ++i) {
     auto linear = db.NearestNeighbors(queries[i], 5);
     ASSERT_TRUE(linear.ok());
@@ -128,7 +137,7 @@ TEST(QueryServerTest, AdmissionBoundRejectsWithOutOfRange) {
   MotionDatabase db = MakeDb(20, 3, 7);
   QueryServerOptions opts;
   opts.max_queue = 4;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   const std::vector<double> q = {1.0, 2.0, 3.0};
   for (int i = 0; i < 4; ++i) {
@@ -150,7 +159,7 @@ TEST(QueryServerTest, BatchLargerThanQueueBackpressures) {
   QueryServerOptions opts;
   opts.max_queue = 3;
   opts.max_batch = 2;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   const auto queries = MakeQueries(20, 5, 9);
   auto batch = server->NearestNeighborsBatch(queries, 2);
@@ -213,7 +222,7 @@ TEST(QueryServerTest, CacheInvalidatedByEpochOnMutation) {
 // exact scan (correct answers, zero index stats deltas).
 TEST(QueryServerTest, StaleIndexFallsBackToExactScan) {
   MotionDatabase db = MakeDb(100, 5, 13);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   auto server = QueryServer::Create(&db, &*index);
   ASSERT_TRUE(server.ok());
@@ -234,7 +243,7 @@ TEST(QueryServerTest, DuplicateQueriesInOneBatchCoalesce) {
   MotionDatabase db = MakeDb(60, 3, 15);
   QueryServerOptions opts;
   opts.cache_capacity = 0;  // isolate coalescing from caching
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   const std::vector<double> q = {1.0, 2.0, 3.0};
   std::vector<uint64_t> tickets;
@@ -262,7 +271,7 @@ TEST(QueryServerTest, CacheEvictionRespectsCapacity) {
   MotionDatabase db = MakeDb(40, 4, 16);
   QueryServerOptions opts;
   opts.cache_capacity = 3;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   const auto queries = MakeQueries(10, 4, 17);
   ASSERT_TRUE(server->NearestNeighborsBatch(queries, 1).ok());
@@ -278,7 +287,7 @@ TEST(QueryServerTest, CacheEvictionRespectsCapacity) {
 
 TEST(QueryServerTest, ClassifyMatchesDatabaseVote) {
   MotionDatabase db = MakeDb(120, 5, 18);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   auto server = QueryServer::Create(&db, &*index);
   ASSERT_TRUE(server.ok());
@@ -298,7 +307,7 @@ TEST(QueryServerTest, ClassifyMatchesDatabaseVote) {
 // rerun (tools/run_sanitized_tests.sh).
 TEST(QueryServerTest, ParallelServingBitIdenticalAcrossThreadCounts) {
   MotionDatabase db = MakeDb(250, 17, 20);
-  auto index = FeatureIndex::Build(&db);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok());
   // A request mix with repeats (cache hits), in-batch duplicates
   // (coalescing), and two distinct k values (k-grouping).
@@ -404,11 +413,11 @@ TEST(QueryServerTest, CreateRejectsWatermarkAboveMaxQueue) {
   QueryServerOptions opts;
   opts.max_queue = 8;
   opts.degrade_watermark = 9;
-  auto bad = QueryServer::Create(&db, kNoIndex, opts);
+  auto bad = QueryServer::Create(&db, nullptr, opts);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   opts.degrade_watermark = 8;
-  EXPECT_TRUE(QueryServer::Create(&db, kNoIndex, opts).ok());
+  EXPECT_TRUE(QueryServer::Create(&db, nullptr, opts).ok());
 }
 
 TEST(QueryServerTest, SubmitRejectsKLargerThanDatabase) {
@@ -430,7 +439,7 @@ TEST(QueryServerTest, DeadlineExpiryShedsOnlyOverdueRequests) {
   QueryServerOptions opts;
   opts.clock = &clock;
   opts.max_batch = 8;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   const auto queries = MakeQueries(6, 4, 53);
   // Alternate short (100µs) and long (1s) budgets.
@@ -467,7 +476,7 @@ TEST(QueryServerTest, DefaultDeadlineAppliesToPlainSubmits) {
   QueryServerOptions opts;
   opts.clock = &clock;
   opts.default_deadline_us = 1000;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   auto t = server->SubmitNearestNeighbors({1.0, 2.0, 3.0}, 1);
   ASSERT_TRUE(t.ok());
@@ -499,7 +508,7 @@ TEST(QueryServerTest, RetryAfterHintParsesAndGrowsWithQueueDepth) {
     QueryServerOptions opts;
     opts.clock = &clock;
     opts.max_queue = max_queue;
-    auto server = QueryServer::Create(&db, kNoIndex, opts);
+    auto server = QueryServer::Create(&db, nullptr, opts);
     ASSERT_TRUE(server.ok());
     for (size_t i = 0; i < max_queue; ++i) {
       ASSERT_TRUE(server->SubmitNearestNeighbors(q, 1).ok());
@@ -521,7 +530,7 @@ TEST(QueryServerTest, RetryAfterHintParsesAndGrowsWithQueueDepth) {
 // within one deterministic drain.
 TEST(QueryServerTest, WatermarkDegradesAndRecoversDeterministically) {
   MotionDatabase db = MakeDb(200, 9, 56);
-  auto index = FeatureIndex::Build(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, QuantizedIndexOptions());
   ASSERT_TRUE(index.ok());
   ASSERT_TRUE(index->has_quantized_tier());
   const auto queries = MakeQueries(24, 9, 57);
@@ -573,7 +582,7 @@ TEST(QueryServerTest, WatermarkDegradesAndRecoversDeterministically) {
 // approximation.
 TEST(QueryServerTest, DegradedAnswersAreNotCached) {
   MotionDatabase db = MakeDb(150, 5, 58);
-  auto index = FeatureIndex::Build(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, QuantizedIndexOptions());
   ASSERT_TRUE(index.ok());
   const auto queries = MakeQueries(8, 5, 59);
 
@@ -609,7 +618,7 @@ TEST(QueryServerTest, DegradedAnswersAreNotCached) {
 // answer — is identical at every kernel-thread budget.
 TEST(QueryServerTest, ParallelDegradationIdenticalAcrossThreadCounts) {
   MotionDatabase db = MakeDb(220, 9, 60);
-  auto index = FeatureIndex::Build(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, QuantizedIndexOptions());
   ASSERT_TRUE(index.ok());
   const auto queries = MakeQueries(30, 9, 61);
   std::vector<std::vector<std::pair<bool, std::vector<QueryHit>>>> runs;
@@ -695,7 +704,7 @@ TEST(QueryServerTest, SubmitWithBackoffHonorsRetryAfterHint) {
   QueryServerOptions opts;
   opts.clock = &clock;
   opts.max_queue = 4;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   const std::vector<double> q = {1.0, 2.0, 3.0};
   for (int i = 0; i < 4; ++i) {
@@ -723,7 +732,7 @@ TEST(QueryServerTest, SubmitWithBackoffSucceedsOnceQueueDrains) {
   MotionDatabase db = MakeDb(40, 3, 63);
   QueryServerOptions opts;
   opts.max_queue = 2;
-  auto server = QueryServer::Create(&db, kNoIndex, opts);
+  auto server = QueryServer::Create(&db, nullptr, opts);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server->Start().ok());
   const std::vector<double> q = {1.0, 2.0, 3.0};
@@ -779,7 +788,7 @@ TEST(QueryServerTest, QueueHighWaterTracksPeakDepth) {
 // multi-thread rerun.)
 TEST(QueryServerTest, ServingFaultInjectedStressDeterministic) {
   MotionDatabase db = MakeDb(240, 9, 66);
-  auto index = FeatureIndex::Build(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, QuantizedIndexOptions());
   ASSERT_TRUE(index.ok());
   auto queries = MakeQueries(48, 9, 67);
   for (int i = 0; i < 12; ++i) queries.push_back(queries[i % 6]);
@@ -875,7 +884,7 @@ TEST(QueryServerTest, ServingFaultInjectedStressDeterministic) {
 // "ServingFault" keep it in the multi-thread rerun).
 TEST(QueryServerTest, ParallelServingFaultInjectedClientsSurvive) {
   MotionDatabase db = MakeDb(150, 5, 68);
-  auto index = FeatureIndex::Build(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, QuantizedIndexOptions());
   ASSERT_TRUE(index.ok());
   ServingFaultOptions fopts;
   fopts.seed = 11;
@@ -931,7 +940,7 @@ TEST(QueryServerTest, CreateRejectsZeroPipelineDepth) {
   MotionDatabase db = MakeDb(10, 3, 70);
   QueryServerOptions opts;
   opts.pipeline_depth = 0;
-  EXPECT_FALSE(QueryServer::Create(&db, kNoIndex, opts).ok());
+  EXPECT_FALSE(QueryServer::Create(&db, nullptr, opts).ok());
 }
 
 TEST(QueryServerTest, ShardedServingBitIdenticalToLinearScan) {
@@ -1143,7 +1152,7 @@ TEST(QueryServerTest, ShardedCacheSurvivesOtherShardMutation) {
 }
 
 // Degraded (watermark) serving through the sharded index must be
-// bit-identical to the single-index coarse path at every shard count.
+// bit-identical to the one-shard coarse path at every shard count.
 TEST(QueryServerTest, ShardedWatermarkDegradedIdenticalAcrossShardCounts) {
   const size_t kDim = 9;
   MotionDatabase db = MakeDb(240, kDim, 77);
@@ -1195,13 +1204,13 @@ TEST(QueryServerTest, ShardedWatermarkDegradedIdenticalAcrossShardCounts) {
 }
 
 // SwapIndex under a live worker with racing submitters: every answer
-// must equal the linear scan no matter which index (plain, sharded,
-// none) happened to serve it — a torn swap would corrupt bits or
+// must equal the linear scan no matter which index (one shard, three
+// shards, none) happened to serve it — a torn swap would corrupt bits or
 // crash under tsan.
 TEST(QueryServerTest, ParallelSwapIndexConcurrentSubmitsNeverTorn) {
   const size_t kDim = 6;
   MotionDatabase db = MakeDb(180, kDim, 79);
-  auto plain = FeatureIndex::Build(&db);
+  auto plain = BuildIndex(&db);
   ASSERT_TRUE(plain.ok());
   ShardedIndexOptions sopts;
   sopts.num_shards = 3;
@@ -1230,9 +1239,7 @@ TEST(QueryServerTest, ParallelSwapIndexConcurrentSubmitsNeverTorn) {
           EXPECT_TRUE(server->SwapIndex(&*sharded).ok());
           break;
         case 1:
-          EXPECT_TRUE(
-              server->SwapIndex(static_cast<const FeatureIndex*>(nullptr))
-                  .ok());
+          EXPECT_TRUE(server->SwapIndex(nullptr).ok());
           break;
         default:
           EXPECT_TRUE(server->SwapIndex(&*plain).ok());

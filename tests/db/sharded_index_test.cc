@@ -56,12 +56,18 @@ TEST(ShardedIndexTest, BuildValidations) {
   EXPECT_FALSE(ShardedFeatureIndex::Build(&empty).ok());
 }
 
-TEST(ShardedIndexTest, AutoShardCountAndExcessShards) {
+// One shard is the default; zero shards is an invalid request, not a
+// request for an automatic count.
+TEST(ShardedIndexTest, ZeroShardsRejectedAndExcessShards) {
   MotionDatabase db = MakeDb(120, 6, 11);
   auto index = ShardedFeatureIndex::Build(&db);
   ASSERT_TRUE(index.ok()) << index.status();
-  EXPECT_GE(index->num_shards(), 1u);
-  EXPECT_LE(index->num_shards(), 4u);
+  EXPECT_EQ(index->num_shards(), 1u);
+  ShardedIndexOptions zero;
+  zero.num_shards = 0;
+  auto rejected = ShardedFeatureIndex::Build(&db, zero);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   // More shards than partitions: the excess shards are empty but the
   // index still answers correctly.
   ShardedIndexOptions opts;
@@ -78,15 +84,12 @@ TEST(ShardedIndexTest, AutoShardCountAndExcessShards) {
   ExpectHitsIdentical(*linear, *sharded);
 }
 
-// The tentpole bit-identity claim: for every shard count, exact kNN
-// answers (records AND distance bits) equal the linear scan and the
-// single FeatureIndex over the same layout, for several k.
+// The bit-identity claim: for every shard count, exact kNN answers
+// (records AND distance bits) equal the linear scan, for several k.
 TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 21);
   FeatureIndexOptions fopts;
-  auto single = FeatureIndex::Build(&db, fopts);
-  ASSERT_TRUE(single.ok()) << single.status();
   const auto queries = MakeQueries(25, kDim, 22);
   for (size_t shards : {1, 2, 3, 8}) {
     ShardedIndexOptions sopts;
@@ -98,13 +101,10 @@ TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
     for (size_t k : {1, 3, 10}) {
       for (const auto& q : queries) {
         auto linear = db.NearestNeighbors(q, k);
-        auto viaSingle = single->NearestNeighbors(q, k);
         auto viaShards = index->NearestNeighbors(q, k);
         ASSERT_TRUE(linear.ok());
-        ASSERT_TRUE(viaSingle.ok());
         ASSERT_TRUE(viaShards.ok()) << viaShards.status();
         ExpectHitsIdentical(*linear, *viaShards);
-        ExpectHitsIdentical(*viaSingle, *viaShards);
       }
     }
   }
@@ -158,13 +158,15 @@ TEST(ShardedIndexTest, ParallelBatchDeterministicAcrossThreads) {
 }
 
 // Degraded answers must regroup identically too: the coarse estimates
-// and the certified bound are pure functions of the owning partition.
+// and the certified bound are pure functions of the owning partition,
+// so every shard count answers exactly like the one-shard index.
 TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 41);
-  FeatureIndexOptions fopts;
-  fopts.quantized_min_rows = 1;  // quantize every partition
-  auto single = FeatureIndex::Build(&db, fopts);
+  ShardedIndexOptions one;
+  one.index.quantized_min_rows = 1;  // quantize every partition
+  const FeatureIndexOptions& fopts = one.index;
+  auto single = ShardedFeatureIndex::Build(&db, one);
   ASSERT_TRUE(single.ok()) << single.status();
   ASSERT_TRUE(single->has_quantized_tier());
   const auto queries = MakeQueries(20, kDim, 42);
@@ -188,16 +190,17 @@ TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
 }
 
 // The 4-bit coarse tier shards exactly like the 8-bit one: exact kNN
-// stays bit-identical to the linear scan and the single index at every
-// shard count, and the degraded coarse answers + certified bound
-// regroup identically.
+// stays bit-identical to the linear scan at every shard count, and the
+// degraded coarse answers + certified bound regroup identically to the
+// one-shard index.
 TEST(ShardedIndexTest, FourBitShardedMatchesSingleIndex) {
   const size_t kDim = 9;
   MotionDatabase db = MakeDb(300, kDim, 91);
-  FeatureIndexOptions fopts;
-  fopts.quant_bits = 4;
-  fopts.quantized_min_rows = 1;
-  auto single = FeatureIndex::Build(&db, fopts);
+  ShardedIndexOptions one;
+  one.index.quant_bits = 4;
+  one.index.quantized_min_rows = 1;
+  const FeatureIndexOptions& fopts = one.index;
+  auto single = ShardedFeatureIndex::Build(&db, one);
   ASSERT_TRUE(single.ok()) << single.status();
   ASSERT_TRUE(single->has_quantized_tier());
   const auto queries = MakeQueries(15, kDim, 92);
@@ -209,13 +212,10 @@ TEST(ShardedIndexTest, FourBitShardedMatchesSingleIndex) {
     ASSERT_TRUE(index.ok()) << index.status();
     for (const auto& q : queries) {
       auto linear = db.NearestNeighbors(q, 5);
-      auto viaSingle = single->NearestNeighbors(q, 5);
       auto viaShards = index->NearestNeighbors(q, 5);
       ASSERT_TRUE(linear.ok());
-      ASSERT_TRUE(viaSingle.ok());
       ASSERT_TRUE(viaShards.ok()) << viaShards.status();
       ExpectHitsIdentical(*linear, *viaShards);
-      ExpectHitsIdentical(*viaSingle, *viaShards);
       double bound_single = 0.0, bound_sharded = 0.0;
       auto ref = single->CoarseNearestNeighbors(q, 5, &bound_single);
       auto got = index->CoarseNearestNeighbors(q, 5, &bound_sharded);
@@ -233,12 +233,28 @@ TEST(ShardedIndexTest, QueryValidations) {
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE(index->NearestNeighbors({1.0}, 3).ok());  // wrong dim
   EXPECT_FALSE(index->NearestNeighbors({1, 2, 3, 4}, 0).ok());
-  // Oversized k clamps to the database size (FeatureIndex semantics).
+  // Oversized k clamps to the database size.
   auto all = index->NearestNeighbors({1, 2, 3, 4}, 101);
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 100u);
   ShardedFeatureIndex unbuilt;
   EXPECT_FALSE(unbuilt.NearestNeighbors({1, 2, 3, 4}, 3).ok());
+  EXPECT_FALSE(unbuilt.BatchNearestNeighbors({{1, 2, 3, 4}}, 3).ok());
+  // An empty batch has nothing to validate: it answers with nothing,
+  // built or not, and zero stats.
+  for (const ShardedFeatureIndex* idx : {&*index, &unbuilt}) {
+    IndexQueryStats stats;
+    stats.partitions_visited = 99;
+    auto none = idx->BatchNearestNeighbors({}, 3, &stats);
+    ASSERT_TRUE(none.ok()) << none.status();
+    EXPECT_TRUE(none->empty());
+    EXPECT_EQ(stats.partitions_visited, 0u);
+    std::vector<double> bounds = {1.0};
+    auto coarse = idx->BatchCoarseNearestNeighbors({}, 3, &bounds);
+    ASSERT_TRUE(coarse.ok()) << coarse.status();
+    EXPECT_TRUE(coarse->empty());
+    EXPECT_TRUE(bounds.empty());
+  }
 }
 
 TEST(ShardedIndexTest, ApplyUpdateBumpsOnlyOwningShard) {

@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "core/classifier.h"
-#include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "db/sharded_index.h"
 #include "emg/acquisition.h"
 #include "emg/emg_io.h"
 #include "eval/protocols.h"
@@ -100,7 +100,7 @@ TEST_F(EndToEndTest, DatabaseAndIndexAgreeOnRetrieval) {
     rec.feature = clf->final_features().Row(i);
     ASSERT_TRUE(db.Insert(std::move(rec)).ok());
   }
-  auto index = FeatureIndex::Build(&db);
+  auto index = ShardedFeatureIndex::Build(&db);
   ASSERT_TRUE(index.ok());
 
   const CapturedMotion& q = (*data_)[7];

@@ -11,8 +11,8 @@
 #include "cluster/fcm.h"
 #include "core/classifier.h"
 #include "core/window_features.h"
-#include "db/feature_index.h"
 #include "db/motion_database.h"
+#include "db/sharded_index.h"
 #include "emg/acquisition.h"
 #include "synth/dataset.h"
 #include "util/random.h"
@@ -126,9 +126,9 @@ TEST_F(ParallelDeterminismTest, BatchKnnMatchesSerialQueries) {
   }
 
   for (size_t threads : kThreadCounts) {
-    FeatureIndexOptions opts;
-    opts.parallel.max_threads = threads;
-    auto index = FeatureIndex::Build(&db, opts);
+    ShardedIndexOptions opts;
+    opts.index.parallel.max_threads = threads;
+    auto index = ShardedFeatureIndex::Build(&db, opts);
     ASSERT_TRUE(index.ok()) << index.status();
     auto batch = index->BatchNearestNeighbors(queries, 5);
     ASSERT_TRUE(batch.ok()) << batch.status();

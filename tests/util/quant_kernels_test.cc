@@ -298,7 +298,7 @@ TEST(QuantKernelsTest, ManyToManyMatchesPerQueryScan) {
 
 // Certified prune-bound property at both widths: the coarse lower
 // bound scale·√ssd − ‖q − q̃‖ − err_r (all scalars slack-inflated the
-// way FeatureIndex computes it) never exceeds the true distance, so
+// way the index computes it) never exceeds the true distance, so
 // pruning on it can never discard a true neighbor.
 TEST(QuantKernelsTest, CoarseLowerBoundNeverExceedsTrueDistance) {
   Rng rng(47);

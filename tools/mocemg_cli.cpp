@@ -32,13 +32,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/classifier.h"
 #include "core/model_io.h"
-#include "db/feature_index.h"
 #include "db/index_snapshot.h"
 #include "db/motion_database.h"
 #include "db/query_server.h"
@@ -77,8 +75,8 @@ int Usage() {
                "[--threads 1,2,8] [--seed S] [--json]\n"
                "                      [--deadline-us N] [--watermark N] "
                "[--snapshot <path>]\n"
-               "                      [--shards N] [--pipeline D] "
-               "[--bits 8|4]\n"
+               "                      [--shards N (>= 1, default 1)] "
+               "[--pipeline D] [--bits 8|4]\n"
                "  mocemg_cli kernel-info [--json]\n"
                "  mocemg_cli coarse-bench [--records N] [--dim D] "
                "[--queries Q] [--k K]\n"
@@ -340,7 +338,7 @@ int RunServeBench(const Args& args) {
   auto seed = ParseInt(args.Get("--seed", "7"));
   auto deadline_us = ParseInt(args.Get("--deadline-us", "0"));
   auto watermark = ParseInt(args.Get("--watermark", "0"));
-  auto shards = ParseInt(args.Get("--shards", "0"));
+  auto shards = ParseInt(args.Get("--shards", "1"));
   auto pipeline = ParseInt(args.Get("--pipeline", "1"));
   auto bits = ParseInt(args.Get("--bits", "8"));
   const std::string snapshot_path = args.Get("--snapshot", "");
@@ -351,12 +349,9 @@ int RunServeBench(const Args& args) {
   }
   if (*records < 1 || *dim < 1 || *queries < 1 || *unique < 1 ||
       *k < 1 || *batch < 1 || *deadline_us < 0 || *watermark < 0 ||
-      *shards < 0 || *pipeline < 1 || (*bits != 8 && *bits != 4)) {
+      *shards < 1 || *pipeline < 1 || (*bits != 8 && *bits != 4)) {
     return Usage();
   }
-  // --shards 0 serves through the single FeatureIndex; N >= 1 serves
-  // through an N-shard scatter-gather index (identical answers).
-  const bool sharded_mode = *shards > 0;
   std::vector<size_t> threads;
   {
     const std::string spec = args.Get("--threads", "1,2,8");
@@ -376,61 +371,34 @@ int RunServeBench(const Args& args) {
   const MotionDatabase db = MakeServeDb(
       static_cast<size_t>(*records), static_cast<size_t>(*dim),
       static_cast<uint64_t>(*seed));
-  FeatureIndexOptions iopts;
-  iopts.quant_bits = static_cast<size_t>(*bits);
-  iopts.exact_precision = g_cli_exact_precision;
+  ShardedIndexOptions iopts;
+  iopts.num_shards = static_cast<size_t>(*shards);
+  iopts.index.quant_bits = static_cast<size_t>(*bits);
+  iopts.index.exact_precision = g_cli_exact_precision;
   if (*watermark > 0) {
     // Degraded mode answers from the int8 tier, so force codes on even
     // for the small partitions a √N layout produces at bench scale.
-    iopts.quantized_min_rows = 1;
+    iopts.index.quantized_min_rows = 1;
   }
-  std::unique_ptr<FeatureIndex> index;
-  std::unique_ptr<ShardedFeatureIndex> sharded;
-  if (sharded_mode) {
-    ShardedIndexOptions sopts;
-    sopts.index = iopts;
-    sopts.num_shards = static_cast<size_t>(*shards);
-    auto built = ShardedFeatureIndex::Build(&db, sopts);
-    if (!built.ok()) return Fail(built.status());
-    sharded =
-        std::make_unique<ShardedFeatureIndex>(std::move(*built));
-  } else {
-    auto built = FeatureIndex::Build(&db, iopts);
-    if (!built.ok()) return Fail(built.status());
-    index = std::make_unique<FeatureIndex>(std::move(*built));
-  }
+  auto index = ShardedFeatureIndex::Build(&db, iopts);
+  if (!index.ok()) return Fail(index.status());
 
   // --snapshot: exercise the crash-safe persistence path — save the
-  // built index, reload it (with corruption-checked validation), and
-  // serve from the reloaded copy. In sharded mode this is the
-  // manifest-plus-shard-files protocol with per-shard repack.
+  // built index as a manifest plus shard files, reload it (with
+  // corruption-checked validation and per-shard repack), and serve
+  // from the reloaded copy.
   bool used_snapshot = false;
   bool snap_loaded = false, snap_rebuilt = false;
   if (!snapshot_path.empty()) {
-    if (sharded_mode) {
-      Status saved = SaveShardedFeatureIndex(*sharded, snapshot_path);
-      if (!saved.ok()) return Fail(saved);
-      ShardedSnapshotLoadInfo sinfo;
-      ShardedIndexOptions sopts;
-      sopts.index = iopts;
-      sopts.num_shards = static_cast<size_t>(*shards);
-      auto reloaded = LoadOrRebuildShardedFeatureIndex(
-          snapshot_path, &db, sopts, &sinfo);
-      if (!reloaded.ok()) return Fail(reloaded.status());
-      *sharded = *std::move(reloaded);
-      snap_loaded = sinfo.loaded_from_snapshot;
-      snap_rebuilt = sinfo.rebuilt;
-    } else {
-      Status saved = SaveFeatureIndex(*index, snapshot_path);
-      if (!saved.ok()) return Fail(saved);
-      IndexSnapshotLoadInfo info;
-      auto reloaded =
-          LoadOrRebuildFeatureIndex(snapshot_path, &db, iopts, &info);
-      if (!reloaded.ok()) return Fail(reloaded.status());
-      *index = *std::move(reloaded);
-      snap_loaded = info.loaded_from_snapshot;
-      snap_rebuilt = info.rebuilt;
-    }
+    Status saved = SaveShardedFeatureIndex(*index, snapshot_path);
+    if (!saved.ok()) return Fail(saved);
+    ShardedSnapshotLoadInfo info;
+    auto reloaded =
+        LoadOrRebuildShardedFeatureIndex(snapshot_path, &db, iopts, &info);
+    if (!reloaded.ok()) return Fail(reloaded.status());
+    *index = *std::move(reloaded);
+    snap_loaded = info.loaded_from_snapshot;
+    snap_rebuilt = info.rebuilt;
     used_snapshot = true;
   }
   const auto workload = MakeServeWorkload(
@@ -457,14 +425,12 @@ int RunServeBench(const Args& args) {
   }
   const ServeModeResult exact = SummarizeMode(lat, SecondsSince(t0));
 
-  // Mode 2: per-request quantized index (no batching, no cache);
-  // sharded mode scatter-gathers the same per-request answers.
+  // Mode 2: per-request quantized index (no batching, no cache),
+  // scatter-gathered across the shards.
   t0 = BenchClock::now();
   for (size_t i = 0; i < workload.size(); ++i) {
     auto q0 = BenchClock::now();
-    auto hits = sharded_mode
-                    ? sharded->NearestNeighbors(workload[i], kk)
-                    : index->NearestNeighbors(workload[i], kk);
+    auto hits = index->NearestNeighbors(workload[i], kk);
     lat[i] = SecondsSince(q0);
     if (!hits.ok()) return Fail(hits.status());
     if (!SameHits(*hits, expected[i])) {
@@ -495,9 +461,7 @@ int RunServeBench(const Args& args) {
     opts.default_deadline_us = static_cast<uint64_t>(*deadline_us);
     opts.degrade_watermark = static_cast<size_t>(*watermark);
     opts.pipeline_depth = static_cast<size_t>(*pipeline);
-    auto server = sharded_mode
-                      ? QueryServer::Create(&db, sharded.get(), opts)
-                      : QueryServer::Create(&db, index.get(), opts);
+    auto server = QueryServer::Create(&db, &*index, opts);
     if (!server.ok()) return Fail(server.status());
     if (used_snapshot) {
       server->NoteSnapshotLoad(snap_loaded);
@@ -571,7 +535,7 @@ int RunServeBench(const Args& args) {
                 kinfo.active.c_str(), kinfo.cpu_features.c_str());
     std::printf("  \"exact_precision\": \"%s\",\n",
                 ExactPrecisionName(
-                    ResolveExactPrecision(iopts.exact_precision)));
+                    ResolveExactPrecision(iopts.index.exact_precision)));
     if (used_snapshot) {
       std::printf("  \"snapshot\": {\"loaded\": %s, \"rebuilt\": %s},\n",
                   snap_loaded ? "true" : "false",
@@ -673,13 +637,11 @@ int RunServeBench(const Args& args) {
                 kinfo.cpu_features.c_str());
     std::printf("  exact precision %s\n",
                 ExactPrecisionName(
-                    ResolveExactPrecision(iopts.exact_precision)));
+                    ResolveExactPrecision(iopts.index.exact_precision)));
   }
-  if (sharded_mode) {
-    std::printf("  serving through %lld shards, pipeline depth %lld\n",
-                static_cast<long long>(*shards),
-                static_cast<long long>(*pipeline));
-  }
+  std::printf("  serving through %lld shard(s), pipeline depth %lld\n",
+              static_cast<long long>(*shards),
+              static_cast<long long>(*pipeline));
   std::printf("  %-22s %10s %12s %12s\n", "mode", "qps", "p50 (us)",
               "p99 (us)");
   std::printf("  %-22s %10.0f %12.1f %12.1f\n", "exact scan/request",
@@ -1124,11 +1086,11 @@ int RunCoarseBench(const Args& args) {
   };
   std::vector<WidthRow> out_rows;
   for (const size_t bits : {size_t{8}, size_t{4}}) {
-    FeatureIndexOptions iopts;
-    iopts.quant_bits = bits;
-    iopts.exact_precision = g_cli_exact_precision;
-    iopts.quantized_min_rows = 1;  // code every partition at bench scale
-    auto index = FeatureIndex::Build(&db, iopts);
+    ShardedIndexOptions iopts;
+    iopts.index.quant_bits = bits;
+    iopts.index.exact_precision = g_cli_exact_precision;
+    iopts.index.quantized_min_rows = 1;  // code every partition at bench scale
+    auto index = ShardedFeatureIndex::Build(&db, iopts);
     if (!index.ok()) return Fail(index.status());
 
     WidthRow row;
