@@ -35,10 +35,12 @@
 //                              cache entries (BENCH_pr7.json).
 //   BM_BatchedKnn/<batch>/<dim>/<mode>
 //                              mode 0: batch × NearestNeighbors in a
-//                              loop; mode 1: one BatchNearestNeighbors
-//                              query-block call. Identical index, one
-//                              thread — the ratio isolates the
-//                              many-to-many scan restructuring
+//                              loop — blocks of one query through the
+//                              same query-block engine; mode 1: one
+//                              BatchNearestNeighbors call (blocks of
+//                              up to 32). Identical index, one thread
+//                              — the ratio isolates what sharing a
+//                              partition's bytes across a block buys
 //                              (DESIGN.md §16) from parallelism and
 //                              caching (BENCH_pr10.json; gated at
 //                              batch >= 16, dim >= 30 on SIMD hosts).
@@ -346,10 +348,11 @@ void BM_ServedKnnRobust(benchmark::State& state) {
 }
 BENCHMARK(BM_ServedKnnRobust)->Arg(0)->Arg(1);
 
-// Per-query loop vs the query-block batched scan over the identical
-// single-thread index. Answers are bit-identical by the §16 contract;
-// the pair measures only how fast the same answers arrive as the
-// micro-batch grows and the per-partition bytes amortize.
+// Per-query loop (blocks of one) vs whole-batch query blocks over the
+// identical single-thread index and the same scan engine. Answers are
+// bit-identical by the §16 contract; the pair measures only how fast
+// the same answers arrive as the block grows and the per-partition
+// bytes amortize.
 void BM_BatchedKnn(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   const size_t dim = static_cast<size_t>(state.range(1));

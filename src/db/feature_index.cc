@@ -28,7 +28,9 @@ constexpr double kF32TierNormGate = 1e30;
 
 // Query-block scan knob (DESIGN.md §16): kBlockRowSlab caps one visit
 // group's per-tier kernel output at g × slab entries, so block scratch
-// stays bounded on huge partitions. A pure performance knob: every
+// stays bounded on huge partitions (smaller sets use their largest
+// partition's row count, so a block of one query allocates no more
+// than it scores). A pure performance knob: every
 // per-(query, row) quantity is bit-identical at any value, because
 // each pair's kernel accumulation is self-contained and every gate
 // either evolves per-row within one query (coarse) or is frozen at
@@ -45,9 +47,9 @@ constexpr size_t kBlockRowSlab = 4096;
 // heap held at partition entry; without this stage an entry-time gate
 // alone refines the entire first partition of every query (empty
 // heap → infinite threshold). The threshold is a pure function of the
-// candidate distances, so the solo and block scans shrink identical
-// survivor sets. NaN distances are kept — they must reach the exact
-// re-check — and sit out of the order statistic.
+// candidate distances, so a query's survivor set does not depend on
+// which other queries share its block. NaN distances are kept — they
+// must reach the exact re-check — and sit out of the order statistic.
 void SelfGateCandidates(size_t k, double margin,
                         std::vector<uint32_t>* ridx,
                         std::vector<double>* cand,
@@ -352,7 +354,7 @@ Status IndexPartitionSet::RefreshPartition(const MotionDatabase& database,
 
 IndexPartitionSet::CoarsePrep IndexPartitionSet::PrepCoarse(
     const double* query, double q_sq, size_t dim, const Partition& part,
-    Scratch* scratch) const {
+    BlockScratch* scratch) const {
   // Clamp the query onto the partition's grid box, dimension by
   // dimension. For an out-of-box dimension the box edge q'_j lies
   // between q_j and every row value, so
@@ -432,7 +434,8 @@ void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
 
 void IndexPartitionSet::VisitCoarse(const double* query, double q_sq,
                                     size_t dim, const Partition& part,
-                                    BoundedTopK* top, Scratch* scratch,
+                                    BoundedTopK* top,
+                                    BlockScratch* scratch,
                                     IndexQueryStats* stats) const {
   // Coarse tier. The prune needs a k-th best to compare against, so
   // first seed the heap with exact evaluations (only the very first
@@ -493,229 +496,6 @@ void IndexPartitionSet::RefinePush(const double* query, size_t dim,
   }
 }
 
-void IndexPartitionSet::ScanExact(const std::vector<double>& query,
-                                  double q_sq, BoundedTopK* top,
-                                  Scratch* scratch,
-                                  IndexQueryStats* stats) const {
-  const size_t dim = query.size();
-  const size_t p = partitions_.size();
-  if (p == 0) return;
-  IndexQueryStats& local = *stats;
-
-  // Squared distance to each partition reference; visit closest-first
-  // (the squared ordering equals the true-distance ordering). One
-  // packed kernel call over the reference block, zero sqrts.
-  scratch->ref_sq.resize(p);
-  SquaredL2OneToMany(query.data(), references_.RowPtr(0), p, dim,
-                     scratch->ref_sq.data());
-  local.distance_computations += p;
-  scratch->order.resize(p);
-  for (size_t i = 0; i < p; ++i) {
-    scratch->order[i] = {scratch->ref_sq[i], i};
-  }
-  std::sort(scratch->order.begin(), scratch->order.end());
-
-  scratch->dist.resize(max_partition_size_);
-  // The fp32 query copy is refilled lazily per ScanExact call — the
-  // scratch is reused across the queries of a batch chunk, so a
-  // size-based check would wrongly keep the previous query's floats.
-  bool qf32_ready = false;
-  float q_sq_f32 = 0.0f;
-  // Candidates are kept and compared in *squared* distance space — the
-  // per-record sqrt of the scan is deferred to the k reported hits.
-  // The heap breaks distance ties toward the smaller record index,
-  // the same rule as the linear scan (top_k.h).
-  for (const auto& [ref_sq_dist, pi] : scratch->order) {
-    const Partition& part = partitions_[pi];
-    // Triangle inequality: every record r in the partition satisfies
-    // d(q, r) >= d(q, ref) − radius. Evaluated sqrt-free by squaring
-    // twice with sign handling: with b = d²(q, ref), r² = radius²,
-    // t² = kth, the prune condition √b − r > t (t, r >= 0) is
-    // equivalent to  b − r² − t² > 0  ∧  (b − r² − t²)² > 4·r²·t².
-    const double kth = top->worst();
-    const double inf = std::numeric_limits<double>::infinity();
-    if (kth < inf) {
-      const double gap = ref_sq_dist - part.radius_sq - kth;
-      if (gap > 0.0 && gap * gap > 4.0 * part.radius_sq * kth) {
-        ++local.partitions_pruned;
-        continue;
-      }
-    }
-    ++local.partitions_visited;
-    const size_t rows = part.size();
-    if (part.quantized()) {
-      VisitCoarse(query.data(), q_sq, dim, part, top, scratch, &local);
-      continue;
-    }
-    if (part.mirrored() && q_sq + part.max_norm_sq < kF32TierNormGate) {
-      // fp32 tier: scan the float mirror with the fp32 dot-form
-      // kernel, then re-evaluate through the double kernels every row
-      // within the certified bound of the k-th best *at partition
-      // entry*. The entry-time worst can only shrink while the
-      // partition's rows are processed, so gating on it is a
-      // conservative superset of gating on the evolving worst: a
-      // pruned row provably cannot belong to the final top k (the
-      // margin covers |ssd_f32 − ssd_f64| plus the f64 dot-form
-      // error, §15.2) and reported hits stay bit-identical to the f64
-      // path. Freezing the gate makes the survivor set independent of
-      // push order, which lets the refine run as one blocked gather
-      // kernel call here and in the query-block scan — with identical
-      // survivor sets (and so identical f32_refined counts) in both;
-      // the §16.3 self-gate then shrinks the survivors using the
-      // partition's own k-th smallest score, which recovers the
-      // evolving gate's refine economy (the entry gate alone refines
-      // the whole first partition of every query). A NaN fp32 score
-      // compares false against both thresholds and falls through to
-      // the double re-check, which is always safe.
-      if (!qf32_ready) {
-        scratch->query_f32.resize(dim);
-        for (size_t j = 0; j < dim; ++j) {
-          scratch->query_f32[j] = static_cast<float>(query[j]);
-        }
-        q_sq_f32 = SquaredNormF32(scratch->query_f32.data(), dim);
-        qf32_ready = true;
-      }
-      scratch->dist_f32.resize(max_partition_size_);
-      SquaredL2DotF32OneToMany(scratch->query_f32.data(), q_sq_f32,
-                               part.block_f32.data(),
-                               part.norms_f32.data(), rows, dim,
-                               scratch->dist_f32.data());
-      local.f32_scans += rows;
-      const double margin = Float32DotFormErrorBound(
-          dim, q_sq, part.max_norm_sq, part.mirror_max_abs);
-      const bool entry_full = top->full();
-      const double entry_worst = top->worst();
-      scratch->ridx.clear();
-      scratch->cand.clear();
-      for (size_t j = 0; j < rows; ++j) {
-        const double dj = static_cast<double>(scratch->dist_f32[j]);
-        if (entry_full && dj > entry_worst + margin) {
-          continue;
-        }
-        scratch->ridx.push_back(static_cast<uint32_t>(j));
-        scratch->cand.push_back(dj);
-      }
-      SelfGateCandidates(top->k(), margin, &scratch->ridx,
-                         &scratch->cand, &scratch->cand_sort);
-      local.f32_refined += scratch->ridx.size();
-      local.distance_computations += scratch->ridx.size();
-      RefinePush(query.data(), dim, part, scratch->ridx, &scratch->rdist,
-                 top);
-      continue;
-    }
-    // Dot-form scan of the packed block: ~2/3 of the difference form's
-    // inner-loop work thanks to the precomputed row norms. The form is
-    // approximate, so any row within the kernel error bound of the
-    // k-th best at partition entry is re-checked with the exact
-    // kernels (same frozen-gate argument as the fp32 tier above) —
-    // reported hits are bit-identical to the linear scan.
-    SquaredL2DotOneToMany(query.data(), q_sq, part.block.data(),
-                          part.norms_sq.data(), rows, dim,
-                          scratch->dist.data());
-    local.distance_computations += rows;
-    const double margin = DotFormErrorBound(dim, q_sq, part.max_norm_sq);
-    const bool entry_full = top->full();
-    const double entry_worst = top->worst();
-    scratch->ridx.clear();
-    scratch->cand.clear();
-    for (size_t j = 0; j < rows; ++j) {
-      if (entry_full && scratch->dist[j] > entry_worst + margin) {
-        continue;
-      }
-      scratch->ridx.push_back(static_cast<uint32_t>(j));
-      scratch->cand.push_back(scratch->dist[j]);
-    }
-    SelfGateCandidates(top->k(), margin, &scratch->ridx, &scratch->cand,
-                       &scratch->cand_sort);
-    RefinePush(query.data(), dim, part, scratch->ridx, &scratch->rdist,
-               top);
-  }
-}
-
-void IndexPartitionSet::ScanCoarse(const std::vector<double>& query,
-                                   double q_sq, BoundedTopK* top,
-                                   double* bound,
-                                   IndexQueryStats* stats) const {
-  const size_t dim = query.size();
-  IndexQueryStats& local = *stats;
-
-  // Degraded mode trades the exact re-rank for bounded error: every
-  // quantized partition is scored with the integer code distance only.
-  // For a reported estimate est = out + s·√D the true distance obeys
-  //   true ≤ ‖q − q'‖ + ‖q' − q̃‖ + ‖q̃ − r̃‖ + ‖r̃ − r‖
-  //        ≤ out + q_res + s·√D + err            = est + (q_res + err)
-  //   true ≥ ‖q' − r‖ ≥ ‖q̃ − r̃‖ − ‖q' − q̃‖ − ‖r − r̃‖
-  //        ≥ s·√D − q_res − err                  = est − out − (q_res + err)
-  // so |est − true| ≤ out + q_res + err, and the per-query certified
-  // bound is the max of that scalar over the quantized partitions
-  // visited (q_res and err already carry the §11.2 slack inflation).
-  // Unquantized partitions are scanned with the dot-form kernel, whose
-  // squared-space error margin adds √margin to the bound. Every
-  // quantity here is a pure function of the partition that owns the
-  // rows, so scanning the same partitions split across sets (shards)
-  // pushes the same estimates and raises the same bound.
-  std::vector<double> qclamp(dim), decoded(dim), dist;
-  std::vector<uint8_t> qcodes(dim), qpacked;
-  std::vector<uint32_t> ssd;
-  for (size_t pi = 0; pi < partitions_.size(); ++pi) {
-    const Partition& part = partitions_[pi];
-    const size_t rows = part.size();
-    ++local.partitions_visited;
-    if (part.quantized() && part.quant_scale > 0.0) {
-      const double s = part.quant_scale;
-      const double levels = part.quant_levels();
-      for (size_t j = 0; j < dim; ++j) {
-        const double lo = part.quant_offsets[j];
-        const double hi = lo + levels * s;
-        qclamp[j] = std::clamp(query[j], lo, hi);
-      }
-      const double out_sq =
-          SquaredL2Dispatched(query.data(), qclamp.data(), dim);
-      QuantizeQuery(qclamp.data(), dim, part.quant_offsets.data(), s,
-                    qcodes.data(), static_cast<uint32_t>(levels));
-      DequantizeRow(qcodes.data(), dim, part.quant_offsets.data(), s,
-                    decoded.data());
-      const double q_res_sq =
-          SquaredL2Dispatched(qclamp.data(), decoded.data(), dim);
-      const double slack = QuantScanSlack(
-          dim, q_sq, std::max(part.max_norm_sq, part.quant_box_sq));
-      const double q_res = std::sqrt(q_res_sq + slack);
-      const double err = std::sqrt(part.quant_err_sq);
-      const double out = std::sqrt(out_sq);
-      ssd.resize(rows);
-      if (part.quant_bits == 4) {
-        qpacked.resize(part.code_stride(dim));
-        PackNibbleRows(qcodes.data(), 1, dim, qpacked.data());
-        Quantized4SsdOneToMany(qpacked.data(), part.quant_codes.data(),
-                               rows, dim, ssd.data());
-      } else {
-        QuantizedSsdOneToMany(qcodes.data(), part.quant_codes.data(), rows,
-                              dim, ssd.data());
-      }
-      local.coarse_computations += rows;
-      for (size_t j = 0; j < rows; ++j) {
-        const double est =
-            out + s * std::sqrt(static_cast<double>(ssd[j]));
-        top->Push(est, part.record_indices[j]);
-      }
-      *bound = std::max(*bound, out + q_res + err);
-    } else {
-      // Small/unquantized partition: dot-form scan, no exact re-check.
-      dist.resize(rows);
-      SquaredL2DotOneToMany(query.data(), q_sq, part.block.data(),
-                            part.norms_sq.data(), rows, dim, dist.data());
-      local.distance_computations += rows;
-      const double margin =
-          DotFormErrorBound(dim, q_sq, part.max_norm_sq);
-      for (size_t j = 0; j < rows; ++j) {
-        top->Push(std::sqrt(std::max(0.0, dist[j])),
-                  part.record_indices[j]);
-      }
-      *bound = std::max(*bound, std::sqrt(margin));
-    }
-  }
-}
-
 void IndexPartitionSet::ScanExactBlock(const double* queries,
                                        const double* query_sqs,
                                        size_t num_queries, size_t dim,
@@ -726,10 +506,12 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
   const size_t b = num_queries;
   if (p == 0 || b == 0) return;
   IndexQueryStats& local = *stats;
+  const size_t slab_cap = std::min(kBlockRowSlab, max_partition_size_);
 
-  // Reference pass for the whole block: one blocked many-to-many call
-  // instead of b one-to-many calls; per-pair bits are identical by the
-  // kernel contract, so each query's visit order matches ScanExact's.
+  // Squared distance from every query to each partition reference, in
+  // one blocked many-to-many call; each query visits closest-first (the
+  // squared ordering equals the true-distance ordering), zero sqrts.
+  // Per-pair bits are the kernel contract's, independent of the block.
   bs->ref_sq.resize(b * p);
   SquaredL2ManyToMany(queries, b, references_.RowPtr(0), p, dim,
                       bs->ref_sq.data(), p);
@@ -742,9 +524,9 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
   }
   bs->cursor.assign(b, 0);
   bs->active.assign(b, 1);
-  // fp32 query mirrors are refilled lazily per call, exactly like the
-  // per-query path's scratch (the block scratch is reused across the
-  // blocks of a batch chunk).
+  // fp32 query mirrors are refilled lazily per call — the block scratch
+  // is reused across blocks and calls, so a size-based check
+  // would wrongly keep the previous block's floats.
   bs->qf32_ready.assign(b, 0);
   bs->query_f32.resize(b * dim);
   bs->q_sq_f32.resize(b);
@@ -752,16 +534,24 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
   if (bs->group_cand.size() < b) bs->group_cand.resize(b);
 
   // Lockstep rounds (DESIGN.md §16.1): each round, every still-active
-  // query walks its own partition order — applying the same
-  // triangle-inequality prune as ScanExact against its own current
-  // k-th best — until it either selects one partition to visit or
-  // exhausts the order. The round's visits are then grouped by
-  // partition so one many-to-many kernel call per tier serves every
-  // query visiting that partition. Because a query's prune decisions
-  // and pushes depend only on its own heap, and that heap sees exactly
-  // the ScanExact sequence of partition visits and row pushes, every
-  // query's hits and stat contributions are bit-identical to scanning
-  // it alone — at any block size and group composition.
+  // query walks its own partition order — applying the
+  // triangle-inequality prune against its own current k-th best —
+  // until it either selects one partition to visit or exhausts the
+  // order. The round's visits are then grouped by partition so one
+  // many-to-many kernel call per tier serves every query visiting that
+  // partition. Because a query's prune decisions and pushes depend
+  // only on its own heap, every query's hits and stat contributions
+  // are bit-identical at any block size and group composition.
+  //
+  // The prune: every record r in a partition satisfies
+  // d(q, r) >= d(q, ref) − radius. Evaluated sqrt-free by squaring
+  // twice with sign handling: with b = d²(q, ref), r² = radius²,
+  // t² = kth, the prune condition √b − r > t (t, r >= 0) is equivalent
+  // to  b − r² − t² > 0  ∧  (b − r² − t²)² > 4·r²·t². Candidates are
+  // kept and compared in *squared* distance space — the per-record
+  // sqrt is deferred to the k reported hits — and the heap breaks
+  // distance ties toward the smaller record index, the same rule as
+  // the linear scan (top_k.h).
   const double inf = std::numeric_limits<double>::infinity();
   while (true) {
     bs->visits.clear();
@@ -806,7 +596,7 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
       if (part.quantized()) {
         // Coarse tier. A query whose heap is not yet full at entry
         // needs the seed loop, whose pushes interleave with its own
-        // integer scan — run the per-query visit for those (at most
+        // integer scan — run the one-query visit for those (at most
         // the block's first visited partitions); full-heap queries
         // share one blocked integer scan over all rows and then run
         // the same evolving-threshold decision loop on their own ssd
@@ -816,7 +606,7 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
           const size_t q = bs->visits[v].second;
           if (!tops[q].full()) {
             VisitCoarse(queries + q * dim, query_sqs[q], dim, part,
-                        &tops[q], &bs->solo, &local);
+                        &tops[q], bs, &local);
           } else {
             bs->group_members.push_back(q);
           }
@@ -830,34 +620,34 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
             const size_t q = bs->group_members[m];
             bs->group_prep[m] = PrepCoarse(queries + q * dim,
                                            query_sqs[q], dim, part,
-                                           &bs->solo);
+                                           bs);
             if (part.quant_bits == 4) {
-              PackNibbleRows(bs->solo.qcodes.data(), 1, dim,
+              PackNibbleRows(bs->qcodes.data(), 1, dim,
                              bs->group_qcodes.data() + m * stride);
             } else {
               std::memcpy(bs->group_qcodes.data() + m * stride,
-                          bs->solo.qcodes.data(), dim);
+                          bs->qcodes.data(), dim);
             }
             local.coarse_computations += rows;
           }
-          bs->group_ssd.resize(g * kBlockRowSlab);
-          for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-            const size_t slab = std::min(rows - r0, kBlockRowSlab);
+          bs->group_ssd.resize(g * slab_cap);
+          for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
+            const size_t slab = std::min(rows - r0, slab_cap);
             if (part.quant_bits == 4) {
               Quantized4SsdManyToMany(
                   bs->group_qcodes.data(), g,
                   part.quant_codes.data() + r0 * stride, slab, dim,
-                  bs->group_ssd.data(), kBlockRowSlab);
+                  bs->group_ssd.data(), slab_cap);
             } else {
               QuantizedSsdManyToMany(
                   bs->group_qcodes.data(), g,
                   part.quant_codes.data() + r0 * dim, slab, dim,
-                  bs->group_ssd.data(), kBlockRowSlab);
+                  bs->group_ssd.data(), slab_cap);
             }
             for (size_t m = 0; m < g; ++m) {
               const size_t q = bs->group_members[m];
               SelectCoarse(queries + q * dim, dim, part, r0, r0 + slab,
-                           bs->group_ssd.data() + m * kBlockRowSlab,
+                           bs->group_ssd.data() + m * slab_cap,
                            bs->group_prep[m], &tops[q], &local);
             }
           }
@@ -880,13 +670,26 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
       }
       const size_t g32 = bs->group_members.size();
       if (g32 > 0) {
-        // fp32 tier: frozen entry gates (captured per member before
-        // any of the group's pushes — each member's heap is untouched
-        // by the others, so this equals ScanExact's entry state),
-        // survivors collected per member across row slabs, shrunk by
-        // the §16.3 self-gate (a pure function of the candidate
-        // distances, so the set matches ScanExact's exactly), then
-        // one blocked gather refine per member.
+        // fp32 tier: scan the float mirror with the fp32 dot-form
+        // kernel, then re-evaluate through the double kernels every
+        // row within the certified bound of the k-th best *at
+        // partition entry*. The entry-time worst can only shrink while
+        // the partition's rows are processed, so gating on it is a
+        // conservative superset of gating on the evolving worst: a
+        // pruned row provably cannot belong to the final top k (the
+        // margin covers |ssd_f32 − ssd_f64| plus the f64 dot-form
+        // error, §15.2) and reported hits stay bit-identical to the
+        // f64 path. Freezing the gate makes the survivor set
+        // independent of push order, so the refine runs as one
+        // blocked gather call per member. The gates are captured per
+        // member before any of the group's pushes (each member's heap
+        // is untouched by the others), survivors are collected across
+        // row slabs, and the §16.3 self-gate then shrinks them using
+        // the partition's own k-th smallest score — a pure function of
+        // the candidate distances, so the set is the same at any block
+        // size. A NaN fp32 score compares false against both
+        // thresholds and falls through to the double re-check, which
+        // is always safe.
         bs->group_qf32.resize(g32 * dim);
         bs->group_qsq32.resize(g32);
         bs->group_margin.resize(g32);
@@ -914,16 +717,16 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
           bs->group_ridx[m].clear();
           bs->group_cand[m].clear();
         }
-        bs->group_dist32.resize(g32 * kBlockRowSlab);
-        for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-          const size_t slab = std::min(rows - r0, kBlockRowSlab);
+        bs->group_dist32.resize(g32 * slab_cap);
+        for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
+          const size_t slab = std::min(rows - r0, slab_cap);
           SquaredL2DotF32ManyToMany(
               bs->group_qf32.data(), bs->group_qsq32.data(), g32,
               part.block_f32.data() + r0 * dim,
               part.norms_f32.data() + r0, slab, dim,
-              bs->group_dist32.data(), kBlockRowSlab);
+              bs->group_dist32.data(), slab_cap);
           for (size_t m = 0; m < g32; ++m) {
-            const float* row = bs->group_dist32.data() + m * kBlockRowSlab;
+            const float* row = bs->group_dist32.data() + m * slab_cap;
             for (size_t j = 0; j < slab; ++j) {
               const double dj = static_cast<double>(row[j]);
               if (bs->group_full[m] &&
@@ -940,18 +743,22 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
           const size_t q = bs->group_members[m];
           SelfGateCandidates(tops[q].k(), bs->group_margin[m],
                              &bs->group_ridx[m], &bs->group_cand[m],
-                             &bs->solo.cand_sort);
+                             &bs->cand_sort);
           local.f32_scans += rows;
           local.f32_refined += bs->group_ridx[m].size();
           local.distance_computations += bs->group_ridx[m].size();
           RefinePush(queries + q * dim, dim, part, bs->group_ridx[m],
-                     &bs->solo.rdist, &tops[q]);
+                     &bs->rdist, &tops[q]);
         }
       }
       const size_t g64 = bs->group_members_f64.size();
       if (g64 > 0) {
-        // f64 dot-form tier: same frozen-gate + self-gate + gather
-        // shape at full precision.
+        // f64 dot-form tier: ~2/3 of the difference form's inner-loop
+        // work thanks to the precomputed row norms. The form is
+        // approximate, so the same frozen-gate + self-gate + gather
+        // shape re-checks every row within the kernel error bound of
+        // the k-th best with the exact kernels — reported hits are
+        // bit-identical to the linear scan.
         bs->group_q.resize(g64 * dim);
         bs->group_qsq.resize(g64);
         bs->group_margin.resize(g64);
@@ -969,15 +776,15 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
           bs->group_ridx[m].clear();
           bs->group_cand[m].clear();
         }
-        bs->group_dist.resize(g64 * kBlockRowSlab);
-        for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-          const size_t slab = std::min(rows - r0, kBlockRowSlab);
+        bs->group_dist.resize(g64 * slab_cap);
+        for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
+          const size_t slab = std::min(rows - r0, slab_cap);
           SquaredL2DotManyToMany(
               bs->group_q.data(), bs->group_qsq.data(), g64,
               part.block.data() + r0 * dim, part.norms_sq.data() + r0,
-              slab, dim, bs->group_dist.data(), kBlockRowSlab);
+              slab, dim, bs->group_dist.data(), slab_cap);
           for (size_t m = 0; m < g64; ++m) {
-            const double* row = bs->group_dist.data() + m * kBlockRowSlab;
+            const double* row = bs->group_dist.data() + m * slab_cap;
             for (size_t j = 0; j < slab; ++j) {
               if (bs->group_full[m] &&
                   row[j] > bs->group_worst[m] + bs->group_margin[m]) {
@@ -993,10 +800,10 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
           const size_t q = bs->group_members_f64[m];
           SelfGateCandidates(tops[q].k(), bs->group_margin[m],
                              &bs->group_ridx[m], &bs->group_cand[m],
-                             &bs->solo.cand_sort);
+                             &bs->cand_sort);
           local.distance_computations += rows;
           RefinePush(queries + q * dim, dim, part, bs->group_ridx[m],
-                     &bs->solo.rdist, &tops[q]);
+                     &bs->rdist, &tops[q]);
         }
       }
       v0 = v1;
@@ -1013,12 +820,29 @@ void IndexPartitionSet::ScanCoarseBlock(const double* queries,
   const size_t b = num_queries;
   if (b == 0) return;
   IndexQueryStats& local = *stats;
-  // The coarse scan has no cross-row decision state (every row of
-  // every partition is scored and pushed unconditionally), so blocking
-  // is pure kernel grouping: per partition, prep each query once, run
-  // the blocked integer (or dot-form) scan over row slabs, and push
-  // each query's estimates in row order — value-for-value what
-  // ScanCoarse pushes, so hits, bounds, and stats match it exactly.
+  const size_t slab_cap = std::min(kBlockRowSlab, max_partition_size_);
+  // Degraded mode trades the exact re-rank for bounded error: every
+  // quantized partition is scored with the integer code distance only.
+  // For a reported estimate est = out + s·√D the true distance obeys
+  //   true ≤ ‖q − q'‖ + ‖q' − q̃‖ + ‖q̃ − r̃‖ + ‖r̃ − r‖
+  //        ≤ out + q_res + s·√D + err            = est + (q_res + err)
+  //   true ≥ ‖q' − r‖ ≥ ‖q̃ − r̃‖ − ‖q' − q̃‖ − ‖r − r̃‖
+  //        ≥ s·√D − q_res − err                  = est − out − (q_res + err)
+  // so |est − true| ≤ out + q_res + err, and the per-query certified
+  // bound is the max of that scalar over the quantized partitions
+  // visited (q_res and err already carry the §11.2 slack inflation).
+  // Unquantized partitions are scanned with the dot-form kernel, whose
+  // squared-space error margin adds √margin to the bound. Every
+  // quantity here is a pure function of the partition that owns the
+  // rows, so scanning the same partitions split across sets (shards)
+  // pushes the same estimates and raises the same bound.
+  //
+  // The scan has no cross-row decision state (every row of every
+  // partition is scored and pushed unconditionally), so blocking is
+  // pure kernel grouping: per partition, prep each query once, run the
+  // blocked integer (or dot-form) scan over row slabs, and push each
+  // query's estimates in row order — hits, bounds, and stats are the
+  // same at any block size.
   for (size_t pi = 0; pi < partitions_.size(); ++pi) {
     const Partition& part = partitions_[pi];
     const size_t rows = part.size();
@@ -1030,32 +854,32 @@ void IndexPartitionSet::ScanCoarseBlock(const double* queries,
       bs->group_prep.resize(b);
       for (size_t q = 0; q < b; ++q) {
         bs->group_prep[q] = PrepCoarse(queries + q * dim, query_sqs[q],
-                                       dim, part, &bs->solo);
+                                       dim, part, bs);
         if (part.quant_bits == 4) {
-          PackNibbleRows(bs->solo.qcodes.data(), 1, dim,
+          PackNibbleRows(bs->qcodes.data(), 1, dim,
                          bs->group_qcodes.data() + q * stride);
         } else {
           std::memcpy(bs->group_qcodes.data() + q * stride,
-                      bs->solo.qcodes.data(), dim);
+                      bs->qcodes.data(), dim);
         }
       }
-      bs->group_ssd.resize(b * kBlockRowSlab);
-      for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-        const size_t slab = std::min(rows - r0, kBlockRowSlab);
+      bs->group_ssd.resize(b * slab_cap);
+      for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
+        const size_t slab = std::min(rows - r0, slab_cap);
         if (part.quant_bits == 4) {
           Quantized4SsdManyToMany(bs->group_qcodes.data(), b,
                                   part.quant_codes.data() + r0 * stride,
                                   slab, dim, bs->group_ssd.data(),
-                                  kBlockRowSlab);
+                                  slab_cap);
         } else {
           QuantizedSsdManyToMany(bs->group_qcodes.data(), b,
                                  part.quant_codes.data() + r0 * dim,
                                  slab, dim, bs->group_ssd.data(),
-                                 kBlockRowSlab);
+                                 slab_cap);
         }
         for (size_t q = 0; q < b; ++q) {
           const double out = std::sqrt(bs->group_prep[q].out_sq);
-          const uint32_t* row = bs->group_ssd.data() + q * kBlockRowSlab;
+          const uint32_t* row = bs->group_ssd.data() + q * slab_cap;
           for (size_t j = 0; j < slab; ++j) {
             const double est =
                 out + s * std::sqrt(static_cast<double>(row[j]));
@@ -1073,15 +897,15 @@ void IndexPartitionSet::ScanCoarseBlock(const double* queries,
       // Small/unquantized partition: blocked dot-form scan, no exact
       // re-check. The block's queries are already packed row-major, so
       // the kernel consumes them directly.
-      bs->group_dist.resize(b * kBlockRowSlab);
-      for (size_t r0 = 0; r0 < rows; r0 += kBlockRowSlab) {
-        const size_t slab = std::min(rows - r0, kBlockRowSlab);
+      bs->group_dist.resize(b * slab_cap);
+      for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
+        const size_t slab = std::min(rows - r0, slab_cap);
         SquaredL2DotManyToMany(queries, query_sqs, b,
                                part.block.data() + r0 * dim,
                                part.norms_sq.data() + r0, slab, dim,
-                               bs->group_dist.data(), kBlockRowSlab);
+                               bs->group_dist.data(), slab_cap);
         for (size_t q = 0; q < b; ++q) {
-          const double* row = bs->group_dist.data() + q * kBlockRowSlab;
+          const double* row = bs->group_dist.data() + q * slab_cap;
           for (size_t j = 0; j < slab; ++j) {
             tops[q].Push(std::sqrt(std::max(0.0, row[j])),
                          part.record_indices[r0 + j]);

@@ -101,15 +101,10 @@ struct FeatureIndexOptions {
   /// RefreshPartition see the concrete choice, not kDefault. Results
   /// are bit-identical at either precision; only bandwidth changes.
   ExactPrecision exact_precision = ExactPrecision::kDefault;
-  /// Queries per block for the batch entry points' query-block scan
-  /// (BatchNearestNeighbors / BatchCoarseNearestNeighbors); 0 = auto
-  /// (currently 32). Pure query-time knob: every block size yields
-  /// bit-identical hits and stats (DESIGN.md §16), so it is not
-  /// serialized into snapshots — a reloaded index uses the default.
-  size_t query_block = 0;
-  /// Parallelism for Rebuild's per-partition packing pass and for
-  /// BatchNearestNeighbors. Queries are read-only over the built index,
-  /// so results are bit-identical at any thread count.
+  /// Parallelism for Rebuild's per-partition packing pass and for the
+  /// query entry points' (query-block × shard) task grid. Queries are
+  /// read-only over the built index, so results are bit-identical at
+  /// any thread count.
   ParallelOptions parallel;
 };
 
@@ -221,30 +216,9 @@ class IndexPartitionSet {
     }
   };
 
-  /// Per-query scratch, reused across a batch chunk.
-  struct Scratch {
-    std::vector<double> ref_sq;   ///< squared distance to each reference
-    std::vector<std::pair<double, size_t>> order;
-    std::vector<double> dist;     ///< per-partition scan buffer
-    std::vector<double> qclamp;   ///< query clamped into the grid box
-    std::vector<uint8_t> qcodes;  ///< query coded on a partition's grid
-    std::vector<uint8_t> qpacked; ///< nibble-packed qcodes (4-bit tier)
-    std::vector<double> decoded;  ///< q̃, for the residual measurement
-    std::vector<uint32_t> ssd;    ///< integer coarse distances
-    std::vector<float> query_f32; ///< fp32 copy of the query (f32 tier)
-    std::vector<float> dist_f32;  ///< fp32 dot-form scan buffer
-    std::vector<uint32_t> ridx;   ///< refine-survivor row indices
-    std::vector<double> cand;     ///< survivors' dot-form distances
-    std::vector<double> cand_sort;///< order-statistic buffer (§16.3)
-    std::vector<double> rdist;    ///< gathered exact refine distances
-    BoundedTopK top;
-    std::vector<TopKEntry> entries;
-  };
-
   /// Per-(query, partition) scalars of the coarse tier's provable
   /// prune, produced by the shared prep pass (clamp, encode, residual
-  /// measurement) so the per-query and query-block paths compute them
-  /// through literally the same code.
+  /// measurement) that both the exact and the coarse block scans call.
   struct CoarsePrep {
     double out_sq = 0.0;  ///< certified out-of-box energy ‖q − q'‖²
     double q_res = 0.0;   ///< √(‖q' − q̃‖² + slack)
@@ -253,12 +227,11 @@ class IndexPartitionSet {
   };
 
   /// Per-query-block scratch for the blocked scans (DESIGN.md §16),
-  /// reused across the blocks of a batch chunk. Group buffers hold one
+  /// reused across blocks and calls on one thread. Group buffers hold one
   /// partition-visit group's kernel inputs/outputs; per-query state
-  /// (fp32 mirrors, survivor lists) spans the whole block.
+  /// (fp32 mirrors, survivor lists) spans the whole block; the per-visit
+  /// buffers at the end serve one (query, partition) visit at a time.
   struct BlockScratch {
-    std::vector<double> queries;    ///< block queries packed row-major
-    std::vector<double> query_sqs;  ///< their squared norms
     std::vector<double> ref_sq;     ///< B × p reference distances
     std::vector<std::pair<double, size_t>> order;  ///< B visit orders
     std::vector<size_t> cursor;     ///< per-query position in its order
@@ -286,33 +259,47 @@ class IndexPartitionSet {
     std::vector<std::vector<uint32_t>> group_ridx;
     std::vector<std::vector<double>> group_cand;
     /// Per-query fp32 query mirrors, filled lazily on the query's
-    /// first f32-tier visit (exactly like the per-query path).
+    /// first f32-tier visit.
     std::vector<float> query_f32;       ///< B × dim
     std::vector<float> q_sq_f32;
     std::vector<uint8_t> qf32_ready;
-    /// Per-visit scalar scratch (coarse prep buffers, refine gather,
-    /// heap extraction) shared with the per-query path's code.
-    Scratch solo;
+    /// Per-visit buffers: coarse prep (PrepCoarse), the seeding coarse
+    /// visit's one-query integer scan (VisitCoarse), the §16.3
+    /// order-statistic buffer, and the refine gather (RefinePush).
+    std::vector<double> qclamp;    ///< query clamped into the grid box
+    std::vector<uint8_t> qcodes;   ///< query coded on a partition's grid
+    std::vector<uint8_t> qpacked;  ///< nibble-packed qcodes (4-bit tier)
+    std::vector<double> decoded;   ///< q̃, for the residual measurement
+    std::vector<uint32_t> ssd;     ///< one query's integer distances
+    std::vector<double> cand_sort; ///< order-statistic buffer (§16.3)
+    std::vector<double> rdist;     ///< gathered exact refine distances
   };
 
-  /// \brief Query-block exact scan: `num_queries` packed row-major
-  /// queries (with their squared norms) advance through the partition
-  /// order in lockstep rounds; each round's visits are grouped by
-  /// partition so one blocked many-to-many kernel call serves every
-  /// query visiting that partition (DESIGN.md §16). Each query's
-  /// decision chain (visit order, prunes, pushes, stat counts) is
-  /// self-contained, so its hits and stats are bit-identical to
-  /// ScanExact on that query alone — at any block size. `tops[q]` must
-  /// be Reset by the caller; stats are accumulated (+=) with the
-  /// block's totals.
+  /// \brief Exact scan of every partition in the set, for a block of
+  /// `num_queries` packed row-major queries (with their squared norms;
+  /// a single query is a block of one). Each query visits partitions
+  /// in ascending distance-to-reference order with the
+  /// triangle-inequality prune, into its own heap `tops[q]`
+  /// (squared-distance space). The queries advance in lockstep rounds,
+  /// and each round's visits are grouped by partition so one blocked
+  /// many-to-many kernel call serves every query visiting that
+  /// partition (DESIGN.md §16). Each query's decision chain (visit
+  /// order, prunes, pushes, stat counts) depends only on its own heap,
+  /// so its hits and stats are the same at any block size and equal
+  /// the linear scan's hits. `tops[q]` must be Reset by the caller;
+  /// stats are accumulated (+=) with the block's totals.
   void ScanExactBlock(const double* queries, const double* query_sqs,
                       size_t num_queries, size_t dim, BoundedTopK* tops,
                       BlockScratch* scratch, IndexQueryStats* stats) const;
 
-  /// \brief Query-block coarse scan; per query bit-identical to
-  /// ScanCoarse (the coarse tier has no cross-row decision state, so
-  /// blocking only groups kernel calls). `bounds[q]` is raised (max)
-  /// per query; the caller seeds each with 0.
+  /// \brief Coarse-tier scan of every partition in the set, for a
+  /// block of queries, into `tops[q]` (true-distance estimates,
+  /// DESIGN.md §12.2). The coarse tier has no cross-row decision state,
+  /// so blocking only groups kernel calls: per query, the estimates,
+  /// bound and stats are the same at any block size. `bounds[q]` is
+  /// raised (max) to cover every estimate pushed for query q; the
+  /// caller seeds each with 0 and takes the max across sets. Stats are
+  /// accumulated (+=).
   void ScanCoarseBlock(const double* queries, const double* query_sqs,
                        size_t num_queries, size_t dim, BoundedTopK* tops,
                        double* bounds, BlockScratch* scratch,
@@ -335,22 +322,6 @@ class IndexPartitionSet {
   /// O(partition) refresh behind ShardedFeatureIndex::ApplyUpdate.
   Status RefreshPartition(const MotionDatabase& database, size_t partition,
                           const FeatureIndexOptions& options);
-
-  /// \brief Exact scan of every partition in the set into `top`
-  /// (squared-distance space). Visits partitions in ascending
-  /// distance-to-reference order with the triangle-inequality prune;
-  /// the caller owns Reset()ing the heap. Stats are accumulated (+=).
-  void ScanExact(const std::vector<double>& query, double q_sq,
-                 BoundedTopK* top, Scratch* scratch,
-                 IndexQueryStats* stats) const;
-
-  /// \brief Coarse-tier scan of every partition in the set into `top`
-  /// (true-distance estimates, DESIGN.md §12.2). `bound` is raised
-  /// (max) to cover every estimate pushed here; the caller seeds it
-  /// with 0 and takes the max across sets. Stats are accumulated (+=).
-  void ScanCoarse(const std::vector<double>& query, double q_sq,
-                  BoundedTopK* top, double* bound,
-                  IndexQueryStats* stats) const;
 
   /// \brief True when *every* partition in the set provably contains
   /// no record closer than `kth` (true-distance space) to the query —
@@ -386,14 +357,12 @@ class IndexPartitionSet {
   /// Recomputes num_rows_ / max_partition_size_ after (re)packing.
   void RefreshDerived();
 
-  // Shared per-(query, partition) building blocks of the exact scan —
-  // the per-query and query-block paths call the same functions, which
-  // is how the bit-identity between them is kept by construction.
+  // Per-(query, partition) building blocks of the block scans.
 
   /// Clamp + encode + residual measurement for the coarse tier; leaves
   /// the coded query in scratch->qcodes (unpacked, one byte per dim).
   CoarsePrep PrepCoarse(const double* query, double q_sq, size_t dim,
-                        const Partition& part, Scratch* scratch) const;
+                        const Partition& part, BlockScratch* scratch) const;
   /// The coarse tier's evolving-threshold decision loop over rows
   /// [row_begin, row_end); ssd[j − row_begin] is row j's integer
   /// distance. Survivors are exact-evaluated and pushed.
@@ -402,12 +371,11 @@ class IndexPartitionSet {
                     const CoarsePrep& prep, BoundedTopK* top,
                     IndexQueryStats* stats) const;
   /// One full coarse-tier partition visit for one query (seed + prep +
-  /// integer scan + SelectCoarse) — the per-query path's quantized
-  /// branch, also used by the block path for queries whose heap is not
-  /// yet full at partition entry.
+  /// integer scan + SelectCoarse) — the exact block scan's path for a
+  /// query whose heap is not yet full at partition entry.
   void VisitCoarse(const double* query, double q_sq, size_t dim,
                    const Partition& part, BoundedTopK* top,
-                   Scratch* scratch, IndexQueryStats* stats) const;
+                   BlockScratch* scratch, IndexQueryStats* stats) const;
   /// Gather-refines the survivor rows (one blocked fp32→f64 /
   /// dot-form→difference-form kernel call) and pushes them in row
   /// order. Push order cannot change the final top-k set (top_k.h).

@@ -14,9 +14,10 @@
 namespace mocemg {
 namespace {
 
-// Auto query-block size for the batch entry points (DESIGN.md §16). A
-// pure performance knob: every block size yields bit-identical hits
-// and stats.
+// Queries per block of the (query-block × shard) scan grid (DESIGN.md
+// §16); a single query is a block of one. Every block size yields
+// bit-identical hits and stats, so this only trades the blocked
+// kernels' reuse against scratch size.
 constexpr size_t kDefaultQueryBlock = 32;
 
 // Merges one query's per-shard sorted lists (fixed shard order, the
@@ -158,53 +159,10 @@ Status ShardedFeatureIndex::ValidateQuery(const std::vector<double>& query,
   return Status::OK();
 }
 
-Result<std::vector<QueryHit>> ShardedFeatureIndex::ScanOne(
-    const std::vector<double>& query, size_t k, bool coarse,
-    double* error_bound, IndexQueryStats* stats,
-    std::vector<IndexQueryStats>* per_shard) const {
-  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
-  const size_t kk = std::min(k, database_->size());
-  const double q_sq = SquaredNorm(query.data(), query.size());
-  const size_t num_shards = shards_.size();
-  std::vector<std::vector<TopKEntry>> lists(num_shards);
-  std::vector<IndexQueryStats> shard_stats(num_shards);
-  // The coarse scan has no cross-shard pruning (every row is scored),
-  // so the per-shard bound maxes to exactly the single-set bound.
-  double bound = 0.0;
-  IndexPartitionSet::Scratch scratch;
-  for (size_t s = 0; s < num_shards; ++s) {
-    scratch.top.Reset(kk);
-    if (coarse) {
-      double shard_bound = 0.0;
-      shards_[s].ScanCoarse(query, q_sq, &scratch.top, &shard_bound,
-                            &shard_stats[s]);
-      bound = std::max(bound, shard_bound);
-    } else {
-      shards_[s].ScanExact(query, q_sq, &scratch.top, &scratch,
-                           &shard_stats[s]);
-    }
-    scratch.top.ExtractSorted(&lists[s]);
-  }
-  std::vector<QueryHit> out;
-  GatherHits(lists, kk, coarse, &scratch.top, &scratch.entries, &out);
-  if (error_bound != nullptr) *error_bound = bound;
-  if (stats != nullptr) {
-    IndexQueryStats total;
-    for (const IndexQueryStats& s : shard_stats) total += s;
-    *stats = total;
-  }
-  if (per_shard != nullptr) *per_shard = std::move(shard_stats);
-  return out;
-}
-
-Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
-    const std::vector<std::vector<double>>& queries, size_t k, bool coarse,
-    std::vector<double>* error_bounds, IndexQueryStats* stats,
-    std::vector<IndexQueryStats>* per_shard,
-    const ParallelOptions* parallel_override) const {
-  // Validate up front, so an invalid query is reported identically at
-  // every thread count and block size (the lowest offending query
-  // index wins, matching the per-query path's ascending order).
+Status ShardedFeatureIndex::ValidateBatch(
+    const std::vector<std::vector<double>>& queries, size_t k) const {
+  // The lowest offending query index wins, so an invalid batch is
+  // reported identically at every thread count and block size.
   for (size_t q = 0; q < queries.size(); ++q) {
     Status st = ValidateQuery(queries[q], k);
     if (!st.ok()) {
@@ -212,8 +170,15 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
                             std::to_string(q));
     }
   }
+  return Status::OK();
+}
+
+Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
+    const std::vector<double>* queries, size_t nq, size_t k, bool coarse,
+    double* error_bounds, IndexQueryStats* stats,
+    std::vector<IndexQueryStats>* per_shard,
+    const ParallelOptions* parallel_override) const {
   const size_t num_shards = shards_.size();
-  const size_t nq = queries.size();
   // An unbuilt index has no database but still answers an empty batch
   // (with nothing), so the shape is read through a null check.
   const size_t kk = std::min(k, database_ ? database_->size() : 0);
@@ -222,22 +187,20 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
       parallel_override != nullptr ? *parallel_override
                                    : options_.index.parallel;
   // Scatter: one task per (query-block × shard) cell. The batch is cut
-  // into fixed consecutive query blocks — a pure function of (query
-  // count, query_block), independent of the thread chunking — and each
-  // cell runs one shard's lockstep block scan into per-query heaps.
-  // Every cell writes only its own (query, shard) slots, so the grid
-  // parallelizes freely; the per-query gather below runs in fixed
-  // shard order, keeping results and stats thread-invariant.
-  size_t qb = options_.index.query_block != 0 ? options_.index.query_block
-                                              : kDefaultQueryBlock;
-  qb = std::max<size_t>(1, std::min(qb, std::max<size_t>(nq, 1)));
+  // into fixed consecutive query blocks — a pure function of the query
+  // count, independent of the thread chunking — and each cell runs one
+  // shard's lockstep block scan into per-query heaps. Every cell writes
+  // only its own (query, shard) slots, so the grid parallelizes freely;
+  // the per-query gather below runs in fixed shard order, keeping
+  // results and stats thread-invariant.
+  const size_t qb = std::clamp<size_t>(nq, 1, kDefaultQueryBlock);
   const size_t num_blocks = (nq + qb - 1) / qb;
   const size_t cells = num_blocks * num_shards;
   std::vector<std::vector<TopKEntry>> lists(nq * num_shards);
   std::vector<IndexQueryStats> cell_stats(cells);
   // Per-(query, shard) certified coarse bounds, shard-major so each
   // cell's query-block slice is contiguous; the per-query bound maxes
-  // across shards afterwards, exactly like the per-query path.
+  // across shards afterwards.
   std::vector<double> shard_bounds(coarse ? num_shards * nq : 0, 0.0);
   std::vector<double> packed(nq * dim);
   std::vector<double> q_sq(nq);
@@ -251,8 +214,12 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
   Status st = ParallelFor(
       cells,
       [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-        IndexPartitionSet::BlockScratch bs;
-        std::vector<BoundedTopK> tops(qb);
+        // Per-thread scratch, reused across calls so a steady stream
+        // of single queries stops allocating: every buffer is re-sized
+        // or re-assigned before it is read, so nothing carries over.
+        thread_local IndexPartitionSet::BlockScratch bs;
+        thread_local std::vector<BoundedTopK> tops;
+        if (tops.size() < qb) tops.resize(qb);
         for (size_t cell = begin; cell < end; ++cell) {
           const size_t blk = cell / num_shards;
           const size_t s = cell % num_shards;
@@ -280,7 +247,6 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
   MOCEMG_RETURN_NOT_OK(st);
   // Gather: merge each query's shard lists in shard order.
   std::vector<std::vector<QueryHit>> results(nq);
-  if (error_bounds != nullptr) error_bounds->assign(nq, 0.0);
   std::vector<std::vector<TopKEntry>> row(num_shards);
   BoundedTopK merged;
   std::vector<TopKEntry> entries;
@@ -294,12 +260,12 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
       for (size_t s = 0; s < num_shards; ++s) {
         bound = std::max(bound, shard_bounds[s * nq + q]);
       }
-      (*error_bounds)[q] = bound;
+      error_bounds[q] = bound;
     }
   }
   // Stats fold in fixed (block, shard) cell order — identical at any
   // thread count, and (all counters being integer sums of per-query
-  // contributions) identical to the per-query fold at any block size.
+  // contributions) identical at any block size.
   if (stats != nullptr || per_shard != nullptr) {
     IndexQueryStats total;
     std::vector<IndexQueryStats> by_shard(num_shards);
@@ -316,13 +282,23 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
 Result<std::vector<QueryHit>> ShardedFeatureIndex::NearestNeighbors(
     const std::vector<double>& query, size_t k, IndexQueryStats* stats,
     std::vector<IndexQueryStats>* per_shard) const {
-  return ScanOne(query, k, /*coarse=*/false, nullptr, stats, per_shard);
+  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
+  MOCEMG_ASSIGN_OR_RETURN(
+      std::vector<std::vector<QueryHit>> hits,
+      ScanBatch(&query, 1, k, /*coarse=*/false, nullptr, stats, per_shard,
+                nullptr));
+  return std::move(hits[0]);
 }
 
 Result<std::vector<QueryHit>> ShardedFeatureIndex::CoarseNearestNeighbors(
     const std::vector<double>& query, size_t k, double* error_bound,
     IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard) const {
-  return ScanOne(query, k, /*coarse=*/true, error_bound, stats, per_shard);
+  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
+  MOCEMG_ASSIGN_OR_RETURN(
+      std::vector<std::vector<QueryHit>> hits,
+      ScanBatch(&query, 1, k, /*coarse=*/true, error_bound, stats, per_shard,
+                nullptr));
+  return std::move(hits[0]);
 }
 
 Result<std::vector<std::vector<QueryHit>>>
@@ -330,8 +306,9 @@ ShardedFeatureIndex::BatchNearestNeighbors(
     const std::vector<std::vector<double>>& queries, size_t k,
     IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
-  return ScanBatch(queries, k, /*coarse=*/false, nullptr, stats, per_shard,
-                   parallel_override);
+  MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
+  return ScanBatch(queries.data(), queries.size(), k, /*coarse=*/false,
+                   nullptr, stats, per_shard, parallel_override);
 }
 
 Result<std::vector<std::vector<QueryHit>>>
@@ -340,8 +317,11 @@ ShardedFeatureIndex::BatchCoarseNearestNeighbors(
     std::vector<double>* error_bounds, IndexQueryStats* stats,
     std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
-  return ScanBatch(queries, k, /*coarse=*/true, error_bounds, stats,
-                   per_shard, parallel_override);
+  MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
+  if (error_bounds != nullptr) error_bounds->assign(queries.size(), 0.0);
+  return ScanBatch(queries.data(), queries.size(), k, /*coarse=*/true,
+                   error_bounds != nullptr ? error_bounds->data() : nullptr,
+                   stats, per_shard, parallel_override);
 }
 
 Result<size_t> ShardedFeatureIndex::ShardOfRecord(size_t record_index) const {

@@ -92,28 +92,32 @@ class ShardedFeatureIndex {
   /// Quiesce concurrent readers first.
   Status ApplyUpdate(size_t record_index);
 
-  /// \brief Exact kNN, scatter-gather across shards (serial shard
-  /// loop). The coarse tier (when built) prunes records whose
+  /// \brief Exact kNN, scatter-gather across shards: the query runs
+  /// through BatchNearestNeighbors' engine as a block of one, so its S
+  /// shard cells fan out over options().index.parallel like a batch's.
+  /// The coarse tier (when built) prunes records whose
   /// triangle-inequality lower bound — inflated by the §11.2 error
   /// slack — provably exceeds the current k-th best; every survivor is
   /// evaluated with the exact kernels, so the reported hits (indices
   /// and distances, ties broken toward the smaller record index) are
   /// bit-identical to the database's linear scan. `per_shard`, when
   /// given, is resized to num_shards() and receives each shard's scan
-  /// stats.
+  /// stats. An invalid query fails with ValidateQuery's status as is.
   Result<std::vector<QueryHit>> NearestNeighbors(
       const std::vector<double>& query, size_t k,
       IndexQueryStats* stats = nullptr,
       std::vector<IndexQueryStats>* per_shard = nullptr) const;
 
   /// \brief Batch kNN parallelized over the (query-block × shard) task
-  /// grid: the batch is cut into fixed consecutive query blocks of
-  /// options().index.query_block queries (0 = auto) and each cell runs
-  /// one shard's lockstep many-to-many block scan (DESIGN.md §16).
-  /// Cells of different blocks/shards overlap freely, and the
-  /// per-shard lists are merged per query in fixed shard order, so
-  /// results and stats are identical at every thread count and block
-  /// size. Element i equals NearestNeighbors(queries[i], k) exactly.
+  /// grid: the batch is cut into fixed consecutive query blocks of up
+  /// to 32 queries and each cell runs one shard's lockstep
+  /// many-to-many block scan (DESIGN.md §16). Cells of different
+  /// blocks/shards overlap freely, and the per-shard lists are merged
+  /// per query in fixed shard order, so results and stats are
+  /// identical at every thread count and batch size. Element i equals
+  /// the linear scan's answer for queries[i] exactly. An invalid query
+  /// fails the batch, with its slot as context ("while answering batch
+  /// query i"; the lowest offending slot wins).
   Result<std::vector<std::vector<QueryHit>>> BatchNearestNeighbors(
       const std::vector<std::vector<double>>& queries, size_t k,
       IndexQueryStats* stats = nullptr,
@@ -128,7 +132,8 @@ class ShardedFeatureIndex {
   /// Per-shard scans merge in shard order; `error_bound`, when given,
   /// receives the certified bound B (maxed across shards) such that
   /// every hit's true distance lies within [estimate − B, estimate + B].
-  /// Identical answers and bound at any shard count.
+  /// Identical answers and bound at any shard count. Runs as a block of
+  /// one through BatchCoarseNearestNeighbors' engine.
   Result<std::vector<QueryHit>> CoarseNearestNeighbors(
       const std::vector<double>& query, size_t k,
       double* error_bound = nullptr, IndexQueryStats* stats = nullptr,
@@ -138,7 +143,7 @@ class ShardedFeatureIndex {
   /// (query-block × shard) grid as BatchNearestNeighbors, using the
   /// blocked coarse scan. Element i (and error_bounds[i]) equals
   /// CoarseNearestNeighbors(queries[i], k) exactly at any shard count,
-  /// thread count, and block size.
+  /// thread count, and batch size.
   Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
       const std::vector<std::vector<double>>& queries, size_t k,
       std::vector<double>* error_bounds = nullptr,
@@ -186,19 +191,19 @@ class ShardedFeatureIndex {
   /// fails identically through each.
   Status ValidateQuery(const std::vector<double>& query, size_t k) const;
 
-  /// One query scattered over the shards' per-query scans (exact or
-  /// coarse) and gathered in shard order.
-  Result<std::vector<QueryHit>> ScanOne(
-      const std::vector<double>& query, size_t k, bool coarse,
-      double* error_bound, IndexQueryStats* stats,
-      std::vector<IndexQueryStats>* per_shard) const;
+  /// ValidateQuery over a batch, with the first failing slot as
+  /// context.
+  Status ValidateBatch(const std::vector<std::vector<double>>& queries,
+                       size_t k) const;
 
   /// The (query-block × shard) scatter, per-query gather and stat fold
-  /// shared by the exact and coarse batch entry points.
+  /// behind every query entry point, exact or coarse, single or batch.
+  /// The `nq` queries must already be validated; `error_bounds`, when
+  /// given, has nq slots and receives each query's coarse bound.
   Result<std::vector<std::vector<QueryHit>>> ScanBatch(
-      const std::vector<std::vector<double>>& queries, size_t k,
-      bool coarse, std::vector<double>* error_bounds,
-      IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard,
+      const std::vector<double>* queries, size_t nq, size_t k, bool coarse,
+      double* error_bounds, IndexQueryStats* stats,
+      std::vector<IndexQueryStats>* per_shard,
       const ParallelOptions* parallel_override) const;
 
   const MotionDatabase* database_ = nullptr;

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "db/feature_index.h"
+#include "util/kernel_dispatch.h"
 #include "util/random.h"
 
 namespace mocemg {
@@ -50,6 +52,29 @@ void ExpectHitsIdentical(const std::vector<QueryHit>& a,
   }
 }
 
+/// Every coarse estimate lies within `bound` of the true distance of
+/// the record it names (DESIGN.md §12.2); the tiny relative slack
+/// covers only this check's own rounding of the true distance.
+void ExpectCertified(const MotionDatabase& db,
+                     const std::vector<double>& query,
+                     const std::vector<QueryHit>& hits, double bound) {
+  for (const QueryHit& hit : hits) {
+    const std::vector<double>& r = db.record(hit.record_index).feature;
+    double sq = 0.0;
+    for (size_t j = 0; j < query.size(); ++j) {
+      sq += (query[j] - r[j]) * (query[j] - r[j]);
+    }
+    const double truth = std::sqrt(sq);
+    EXPECT_LE(std::abs(hit.distance - truth),
+              bound + 1e-12 * (1.0 + truth))
+        << "record " << hit.record_index;
+  }
+}
+
+struct BackendScope {
+  ~BackendScope() { (void)SetKernelBackend(KernelBackend::kAuto); }
+};
+
 TEST(ShardedIndexTest, BuildValidations) {
   EXPECT_FALSE(ShardedFeatureIndex::Build(nullptr).ok());
   MotionDatabase empty;
@@ -85,26 +110,43 @@ TEST(ShardedIndexTest, ZeroShardsRejectedAndExcessShards) {
 }
 
 // The bit-identity claim: for every shard count, exact kNN answers
-// (records AND distance bits) equal the linear scan, for several k.
+// (records AND distance bits) equal the linear scan, for several k —
+// on every usable backend, at both exact-tier precisions and both code
+// widths (eight ~37-row partitions around a 40-row code floor, so
+// coded and uncoded partitions both serve).
 TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 21);
-  FeatureIndexOptions fopts;
   const auto queries = MakeQueries(25, kDim, 22);
-  for (size_t shards : {1, 2, 3, 8}) {
-    ShardedIndexOptions sopts;
-    sopts.index = fopts;
-    sopts.num_shards = shards;
-    auto index = ShardedFeatureIndex::Build(&db, sopts);
-    ASSERT_TRUE(index.ok()) << index.status();
-    EXPECT_EQ(index->num_shards(), shards);
-    for (size_t k : {1, 3, 10}) {
-      for (const auto& q : queries) {
-        auto linear = db.NearestNeighbors(q, k);
-        auto viaShards = index->NearestNeighbors(q, k);
-        ASSERT_TRUE(linear.ok());
-        ASSERT_TRUE(viaShards.ok()) << viaShards.status();
-        ExpectHitsIdentical(*linear, *viaShards);
+  BackendScope restore;
+  for (KernelBackend backend : UsableKernelBackends()) {
+    ASSERT_TRUE(SetKernelBackend(backend).ok());
+    for (ExactPrecision prec : {ExactPrecision::kF64, ExactPrecision::kF32}) {
+      for (size_t bits : {8, 4}) {
+        SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
+                     " prec=" + ExactPrecisionName(prec) +
+                     " bits=" + std::to_string(bits));
+        for (size_t shards : {1, 2, 3, 8}) {
+          ShardedIndexOptions sopts;
+          sopts.index.exact_precision = prec;
+          sopts.index.num_partitions = 8;
+          sopts.index.quant_bits = bits;
+          sopts.index.quantized_min_rows = 40;
+          sopts.num_shards = shards;
+          auto index = ShardedFeatureIndex::Build(&db, sopts);
+          ASSERT_TRUE(index.ok()) << index.status();
+          EXPECT_EQ(index->num_shards(), shards);
+          EXPECT_TRUE(index->has_quantized_tier());
+          for (size_t k : {1, 3, 10}) {
+            for (const auto& q : queries) {
+              auto linear = db.NearestNeighbors(q, k);
+              auto viaShards = index->NearestNeighbors(q, k);
+              ASSERT_TRUE(linear.ok());
+              ASSERT_TRUE(viaShards.ok()) << viaShards.status();
+              ExpectHitsIdentical(*linear, *viaShards);
+            }
+          }
+        }
       }
     }
   }
@@ -143,23 +185,19 @@ TEST(ShardedIndexTest, ParallelBatchDeterministicAcrossThreads) {
       EXPECT_EQ(run_stats[0].partitions_pruned,
                 run_stats[r].partitions_pruned);
     }
-    // Batch element i equals the single-query path exactly.
+    // Batch element i equals the linear scan exactly.
     for (size_t q = 0; q < queries.size(); ++q) {
-      ShardedIndexOptions opts;
-      opts.num_shards = shards;
-      auto index = ShardedFeatureIndex::Build(&db, opts);
-      ASSERT_TRUE(index.ok());
-      auto one = index->NearestNeighbors(queries[q], 5);
-      ASSERT_TRUE(one.ok());
-      ExpectHitsIdentical(runs[0][q], *one);
-      if (q >= 3) break;  // spot-check a few
+      auto linear = db.NearestNeighbors(queries[q], 5);
+      ASSERT_TRUE(linear.ok());
+      ExpectHitsIdentical(*linear, runs[0][q]);
     }
   }
 }
 
 // Degraded answers must regroup identically too: the coarse estimates
 // and the certified bound are pure functions of the owning partition,
-// so every shard count answers exactly like the one-shard index.
+// so every shard count answers exactly like the one-shard index — and
+// every estimate lies within that bound of the linear-scan distance.
 TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 41);
@@ -185,6 +223,7 @@ TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
       ASSERT_TRUE(got.ok()) << got.status();
       ExpectHitsIdentical(*ref, *got);
       EXPECT_EQ(bound_single, bound_sharded);
+      ExpectCertified(db, q, *got, bound_sharded);
     }
   }
 }
@@ -192,7 +231,7 @@ TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
 // The 4-bit coarse tier shards exactly like the 8-bit one: exact kNN
 // stays bit-identical to the linear scan at every shard count, and the
 // degraded coarse answers + certified bound regroup identically to the
-// one-shard index.
+// one-shard index and hold against the linear-scan distances.
 TEST(ShardedIndexTest, FourBitShardedMatchesSingleIndex) {
   const size_t kDim = 9;
   MotionDatabase db = MakeDb(300, kDim, 91);
@@ -223,6 +262,7 @@ TEST(ShardedIndexTest, FourBitShardedMatchesSingleIndex) {
       ASSERT_TRUE(got.ok()) << got.status();
       ExpectHitsIdentical(*ref, *got);
       EXPECT_EQ(bound_single, bound_sharded);
+      ExpectCertified(db, q, *got, bound_sharded);
     }
   }
 }
