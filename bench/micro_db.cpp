@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <map>
 
 #include "db/motion_database.h"
@@ -92,15 +93,16 @@ void BM_IndexedKnnDim(benchmark::State& state) {
 BENCHMARK(BM_IndexedKnnDim)->Arg(30)->Arg(64)->Arg(128)->Arg(240);
 
 // Paired quantized-tier family (BENCH_pr5.json): mode 0 scans with the
-// PR 4 dot-form path alone (quantized_scan off), mode 1 adds the int8
-// coarse tier. Same binary, same pass, so the per-pass ratio cancels
-// host load. The partition count is pinned low (8 over 20000 records,
-// ~2500 rows each) so the in-partition scan — the stage the coarse
-// tier accelerates — dominates per-query time; with the √N default the
-// reference pass and partition-level triangle prune leave almost no
-// scan work to measure. The dimension sweep covers the paper's
-// final-feature width up to 4x wider, where the 1-byte/dim coarse scan
-// saves the most memory traffic.
+// PR 4 dot-form path alone (quantized_min_rows = SIZE_MAX codes no
+// partition), mode 1 adds the int8 coarse tier. Same binary, same
+// pass, so the per-pass ratio cancels host load. The partition count
+// is pinned low (8 over 20000 records, ~2500 rows each) so the
+// in-partition scan — the stage the coarse tier accelerates —
+// dominates per-query time; with the √N default the reference pass and
+// partition-level triangle prune leave almost no scan work to measure.
+// The dimension sweep covers the paper's final-feature width up to 4x
+// wider, where the 1-byte/dim coarse scan saves the most memory
+// traffic.
 void BM_QuantIndexedKnnDim(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const bool quantized = state.range(1) == 1;
@@ -113,7 +115,9 @@ void BM_QuantIndexedKnnDim(benchmark::State& state) {
   const MotionDatabase& db = dbs->at(dim);
   ShardedIndexOptions opts;
   opts.index.num_partitions = 8;
-  opts.index.quantized_scan = quantized;
+  if (!quantized) {
+    opts.index.quantized_min_rows = std::numeric_limits<size_t>::max();
+  }
   auto index = ShardedFeatureIndex::Build(&db, opts);
   MOCEMG_CHECK_OK(index.status());
   const auto query = MakeQuery(dim, 4);
@@ -147,7 +151,7 @@ void BM_IndexedKnnF32(benchmark::State& state) {
   const MotionDatabase& db = dbs->at(dim);
   ShardedIndexOptions opts;
   opts.index.num_partitions = 8;
-  opts.index.quantized_scan = false;
+  opts.index.quantized_min_rows = std::numeric_limits<size_t>::max();
   opts.index.exact_precision =
       f32 ? ExactPrecision::kF32 : ExactPrecision::kF64;
   auto index = ShardedFeatureIndex::Build(&db, opts);

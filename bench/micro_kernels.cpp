@@ -18,7 +18,6 @@
 
 #include "util/kernel_dispatch.h"
 #include "util/logging.h"
-#include "util/quant_kernels.h"
 #include "util/random.h"
 
 namespace mocemg {
@@ -87,29 +86,6 @@ void BM_SsdBlocked(benchmark::State& state) {
       static_cast<int64_t>(state.iterations() * num_queries * rows));
 }
 BENCHMARK(BM_SsdBlocked)->ArgsProduct({{30, 64, 128}, {0, 1}});
-
-// Args: {dim, mode}. The 4-bit nibble-packed variant: half the bytes
-// per row of BM_SsdOneToMany at the same logical dim.
-void BM_Ssd4OneToMany(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const KernelOps* ops = OpsForMode(state.range(1));
-  const size_t rows = 4096;
-  const size_t stride = PackedNibbleStride(dim);
-  const auto qn = ByteVec(dim, 4, 15);
-  const auto rn = ByteVec(rows * dim, 4, 16);
-  std::vector<uint8_t> qp(stride), rp(rows * stride);
-  PackNibbleRows(qn.data(), 1, dim, qp.data());
-  PackNibbleRows(rn.data(), rows, dim, rp.data());
-  std::vector<uint32_t> out(rows);
-  for (auto _ : state) {
-    ops->ssd4_one_to_many(qp.data(), rp.data(), rows, dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * rows * stride));
-}
-BENCHMARK(BM_Ssd4OneToMany)->ArgsProduct({{16, 30, 64, 128, 240}, {0, 1}});
 
 // Args: {dim, mode}. The double one-to-many partition scan (exact
 // tier) — the 4-lane contract means both modes emit identical bits.

@@ -192,8 +192,8 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   part->block_f32.clear();
   part->norms_f32.clear();
   part->mirror_max_abs = 0.0;
-  const bool coded = options.quantized_scan && dim <= 60000 &&
-                     rows > 0 && rows >= options.quantized_min_rows;
+  const bool coded =
+      dim <= 60000 && rows > 0 && rows >= options.quantized_min_rows;
   if (!coded && rows > 0 &&
       ResolveExactPrecision(options.exact_precision) ==
           ExactPrecision::kF32 &&
@@ -211,48 +211,38 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
     RowSquaredNormsF32(part->block_f32.data(), rows, dim,
                        part->norms_f32.data());
   }
-  // Quantized tier: code the partition on its own integer grid (8-bit
-  // or nibble-packed 4-bit per options.quant_bits) and *measure* the
-  // worst reconstruction error — the provable prune leans on this
-  // number, not on an analytic half-step bound, so heavy-tailed
-  // columns can only cost pruning power, not correctness. The integer
-  // coarse distance Σ(qc − c)² must fit uint32: d · 255² < 2³² (the
-  // 4-bit grid's 15² bound is even further from the gate). Any
-  // realistic feature width is far below it.
+  // Quantized tier: code the partition on its own 8-bit integer grid
+  // and *measure* the worst reconstruction error — the provable prune
+  // leans on this number, not on an analytic half-step bound, so
+  // heavy-tailed columns can only cost pruning power, not correctness.
+  // The integer coarse distance Σ(qc − c)² must fit uint32:
+  // d · 255² < 2³². Any realistic feature width is far below it.
   part->quant_offsets.clear();
   part->quant_codes.clear();
   part->quant_scale = 0.0;
   part->quant_err_sq = 0.0;
   part->quant_box_sq = 0.0;
-  part->quant_bits = static_cast<uint8_t>(options.quant_bits);
-  const bool quantizable = options.quantized_scan && dim <= 60000;
-  if (!quantizable || rows == 0 || rows < options.quantized_min_rows) {
-    return;
-  }
-  const uint32_t levels = part->quant_bits == 4 ? 15u : 255u;
+  if (!coded) return;
   part->quant_offsets.resize(dim);
   ComputeQuantGrid(part->block.data(), rows, dim,
-                   part->quant_offsets.data(), &part->quant_scale, levels);
-  // Codes are produced unpacked (one byte per dim) for the error
-  // measurement, then nibble-packed for storage when 4-bit.
-  std::vector<uint8_t> unpacked(rows * dim);
+                   part->quant_offsets.data(), &part->quant_scale);
+  part->quant_codes.resize(rows * dim);
   QuantizeRows(part->block.data(), rows, dim, part->quant_offsets.data(),
-               part->quant_scale, unpacked.data(), levels);
+               part->quant_scale, part->quant_codes.data());
   // Squared-norm bound over the whole grid bounding box (any
   // reconstruction — of a row or of a clamped query — lies inside
   // it); feeds the slack's magnitude argument.
   double box_sq = 0.0;
   for (size_t j = 0; j < dim; ++j) {
     const double lo = part->quant_offsets[j];
-    const double hi =
-        lo + static_cast<double>(levels) * part->quant_scale;
+    const double hi = lo + kQuantLevels * part->quant_scale;
     box_sq += std::max(lo * lo, hi * hi);
   }
   part->quant_box_sq = box_sq;
   std::vector<double> decoded(dim);
   double max_err = 0.0;
   for (size_t r = 0; r < rows; ++r) {
-    DequantizeRow(unpacked.data() + r * dim, dim,
+    DequantizeRow(part->quant_codes.data() + r * dim, dim,
                   part->quant_offsets.data(), part->quant_scale,
                   decoded.data());
     max_err = std::max(max_err,
@@ -263,12 +253,6 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
   // ‖r − r̃‖² (exact real value) is provably covered.
   part->quant_err_sq =
       max_err + QuantScanSlack(dim, part->max_norm_sq, box_sq);
-  if (part->quant_bits == 4) {
-    part->quant_codes.resize(rows * PackedNibbleStride(dim));
-    PackNibbleRows(unpacked.data(), rows, dim, part->quant_codes.data());
-  } else {
-    part->quant_codes = std::move(unpacked);
-  }
 }
 
 void IndexPartitionSet::RefreshDerived() {
@@ -286,11 +270,6 @@ Status IndexPartitionSet::Pack(const MotionDatabase& database,
                                const FeatureIndexOptions& options) {
   const size_t n = database.size();
   const size_t d = database.feature_dimension();
-  if (options.quant_bits != 8 && options.quant_bits != 4) {
-    return Status::InvalidArgument(
-        "quant_bits must be 8 or 4, got " +
-        std::to_string(options.quant_bits));
-  }
   if (references.rows() != members.size() ||
       (members.size() > 0 && references.cols() != d)) {
     return Status::InvalidArgument("layout shape mismatch");
@@ -368,16 +347,15 @@ IndexPartitionSet::CoarsePrep IndexPartitionSet::PrepCoarse(
   scratch->qcodes.resize(dim);
   scratch->decoded.resize(dim);
   const double s = part.quant_scale;
-  const double levels = part.quant_levels();
   for (size_t j = 0; j < dim; ++j) {
     const double lo = part.quant_offsets[j];
-    const double hi = lo + levels * s;
+    const double hi = lo + kQuantLevels * s;
     scratch->qclamp[j] = std::clamp(query[j], lo, hi);
   }
   CoarsePrep prep;
   prep.out_sq = SquaredL2Dispatched(query, scratch->qclamp.data(), dim);
   QuantizeQuery(scratch->qclamp.data(), dim, part.quant_offsets.data(), s,
-                scratch->qcodes.data(), static_cast<uint32_t>(levels));
+                scratch->qcodes.data());
   DequantizeRow(scratch->qcodes.data(), dim, part.quant_offsets.data(), s,
                 scratch->decoded.data());
   const double q_res_sq = SquaredL2Dispatched(scratch->qclamp.data(),
@@ -464,18 +442,9 @@ void IndexPartitionSet::VisitCoarse(const double* query, double q_sq,
   if (start >= rows) return;
   const CoarsePrep prep = PrepCoarse(query, q_sq, dim, part, scratch);
   scratch->ssd.resize(max_partition_size_);
-  if (part.quant_bits == 4) {
-    const size_t stride = part.code_stride(dim);
-    scratch->qpacked.resize(stride);
-    PackNibbleRows(scratch->qcodes.data(), 1, dim, scratch->qpacked.data());
-    Quantized4SsdOneToMany(scratch->qpacked.data(),
-                           part.quant_codes.data() + start * stride,
-                           rows - start, dim, scratch->ssd.data());
-  } else {
-    QuantizedSsdOneToMany(scratch->qcodes.data(),
-                          part.quant_codes.data() + start * dim,
-                          rows - start, dim, scratch->ssd.data());
-  }
+  QuantizedSsdOneToMany(scratch->qcodes.data(),
+                        part.quant_codes.data() + start * dim, rows - start,
+                        dim, scratch->ssd.data());
   stats->coarse_computations += rows - start;
   SelectCoarse(query, dim, part, start, rows, scratch->ssd.data(), prep,
                top, stats);
@@ -613,37 +582,23 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
         }
         const size_t g = bs->group_members.size();
         if (g > 0) {
-          const size_t stride = part.code_stride(dim);
-          bs->group_qcodes.resize(g * stride);
+          bs->group_qcodes.resize(g * dim);
           bs->group_prep.resize(g);
           for (size_t m = 0; m < g; ++m) {
             const size_t q = bs->group_members[m];
             bs->group_prep[m] = PrepCoarse(queries + q * dim,
                                            query_sqs[q], dim, part,
                                            bs);
-            if (part.quant_bits == 4) {
-              PackNibbleRows(bs->qcodes.data(), 1, dim,
-                             bs->group_qcodes.data() + m * stride);
-            } else {
-              std::memcpy(bs->group_qcodes.data() + m * stride,
-                          bs->qcodes.data(), dim);
-            }
+            std::memcpy(bs->group_qcodes.data() + m * dim,
+                        bs->qcodes.data(), dim);
             local.coarse_computations += rows;
           }
           bs->group_ssd.resize(g * slab_cap);
           for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
             const size_t slab = std::min(rows - r0, slab_cap);
-            if (part.quant_bits == 4) {
-              Quantized4SsdManyToMany(
-                  bs->group_qcodes.data(), g,
-                  part.quant_codes.data() + r0 * stride, slab, dim,
-                  bs->group_ssd.data(), slab_cap);
-            } else {
-              QuantizedSsdManyToMany(
-                  bs->group_qcodes.data(), g,
-                  part.quant_codes.data() + r0 * dim, slab, dim,
-                  bs->group_ssd.data(), slab_cap);
-            }
+            QuantizedSsdManyToMany(bs->group_qcodes.data(), g,
+                                   part.quant_codes.data() + r0 * dim, slab,
+                                   dim, bs->group_ssd.data(), slab_cap);
             for (size_t m = 0; m < g; ++m) {
               const size_t q = bs->group_members[m];
               SelectCoarse(queries + q * dim, dim, part, r0, r0 + slab,
@@ -849,34 +804,20 @@ void IndexPartitionSet::ScanCoarseBlock(const double* queries,
     local.partitions_visited += b;
     if (part.quantized() && part.quant_scale > 0.0) {
       const double s = part.quant_scale;
-      const size_t stride = part.code_stride(dim);
-      bs->group_qcodes.resize(b * stride);
+      bs->group_qcodes.resize(b * dim);
       bs->group_prep.resize(b);
       for (size_t q = 0; q < b; ++q) {
         bs->group_prep[q] = PrepCoarse(queries + q * dim, query_sqs[q],
                                        dim, part, bs);
-        if (part.quant_bits == 4) {
-          PackNibbleRows(bs->qcodes.data(), 1, dim,
-                         bs->group_qcodes.data() + q * stride);
-        } else {
-          std::memcpy(bs->group_qcodes.data() + q * stride,
-                      bs->qcodes.data(), dim);
-        }
+        std::memcpy(bs->group_qcodes.data() + q * dim, bs->qcodes.data(),
+                    dim);
       }
       bs->group_ssd.resize(b * slab_cap);
       for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
         const size_t slab = std::min(rows - r0, slab_cap);
-        if (part.quant_bits == 4) {
-          Quantized4SsdManyToMany(bs->group_qcodes.data(), b,
-                                  part.quant_codes.data() + r0 * stride,
-                                  slab, dim, bs->group_ssd.data(),
-                                  slab_cap);
-        } else {
-          QuantizedSsdManyToMany(bs->group_qcodes.data(), b,
-                                 part.quant_codes.data() + r0 * dim,
-                                 slab, dim, bs->group_ssd.data(),
-                                 slab_cap);
-        }
+        QuantizedSsdManyToMany(bs->group_qcodes.data(), b,
+                               part.quant_codes.data() + r0 * dim, slab,
+                               dim, bs->group_ssd.data(), slab_cap);
         for (size_t q = 0; q < b; ++q) {
           const double out = std::sqrt(bs->group_prep[q].out_sq);
           const uint32_t* row = bs->group_ssd.data() + q * slab_cap;

@@ -6,8 +6,8 @@
 /// ComputeIndexLayout partitions the records with k-means. Each
 /// partition keeps its reference point (centroid), covering radius, a
 /// contiguous row-major copy of its member records plus their squared
-/// norms (DESIGN.md §10.3), and — the quantized tier (§11) — int8 or
-/// 4-bit per-dimension affine codes of the same rows with a measured
+/// norms (DESIGN.md §10.3), and — the quantized tier (§11) — int8
+/// per-dimension affine codes of the same rows with a measured
 /// reconstruction-error bound. A query visits partitions in ascending
 /// distance-to-reference order, prunes whole partitions with the
 /// triangle-inequality bound d(q, ref) − radius, and inside a surviving
@@ -75,22 +75,13 @@ struct FeatureIndexOptions {
   /// Number of k-means partitions; 0 = auto (≈ √N, at least 1).
   size_t num_partitions = 0;
   uint64_t seed = 17;
-  /// Two-tier scan: build int8 codes at Rebuild and use the coarse
-  /// pass to prune records before the exact re-rank. Results are
-  /// bit-identical either way; OFF skips the codes entirely and scans
-  /// with the PR 4 dot-form + refine path alone.
-  bool quantized_scan = true;
-  /// Coarse-code width: 8 (one byte per dim, 256-level grid) or 4
-  /// (nibble-packed two dims per byte, 16-level grid — half the coarse
-  /// memory traffic, a 17× coarser grid so spread partitions prune
-  /// less). Exact results are bit-identical at either width; only the
-  /// coarse pruning power and CoarseNearestNeighbors' certified error
-  /// bound change. Any other value fails Build/Pack.
-  size_t quant_bits = 8;
-  /// Partitions with fewer rows than this are scanned directly with
-  /// the dot-form kernel: the coarse pass carries a fixed per-partition
-  /// cost (query clamp + encode + residual measurement + threshold
-  /// math), and below a few hundred rows that overhead exceeds the
+  /// Two-tier scan: partitions with at least this many rows get int8
+  /// codes at Rebuild, and the coarse pass prunes their records before
+  /// the exact re-rank; SIZE_MAX codes no partition. Results are
+  /// bit-identical either way. Smaller partitions are scanned directly
+  /// with the dot-form kernel: the coarse pass carries a fixed
+  /// per-partition cost (query clamp + encode + residual measurement +
+  /// threshold math), and below a few hundred rows that overhead exceeds the
   /// full-precision work it could save — measured on the √N-partition
   /// default layout, where ~100-row partitions ran ~1.3x slower with
   /// codes than without. Pure build-time property, so scan behaviour
@@ -184,16 +175,13 @@ class IndexPartitionSet {
     /// members' integer codes, plus the partition's worst measured
     /// reconstruction error ‖r − r̃‖² (inflated by the build-side
     /// slack) and the grid bounding box's squared-norm bound — the two
-    /// scalars the provable integer prune leans on. `quant_bits` is the
-    /// code width: 8 → quant_codes is rows × dim bytes; 4 →
-    /// nibble-packed rows × PackedNibbleStride(dim) bytes
-    /// (quant_kernels.h).
+    /// scalars the provable integer prune leans on. quant_codes is
+    /// rows × dim bytes, one code per dimension.
     std::vector<double> quant_offsets;
     std::vector<uint8_t> quant_codes;
     double quant_scale = 0.0;
     double quant_err_sq = 0.0;
     double quant_box_sq = 0.0;
-    uint8_t quant_bits = 8;
     /// float32 mirror of `block` + fp32 row norms (packed only when
     /// the resolved exact_precision is f32): the dot-form scan streams
     /// these at half the bytes/dim, with candidates near the k-th best
@@ -208,12 +196,6 @@ class IndexPartitionSet {
     size_t size() const { return record_indices.size(); }
     bool quantized() const { return !quant_codes.empty(); }
     bool mirrored() const { return !block_f32.empty(); }
-    /// Top code of the grid (255 or 15).
-    double quant_levels() const { return quant_bits == 4 ? 15.0 : 255.0; }
-    /// Bytes per coded row (dim or ⌈dim/2⌉).
-    size_t code_stride(size_t dim) const {
-      return quant_bits == 4 ? (dim + 1) / 2 : dim;
-    }
   };
 
   /// Per-(query, partition) scalars of the coarse tier's provable
@@ -268,7 +250,6 @@ class IndexPartitionSet {
     /// order-statistic buffer, and the refine gather (RefinePush).
     std::vector<double> qclamp;    ///< query clamped into the grid box
     std::vector<uint8_t> qcodes;   ///< query coded on a partition's grid
-    std::vector<uint8_t> qpacked;  ///< nibble-packed qcodes (4-bit tier)
     std::vector<double> decoded;   ///< q̃, for the residual measurement
     std::vector<uint32_t> ssd;     ///< one query's integer distances
     std::vector<double> cand_sort; ///< order-statistic buffer (§16.3)
@@ -360,7 +341,7 @@ class IndexPartitionSet {
   // Per-(query, partition) building blocks of the block scans.
 
   /// Clamp + encode + residual measurement for the coarse tier; leaves
-  /// the coded query in scratch->qcodes (unpacked, one byte per dim).
+  /// the coded query in scratch->qcodes.
   CoarsePrep PrepCoarse(const double* query, double q_sq, size_t dim,
                         const Partition& part, BlockScratch* scratch) const;
   /// The coarse tier's evolving-threshold decision loop over rows

@@ -9,7 +9,6 @@
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/macros.h"
-#include "util/quant_kernels.h"
 
 namespace mocemg {
 namespace {
@@ -18,13 +17,13 @@ namespace {
 // magic+version tag, payload byte count (detects truncation), FNV-1a64
 // checksum of the payload (detects corruption). The newline in the
 // magic catches CRLF-mangling transfers early; the digit at offset 8 is
-// the format version. Version 3 (the only one read or written) carries
-// the resolved exact-scan precision in the manifest's options and the
+// the format version. Version 4 (the only one read or written) carries
+// the resolved exact-scan precision in the manifest's options, the
 // fp32 mirror (float block, float row norms, max |element|) in every
-// partition; any other version is rejected with the detected version
-// named.
-constexpr char kManifestMagic[] = "MOCEMGSM3\n";
-constexpr char kShardMagic[] = "MOCEMGSH3\n";
+// partition, and 8-bit codes only (no code-width fields); any other
+// version is rejected with the detected version named.
+constexpr char kManifestMagic[] = "MOCEMGSM4\n";
+constexpr char kShardMagic[] = "MOCEMGSH4\n";
 constexpr size_t kMagicLen = sizeof(kManifestMagic) - 1;
 static_assert(sizeof(kShardMagic) - 1 == kMagicLen,
               "snapshot magics share one header layout");
@@ -33,7 +32,7 @@ static_assert(sizeof(kShardMagic) - 1 == kMagicLen,
 constexpr char kManifestPrefix[] = "MOCEMGSM";
 constexpr char kShardPrefix[] = "MOCEMGSH";
 constexpr size_t kPrefixLen = 8;
-constexpr int kVersion = 3;
+constexpr int kVersion = 4;
 
 uint64_t Fnv1a64(const char* data, size_t n) {
   uint64_t h = 14695981039346656037ULL;
@@ -303,7 +302,6 @@ class IndexSnapshotCodec {
     PutDouble(p, part.quant_scale);
     PutDouble(p, part.quant_err_sq);
     PutDouble(p, part.quant_box_sq);
-    PutU64(p, part.quant_bits);
     PutIndices(p, part.record_indices);
     PutDoubles(p, part.block);
     PutDoubles(p, part.norms_sq);
@@ -325,13 +323,6 @@ class IndexSnapshotCodec {
     MOCEMG_ASSIGN_OR_RETURN(part->quant_scale, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->quant_err_sq, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->quant_box_sq, r->Double());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t quant_bits, r->U64());
-    if (quant_bits != 8 && quant_bits != 4) {
-      return Status::ParseError(
-          "index snapshot partition carries quantized code width " +
-          std::to_string(quant_bits) + " bits; this reader supports 8 or 4");
-    }
-    part->quant_bits = static_cast<uint8_t>(quant_bits);
     MOCEMG_ASSIGN_OR_RETURN(part->record_indices, r->Indices(n_records));
     const uint64_t n = part->record_indices.size();
     for (size_t idx : part->record_indices) {
@@ -352,21 +343,17 @@ class IndexSnapshotCodec {
     }
     MOCEMG_ASSIGN_OR_RETURN(part->quant_offsets, r->Doubles(dim));
     MOCEMG_ASSIGN_OR_RETURN(part->quant_codes, r->Bytes(n * dim));
-    // The code array must match the declared width exactly: n*dim bytes
-    // at 8 bits, n*ceil(dim/2) nibble-packed bytes at 4 bits. A payload
-    // whose width field and code bytes disagree is rejected here rather
-    // than mis-scanned later.
-    const uint64_t expect_codes =
-        part->quant_bits == 4 ? n * PackedNibbleStride(static_cast<size_t>(dim))
-                              : n * dim;
+    // The code array must hold exactly one byte per (row, dim); a
+    // payload whose code bytes disagree is rejected here rather than
+    // mis-scanned later.
     if (!part->quant_codes.empty() &&
-        (part->quant_codes.size() != expect_codes ||
+        (part->quant_codes.size() != n * dim ||
          part->quant_offsets.size() != dim)) {
       return Status::ParseError(
           "index snapshot quantized tier malformed: " +
           std::to_string(part->quant_codes.size()) + " code bytes but " +
-          std::to_string(quant_bits) + "-bit width implies " +
-          std::to_string(expect_codes));
+          std::to_string(n) + " rows of dimension " + std::to_string(dim) +
+          " imply " + std::to_string(n * dim));
     }
     MOCEMG_ASSIGN_OR_RETURN(part->mirror_max_abs, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->block_f32, r->Floats(n * dim));
@@ -410,9 +397,7 @@ class IndexSnapshotCodec {
     // Build options, so a fallback rebuild reproduces the same index.
     PutU64(&p, index.options_.index.num_partitions);
     PutU64(&p, index.options_.index.seed);
-    PutU64(&p, index.options_.index.quantized_scan ? 1 : 0);
     PutU64(&p, index.options_.index.quantized_min_rows);
-    PutU64(&p, index.options_.index.quant_bits);
     PutU64(&p,
            static_cast<uint64_t>(index.options_.index.exact_precision));
     PutU64(&p, index.options_.index.parallel.max_threads);
@@ -460,17 +445,8 @@ class IndexSnapshotCodec {
     MOCEMG_ASSIGN_OR_RETURN(uint64_t num_parts_opt, r.U64());
     m.options.index.num_partitions = static_cast<size_t>(num_parts_opt);
     MOCEMG_ASSIGN_OR_RETURN(m.options.index.seed, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qscan, r.U64());
-    m.options.index.quantized_scan = qscan != 0;
     MOCEMG_ASSIGN_OR_RETURN(uint64_t qmin, r.U64());
     m.options.index.quantized_min_rows = static_cast<size_t>(qmin);
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qbits, r.U64());
-    if (qbits != 8 && qbits != 4) {
-      return Status::ParseError(
-          "sharded index manifest carries quantized code width " +
-          std::to_string(qbits) + " bits; this reader supports 8 or 4");
-    }
-    m.options.index.quant_bits = static_cast<size_t>(qbits);
     MOCEMG_ASSIGN_OR_RETURN(uint64_t precision, r.U64());
     if (precision != static_cast<uint64_t>(ExactPrecision::kF64) &&
         precision != static_cast<uint64_t>(ExactPrecision::kF32)) {

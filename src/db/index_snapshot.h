@@ -5,13 +5,12 @@
 /// An index over millions of records takes seconds to minutes to
 /// rebuild (k-means + SoA packing + quantization); losing it to a
 /// process restart turns every crash into a cold-start storm. A
-/// snapshot is a checksummed *manifest* at `path` ("MOCEMGSM3") plus
+/// snapshot is a checksummed *manifest* at `path` ("MOCEMGSM4") plus
 /// one checksummed file per shard at `path + ".shard<i>"`
-/// ("MOCEMGSH3"). The shard files hold the full packed representation
-/// — SoA partition blocks, norms, the quantized tier (int8 or 4-bit
-/// nibble-packed, code width recorded per partition), the fp32 mirror —
-/// so a loaded index answers every query with exactly the bytes the
-/// saved one would have produced. The manifest carries everything
+/// ("MOCEMGSH4"). The shard files hold the full packed representation
+/// — SoA partition blocks, norms, the int8 quantized tier, the fp32
+/// mirror — so a loaded index answers every query with exactly the
+/// bytes the saved one would have produced. The manifest carries everything
 /// needed to repack any shard without re-running k-means: the applied
 /// and per-shard epochs, the build options, the global partition
 /// references, every record's owning partition, and each shard file's
@@ -24,8 +23,10 @@
 /// length check, in-place corruption by the checksum, format drift by
 /// the magic/version (the detected version is named) — each with a
 /// distinct ParseError so operators can tell a half-written file from
-/// a bit-rotted one. Only version 3 is read. Saves write the shard
-/// files first and commit the manifest last, each to a temporary
+/// a bit-rotted one. Only version 4 is read; an older snapshot gets the
+/// version-mismatch status, and LoadOrRebuildShardedFeatureIndex
+/// rebuilds from the database. Saves write the shard files first and
+/// commit the manifest last, each to a temporary
 /// sibling renamed into place: a crash mid-save leaves the old
 /// manifest in charge, and any shard files it no longer matches fail
 /// digest validation and repack at load.

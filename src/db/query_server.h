@@ -208,7 +208,7 @@ struct QueryServerStats {
   /// revalidation certificate (index serving only).
   uint64_t cache_revalidations = 0;
   /// Kernel backend every distance evaluation dispatched to
-  /// ("scalar", "avx2", "avx512" or "neon"; kernel_dispatch.h). Filled
+  /// ("scalar", "avx2" or "avx512"; kernel_dispatch.h). Filled
   /// at stats() time, so it reflects the backend active right now.
   std::string kernel_backend;
   /// Comma-separated CPU SIMD feature flags detected at startup.

@@ -12,9 +12,7 @@ namespace {
 
 // ---------------------------------------------------------------------
 // CPU feature probing. __builtin_cpu_supports is available on GCC and
-// Clang for x86; aarch64 carries NEON unconditionally (the dotprod
-// upgrade inside the NEON TU is a compile-time baseline question, not a
-// runtime one).
+// Clang for x86; every other architecture runs the scalar backend.
 
 #if defined(__x86_64__) || defined(__i386__)
 // The builtin requires a string literal, so this has to be a macro.
@@ -38,21 +36,13 @@ bool CpuSupportsAvx512() {
 #endif
 }
 
-bool CpuSupportsNeon() {
-#if defined(__aarch64__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 std::string DetectCpuFeatures() {
   std::string features;
+#if defined(__x86_64__) || defined(__i386__)
   const auto add = [&features](const char* name) {
     if (!features.empty()) features += ',';
     features += name;
   };
-#if defined(__x86_64__) || defined(__i386__)
 #define MOCEMG_ADD_FEATURE(f) \
   if (MOCEMG_CPU_HAS(f)) add(f)
   MOCEMG_ADD_FEATURE("sse2");
@@ -66,11 +56,6 @@ std::string DetectCpuFeatures() {
   MOCEMG_ADD_FEATURE("avx512vl");
   MOCEMG_ADD_FEATURE("avx512vnni");
 #undef MOCEMG_ADD_FEATURE
-#elif defined(__aarch64__)
-  add("neon");
-#if defined(__ARM_FEATURE_DOTPROD)
-  add("dotprod");
-#endif
 #endif
   if (features.empty()) features = "none";
   return features;
@@ -92,12 +77,6 @@ bool BackendCompiled(KernelBackend backend) {
 #else
       return false;
 #endif
-    case KernelBackend::kNeon:
-#if defined(MOCEMG_HAVE_NEON_BACKEND)
-      return true;
-#else
-      return false;
-#endif
     case KernelBackend::kAuto:
       return false;
   }
@@ -113,8 +92,6 @@ bool BackendUsable(KernelBackend backend) {
       return CpuSupportsAvx2();
     case KernelBackend::kAvx512:
       return CpuSupportsAvx512();
-    case KernelBackend::kNeon:
-      return CpuSupportsNeon();
     case KernelBackend::kAuto:
       return false;
   }
@@ -137,12 +114,6 @@ const KernelOps* OpsFor(KernelBackend backend) {
 #else
       return nullptr;
 #endif
-    case KernelBackend::kNeon:
-#if defined(MOCEMG_HAVE_NEON_BACKEND)
-      return &internal::NeonKernelOps();
-#else
-      return nullptr;
-#endif
     case KernelBackend::kAuto:
       return nullptr;
   }
@@ -151,8 +122,7 @@ const KernelOps* OpsFor(KernelBackend backend) {
 
 KernelBackend WidestUsable() {
   // Preference order: widest vectors first, scalar as the floor.
-  for (const KernelBackend b :
-       {KernelBackend::kAvx512, KernelBackend::kAvx2, KernelBackend::kNeon}) {
+  for (const KernelBackend b : {KernelBackend::kAvx512, KernelBackend::kAvx2}) {
     if (BackendUsable(b)) return b;
   }
   return KernelBackend::kScalar;
@@ -231,8 +201,6 @@ const char* KernelBackendName(KernelBackend backend) {
       return "avx2";
     case KernelBackend::kAvx512:
       return "avx512";
-    case KernelBackend::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -240,12 +208,12 @@ const char* KernelBackendName(KernelBackend backend) {
 Result<KernelBackend> ParseKernelBackend(const std::string& name) {
   for (const KernelBackend b :
        {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2,
-        KernelBackend::kAvx512, KernelBackend::kNeon}) {
+        KernelBackend::kAvx512}) {
     if (name == KernelBackendName(b)) return b;
   }
   return Status::InvalidArgument(
       "unknown kernel backend \"" + name +
-      "\" (expected auto, scalar, avx2, avx512 or neon)");
+      "\" (expected auto, scalar, avx2 or avx512)");
 }
 
 KernelBackend ActiveKernelBackend() {
@@ -257,8 +225,7 @@ KernelBackend ActiveKernelBackend() {
 std::vector<KernelBackend> CompiledKernelBackends() {
   std::vector<KernelBackend> out;
   for (const KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512,
-        KernelBackend::kNeon}) {
+       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512}) {
     if (BackendCompiled(b)) out.push_back(b);
   }
   return out;

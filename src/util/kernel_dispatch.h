@@ -4,7 +4,7 @@
 ///
 /// The library ships several implementations of the hot kernels —
 /// portable scalar (the bit-exactness reference, see
-/// distance_kernels.h), AVX2, AVX-512 and NEON — each compiled in its
+/// distance_kernels.h), AVX2 and AVX-512 — each compiled in its
 /// own translation unit with target-specific flags, so one binary
 /// carries all of them without `-march=native`. At first use the
 /// dispatcher probes the CPU once, picks the widest usable backend, and
@@ -29,7 +29,10 @@
 /// tests/util/kernel_dispatch_test.cc across dims 1–67 for every
 /// backend the binary carries.
 ///
-/// **Override.** `MOCEMG_KERNEL={auto,scalar,avx2,avx512,neon}` (env,
+/// On a CPU with neither AVX2 nor AVX-512 (or a non-x86 build, e.g.
+/// aarch64) auto detection picks scalar.
+///
+/// **Override.** `MOCEMG_KERNEL={auto,scalar,avx2,avx512}` (env,
 /// read once at first dispatch) or SetKernelBackend() (CLI / tests)
 /// force a specific backend; forcing one the CPU or build cannot run
 /// fails cleanly (env: warning + auto, API: error Status).
@@ -52,15 +55,12 @@ enum class KernelBackend : int {
   kAuto = 0,    ///< pick the widest usable backend (default)
   kScalar = 1,  ///< portable reference (always compiled, always usable)
   kAvx2 = 2,    ///< x86-64 AVX2
-  kAvx512 = 3,  ///< x86-64 AVX-512 (F+BW+DQ+VL, VNNI when available)
-  kNeon = 4,    ///< aarch64 Advanced SIMD (+dotprod when available)
+  kAvx512 = 3,  ///< x86-64 AVX-512 (F+BW+VL)
 };
 
 /// \brief Function-pointer table one backend fills in. All entries are
 /// non-null and honour the contracts of distance_kernels.h /
-/// quant_kernels.h; `ssd4_one_to_many` scans 4-bit nibble-packed codes
-/// (row stride ⌈d/2⌉ bytes, dim 2j in the low nibble — see
-/// quant_kernels.h). The `*_f32*` entries scan the float32 SoA mirror
+/// quant_kernels.h. The `*_f32*` entries scan the float32 SoA mirror
 /// of the exact tier: fp32 accumulation with the same literal 4-lane
 /// order (bit-exact across backends like the double family), plus one
 /// fp64-accumulate variant (`l2dot_f32d_one_to_many`) used by the
@@ -89,8 +89,6 @@ struct KernelOps {
                     double* out);
   void (*ssd8_one_to_many)(const uint8_t* qcodes, const uint8_t* codes,
                            size_t rows, size_t d, uint32_t* out);
-  void (*ssd4_one_to_many)(const uint8_t* qpacked, const uint8_t* packed,
-                           size_t rows, size_t d, uint32_t* out);
   void (*l2_f32_one_to_many)(const float* query, const float* block,
                              size_t rows, size_t d, float* out);
   void (*l2dot_f32_one_to_many)(const float* query, float query_sq,
@@ -116,9 +114,6 @@ struct KernelOps {
                     double* out);
   void (*ssd8_many_to_many)(const uint8_t* qcodes, size_t num_queries,
                             const uint8_t* codes, size_t rows, size_t d,
-                            uint32_t* out, size_t out_stride);
-  void (*ssd4_many_to_many)(const uint8_t* qpacked, size_t num_queries,
-                            const uint8_t* packed, size_t rows, size_t d,
                             uint32_t* out, size_t out_stride);
 };
 

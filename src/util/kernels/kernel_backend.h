@@ -18,15 +18,12 @@ namespace internal {
 /// definition the bit-exactness baseline.
 const KernelOps& ScalarKernelOps();
 
-/// x86-64 AVX2 backend (TU compiled with -mavx2).
+/// x86-64 AVX2 backend (TU compiled with -mavx2 -ffp-contract=off).
 const KernelOps& Avx2KernelOps();
 
 /// x86-64 AVX-512 backend (TU compiled with
-/// -mavx512f -mavx512bw -mavx512dq -mavx512vl [-mavx512vnni]).
+/// -mavx512f -mavx512bw -mavx512vl -ffp-contract=off).
 const KernelOps& Avx512KernelOps();
-
-/// aarch64 Advanced SIMD backend.
-const KernelOps& NeonKernelOps();
 
 }  // namespace internal
 }  // namespace mocemg

@@ -15,9 +15,8 @@
 /// The integer coarse kernels are exact whatever the evaluation order:
 /// |q − c| via max_epu8/min_epu8, widened to i16 and squared pairwise
 /// into i32 lanes with pmaddwd (the widening-MAC class; vpdpbusd is
-/// unusable here because |q − c| can exceed the signed-byte range), or
-/// vpmaddubsw directly on 4-bit nibble diffs (<= 15, so the u8 × s8
-/// product is safe). Per-i32-lane sums stay below 2^31 for d up to the
+/// unusable here because |q − c| can exceed the signed-byte range).
+/// Per-i32-lane sums stay below 2^31 for d up to the
 /// index build gate (60000), and the true total is < 2^32, so the
 /// uint32 result equals the scalar reference exactly.
 
@@ -290,76 +289,6 @@ void Avx2Ssd8OneToMany(const uint8_t* qcodes, const uint8_t* codes,
 }
 
 // ---------------------------------------------------------------------
-// int4 (nibble-packed) coarse kernel. `bytes` packed bytes hold 2*bytes
-// nibble dims; an odd-d pad nibble is 0 on both sides and adds 0.
-
-inline uint32_t Ssd4Row(const uint8_t* q, const uint8_t* c, size_t bytes) {
-  const __m256i mask = _mm256_set1_epi8(0x0F);
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc256 = _mm256_setzero_si256();
-  size_t b = 0;
-  for (; b + 32 <= bytes; b += 32) {
-    const __m256i vq =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + b));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + b));
-    const __m256i qlo = _mm256_and_si256(vq, mask);
-    const __m256i clo = _mm256_and_si256(vc, mask);
-    const __m256i qhi = _mm256_and_si256(_mm256_srli_epi16(vq, 4), mask);
-    const __m256i chi = _mm256_and_si256(_mm256_srli_epi16(vc, 4), mask);
-    const __m256i adlo =
-        _mm256_sub_epi8(_mm256_max_epu8(qlo, clo), _mm256_min_epu8(qlo, clo));
-    const __m256i adhi =
-        _mm256_sub_epi8(_mm256_max_epu8(qhi, chi), _mm256_min_epu8(qhi, chi));
-    // Nibble diffs are <= 15, so vpmaddubsw's u8 x s8 pairwise product
-    // (<= 2 * 225 per i16 lane) cannot overflow; summing the lo and hi
-    // halves stays <= 900, still exact in i16.
-    const __m256i p = _mm256_add_epi16(_mm256_maddubs_epi16(adlo, adlo),
-                                       _mm256_maddubs_epi16(adhi, adhi));
-    acc256 = _mm256_add_epi32(acc256, _mm256_madd_epi16(p, ones));
-  }
-  __m128i acc = _mm_add_epi32(_mm256_castsi256_si128(acc256),
-                              _mm256_extracti128_si256(acc256, 1));
-  if (b + 16 <= bytes) {
-    const __m128i mask128 = _mm_set1_epi8(0x0F);
-    const __m128i ones128 = _mm_set1_epi16(1);
-    const __m128i vq =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + b));
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + b));
-    const __m128i qlo = _mm_and_si128(vq, mask128);
-    const __m128i clo = _mm_and_si128(vc, mask128);
-    const __m128i qhi = _mm_and_si128(_mm_srli_epi16(vq, 4), mask128);
-    const __m128i chi = _mm_and_si128(_mm_srli_epi16(vc, 4), mask128);
-    const __m128i adlo =
-        _mm_sub_epi8(_mm_max_epu8(qlo, clo), _mm_min_epu8(qlo, clo));
-    const __m128i adhi =
-        _mm_sub_epi8(_mm_max_epu8(qhi, chi), _mm_min_epu8(qhi, chi));
-    const __m128i p = _mm_add_epi16(_mm_maddubs_epi16(adlo, adlo),
-                                    _mm_maddubs_epi16(adhi, adhi));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(p, ones128));
-    b += 16;
-  }
-  uint32_t sum = HorizontalSumU32(acc);
-  for (; b < bytes; ++b) {
-    const int32_t dlo = static_cast<int32_t>(q[b] & 0x0F) -
-                        static_cast<int32_t>(c[b] & 0x0F);
-    const int32_t dhi =
-        static_cast<int32_t>(q[b] >> 4) - static_cast<int32_t>(c[b] >> 4);
-    sum += static_cast<uint32_t>(dlo * dlo + dhi * dhi);
-  }
-  return sum;
-}
-
-void Avx2Ssd4OneToMany(const uint8_t* qpacked, const uint8_t* packed,
-                       size_t rows, size_t d, uint32_t* out) {
-  const size_t bytes = (d + 1) / 2;
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Ssd4Row(qpacked, packed + r * bytes, bytes);
-  }
-}
-
-// ---------------------------------------------------------------------
 // block (many-to-many) family. The one-to-many kernels above are
 // latency-bound: one accumulator per pair means every 4-dim step waits
 // on the previous vector add. Here 4 independent (query, row) pairs are
@@ -545,20 +474,6 @@ void Avx2Ssd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
   }
 }
 
-void Avx2Ssd4ManyToMany(const uint8_t* qpacked, size_t num_queries,
-                        const uint8_t* packed, size_t rows, size_t d,
-                        uint32_t* out, size_t out_stride) {
-  const size_t bytes = (d + 1) / 2;
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      Avx2Ssd4OneToMany(qpacked + q * bytes, packed + r0 * bytes, tile, d,
-                        out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& Avx2KernelOps() {
@@ -570,7 +485,6 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2DotOneToMany,
       Avx2RowNorms,
       Avx2Ssd8OneToMany,
-      Avx2Ssd4OneToMany,
       Avx2L2F32OneToMany,
       Avx2L2DotF32OneToMany,
       Avx2RowNormsF32,
@@ -579,7 +493,6 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2DotF32ManyToMany,
       Avx2L2Gather,
       Avx2Ssd8ManyToMany,
-      Avx2Ssd4ManyToMany,
   };
   return ops;
 }

@@ -405,172 +405,6 @@ void Avx512Ssd8OneToMany(const uint8_t* qcodes, const uint8_t* codes,
   }
 }
 
-// Same small-input treatment for the nibble kernel: below 32 packed
-// bytes (d < 63) the 256/512-bit blocks never run, so use 128-bit
-// blocks with a maskz tail and 4-row phaddd reduction. Masked-off
-// bytes read as 0 on both sides, so their nibble diffs contribute 0.
-
-inline __m128i Ssd4AccSmall(const uint8_t* q, const uint8_t* c, size_t bytes,
-                            __mmask16 tail) {
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  const __m128i ones = _mm_set1_epi16(1);
-  __m128i acc = _mm_setzero_si128();
-  size_t b = 0;
-  for (; b + 16 <= bytes; b += 16) {
-    const __m128i vq =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + b));
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + b));
-    const __m128i qlo = _mm_and_si128(vq, mask);
-    const __m128i clo = _mm_and_si128(vc, mask);
-    const __m128i qhi = _mm_and_si128(_mm_srli_epi16(vq, 4), mask);
-    const __m128i chi = _mm_and_si128(_mm_srli_epi16(vc, 4), mask);
-    const __m128i adlo =
-        _mm_sub_epi8(_mm_max_epu8(qlo, clo), _mm_min_epu8(qlo, clo));
-    const __m128i adhi =
-        _mm_sub_epi8(_mm_max_epu8(qhi, chi), _mm_min_epu8(qhi, chi));
-    const __m128i p = _mm_add_epi16(_mm_maddubs_epi16(adlo, adlo),
-                                    _mm_maddubs_epi16(adhi, adhi));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(p, ones));
-  }
-  if (tail) {
-    const __m128i vq = _mm_maskz_loadu_epi8(tail, q + b);
-    const __m128i vc = _mm_maskz_loadu_epi8(tail, c + b);
-    const __m128i qlo = _mm_and_si128(vq, mask);
-    const __m128i clo = _mm_and_si128(vc, mask);
-    const __m128i qhi = _mm_and_si128(_mm_srli_epi16(vq, 4), mask);
-    const __m128i chi = _mm_and_si128(_mm_srli_epi16(vc, 4), mask);
-    const __m128i adlo =
-        _mm_sub_epi8(_mm_max_epu8(qlo, clo), _mm_min_epu8(qlo, clo));
-    const __m128i adhi =
-        _mm_sub_epi8(_mm_max_epu8(qhi, chi), _mm_min_epu8(qhi, chi));
-    const __m128i p = _mm_add_epi16(_mm_maddubs_epi16(adlo, adlo),
-                                    _mm_maddubs_epi16(adhi, adhi));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(p, ones));
-  }
-  return acc;
-}
-
-inline void Ssd4SmallDim(const uint8_t* qpacked, const uint8_t* packed,
-                         size_t rows, size_t bytes, uint32_t* out) {
-  const __mmask16 tail =
-      static_cast<__mmask16>((1u << (bytes % 16)) - 1u);
-  size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const uint8_t* c = packed + r * bytes;
-    const __m128i a0 = Ssd4AccSmall(qpacked, c, bytes, tail);
-    const __m128i a1 = Ssd4AccSmall(qpacked, c + bytes, bytes, tail);
-    const __m128i a2 = Ssd4AccSmall(qpacked, c + 2 * bytes, bytes, tail);
-    const __m128i a3 = Ssd4AccSmall(qpacked, c + 3 * bytes, bytes, tail);
-    const __m128i sums = _mm_hadd_epi32(_mm_hadd_epi32(a0, a1),
-                                        _mm_hadd_epi32(a2, a3));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r), sums);
-  }
-  for (; r < rows; ++r) {
-    out[r] =
-        HorizontalSumU32(Ssd4AccSmall(qpacked, packed + r * bytes, bytes, tail));
-  }
-}
-
-inline uint32_t Ssd4Row(const uint8_t* q, const uint8_t* c, size_t bytes) {
-  const __m512i mask512 = _mm512_set1_epi8(0x0F);
-  const __m512i ones512 = _mm512_set1_epi16(1);
-  __m512i acc512 = _mm512_setzero_si512();
-  size_t b = 0;
-  for (; b + 64 <= bytes; b += 64) {
-    const __m512i vq =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(q + b));
-    const __m512i vc =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(c + b));
-    const __m512i qlo = _mm512_and_si512(vq, mask512);
-    const __m512i clo = _mm512_and_si512(vc, mask512);
-    const __m512i qhi = _mm512_and_si512(_mm512_srli_epi16(vq, 4), mask512);
-    const __m512i chi = _mm512_and_si512(_mm512_srli_epi16(vc, 4), mask512);
-    const __m512i adlo =
-        _mm512_sub_epi8(_mm512_max_epu8(qlo, clo), _mm512_min_epu8(qlo, clo));
-    const __m512i adhi =
-        _mm512_sub_epi8(_mm512_max_epu8(qhi, chi), _mm512_min_epu8(qhi, chi));
-    const __m512i p = _mm512_add_epi16(_mm512_maddubs_epi16(adlo, adlo),
-                                       _mm512_maddubs_epi16(adhi, adhi));
-    acc512 = _mm512_add_epi32(acc512, _mm512_madd_epi16(p, ones512));
-  }
-  __m128i acc = Reduce512To128(acc512);
-  if (b + 32 <= bytes) {
-    const __m256i mask = _mm256_set1_epi8(0x0F);
-    const __m256i ones = _mm256_set1_epi16(1);
-    const __m256i vq =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + b));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + b));
-    const __m256i qlo = _mm256_and_si256(vq, mask);
-    const __m256i clo = _mm256_and_si256(vc, mask);
-    const __m256i qhi = _mm256_and_si256(_mm256_srli_epi16(vq, 4), mask);
-    const __m256i chi = _mm256_and_si256(_mm256_srli_epi16(vc, 4), mask);
-    const __m256i adlo =
-        _mm256_sub_epi8(_mm256_max_epu8(qlo, clo), _mm256_min_epu8(qlo, clo));
-    const __m256i adhi =
-        _mm256_sub_epi8(_mm256_max_epu8(qhi, chi), _mm256_min_epu8(qhi, chi));
-    const __m256i p = _mm256_add_epi16(_mm256_maddubs_epi16(adlo, adlo),
-                                       _mm256_maddubs_epi16(adhi, adhi));
-    const __m256i part = _mm256_madd_epi16(p, ones);
-    acc = _mm_add_epi32(acc, _mm_add_epi32(_mm256_castsi256_si128(part),
-                                           _mm256_extracti128_si256(part, 1)));
-    b += 32;
-  }
-  if (b + 16 <= bytes) {
-    const __m128i mask = _mm_set1_epi8(0x0F);
-    const __m128i ones = _mm_set1_epi16(1);
-    const __m128i vq =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + b));
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + b));
-    const __m128i qlo = _mm_and_si128(vq, mask);
-    const __m128i clo = _mm_and_si128(vc, mask);
-    const __m128i qhi = _mm_and_si128(_mm_srli_epi16(vq, 4), mask);
-    const __m128i chi = _mm_and_si128(_mm_srli_epi16(vc, 4), mask);
-    const __m128i adlo =
-        _mm_sub_epi8(_mm_max_epu8(qlo, clo), _mm_min_epu8(qlo, clo));
-    const __m128i adhi =
-        _mm_sub_epi8(_mm_max_epu8(qhi, chi), _mm_min_epu8(qhi, chi));
-    const __m128i p = _mm_add_epi16(_mm_maddubs_epi16(adlo, adlo),
-                                    _mm_maddubs_epi16(adhi, adhi));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(p, ones));
-    b += 16;
-  }
-  if (b < bytes) {
-    const __mmask16 tail =
-        static_cast<__mmask16>((1u << (bytes - b)) - 1u);
-    const __m128i mask = _mm_set1_epi8(0x0F);
-    const __m128i ones = _mm_set1_epi16(1);
-    const __m128i vq = _mm_maskz_loadu_epi8(tail, q + b);
-    const __m128i vc = _mm_maskz_loadu_epi8(tail, c + b);
-    const __m128i qlo = _mm_and_si128(vq, mask);
-    const __m128i clo = _mm_and_si128(vc, mask);
-    const __m128i qhi = _mm_and_si128(_mm_srli_epi16(vq, 4), mask);
-    const __m128i chi = _mm_and_si128(_mm_srli_epi16(vc, 4), mask);
-    const __m128i adlo =
-        _mm_sub_epi8(_mm_max_epu8(qlo, clo), _mm_min_epu8(qlo, clo));
-    const __m128i adhi =
-        _mm_sub_epi8(_mm_max_epu8(qhi, chi), _mm_min_epu8(qhi, chi));
-    const __m128i p = _mm_add_epi16(_mm_maddubs_epi16(adlo, adlo),
-                                    _mm_maddubs_epi16(adhi, adhi));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(p, ones));
-  }
-  return HorizontalSumU32(acc);
-}
-
-void Avx512Ssd4OneToMany(const uint8_t* qpacked, const uint8_t* packed,
-                         size_t rows, size_t d, uint32_t* out) {
-  const size_t bytes = (d + 1) / 2;
-  if (bytes < 32) {
-    Ssd4SmallDim(qpacked, packed, rows, bytes, out);
-    return;
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Ssd4Row(qpacked, packed + r * bytes, bytes);
-  }
-}
-
 // ---------------------------------------------------------------------
 // block (many-to-many) family: 4 independent (query, row) accumulator
 // chains in flight per step, sharing one query load, to hide the
@@ -785,20 +619,6 @@ void Avx512Ssd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
   }
 }
 
-void Avx512Ssd4ManyToMany(const uint8_t* qpacked, size_t num_queries,
-                          const uint8_t* packed, size_t rows, size_t d,
-                          uint32_t* out, size_t out_stride) {
-  const size_t bytes = (d + 1) / 2;
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      Avx512Ssd4OneToMany(qpacked + q * bytes, packed + r0 * bytes, tile, d,
-                          out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& Avx512KernelOps() {
@@ -810,7 +630,6 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2DotOneToMany,
       Avx512RowNorms,
       Avx512Ssd8OneToMany,
-      Avx512Ssd4OneToMany,
       Avx512L2F32OneToMany,
       Avx512L2DotF32OneToMany,
       Avx512RowNormsF32,
@@ -819,7 +638,6 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2DotF32ManyToMany,
       Avx512L2Gather,
       Avx512Ssd8ManyToMany,
-      Avx512Ssd4ManyToMany,
   };
   return ops;
 }

@@ -99,28 +99,6 @@ void ScalarSsd8OneToMany(const uint8_t* qcodes, const uint8_t* codes,
   }
 }
 
-void ScalarSsd4OneToMany(const uint8_t* qpacked, const uint8_t* packed,
-                         size_t rows, size_t d, uint32_t* out) {
-  // Nibble-packed codes: dim 2b in the low nibble of byte b, dim 2b+1
-  // in the high nibble; when d is odd the final high nibble is 0 in
-  // both the query and every row (quant_kernels.h PackNibbleRows), so
-  // the uniform per-byte loop contributes 0 for the pad and the sum is
-  // exact over the real dims.
-  const size_t bytes = (d + 1) / 2;
-  for (size_t r = 0; r < rows; ++r) {
-    const uint8_t* c = packed + r * bytes;
-    uint32_t acc = 0;
-    for (size_t b = 0; b < bytes; ++b) {
-      const int32_t dlo = static_cast<int32_t>(qpacked[b] & 0x0F) -
-                          static_cast<int32_t>(c[b] & 0x0F);
-      const int32_t dhi = static_cast<int32_t>(qpacked[b] >> 4) -
-                          static_cast<int32_t>(c[b] >> 4);
-      acc += static_cast<uint32_t>(dlo * dlo + dhi * dhi);
-    }
-    out[r] = acc;
-  }
-}
-
 // Block (many-to-many) family: per pair these are exactly the
 // one-to-many entries above, tiled over rows so a row tile streamed
 // from memory is reused by every query while L2-resident. Tiling and
@@ -187,20 +165,6 @@ void ScalarSsd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
   }
 }
 
-void ScalarSsd4ManyToMany(const uint8_t* qpacked, size_t num_queries,
-                          const uint8_t* packed, size_t rows, size_t d,
-                          uint32_t* out, size_t out_stride) {
-  const size_t bytes = (d + 1) / 2;
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScalarSsd4OneToMany(qpacked + q * bytes, packed + r0 * bytes, tile, d,
-                          out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& ScalarKernelOps() {
@@ -212,7 +176,6 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2DotOneToMany,
       ScalarRowNorms,
       ScalarSsd8OneToMany,
-      ScalarSsd4OneToMany,
       ScalarL2F32OneToMany,
       ScalarL2DotF32OneToMany,
       ScalarRowNormsF32,
@@ -221,7 +184,6 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2DotF32ManyToMany,
       ScalarL2Gather,
       ScalarSsd8ManyToMany,
-      ScalarSsd4ManyToMany,
   };
   return ops;
 }

@@ -9,7 +9,7 @@
 namespace mocemg {
 
 void ComputeQuantGrid(const double* block, size_t rows, size_t d,
-                      double* offsets, double* scale, uint32_t levels) {
+                      double* offsets, double* scale) {
   double max_range = 0.0;
   for (size_t j = 0; j < d; ++j) offsets[j] = block[j];
   // First pass: column minima.
@@ -26,38 +26,34 @@ void ComputeQuantGrid(const double* block, size_t rows, size_t d,
       max_range = std::max(max_range, row[j] - offsets[j]);
     }
   }
-  *scale = max_range / static_cast<double>(levels);
+  *scale = max_range / kQuantLevels;
 }
 
 namespace {
 
-inline uint8_t EncodeValue(double value, double offset, double scale,
-                           double levels) {
+inline uint8_t EncodeValue(double value, double offset, double scale) {
   if (scale <= 0.0) return 0;
   const double t = std::nearbyint((value - offset) / scale);
-  return static_cast<uint8_t>(std::clamp(t, 0.0, levels));
+  return static_cast<uint8_t>(std::clamp(t, 0.0, kQuantLevels));
 }
 
 }  // namespace
 
 void QuantizeRows(const double* block, size_t rows, size_t d,
-                  const double* offsets, double scale, uint8_t* codes,
-                  uint32_t levels) {
-  const double lmax = static_cast<double>(levels);
+                  const double* offsets, double scale, uint8_t* codes) {
   for (size_t r = 0; r < rows; ++r) {
     const double* row = block + r * d;
     uint8_t* out = codes + r * d;
     for (size_t j = 0; j < d; ++j) {
-      out[j] = EncodeValue(row[j], offsets[j], scale, lmax);
+      out[j] = EncodeValue(row[j], offsets[j], scale);
     }
   }
 }
 
 void QuantizeQuery(const double* query, size_t d, const double* offsets,
-                   double scale, uint8_t* qcodes, uint32_t levels) {
-  const double lmax = static_cast<double>(levels);
+                   double scale, uint8_t* qcodes) {
   for (size_t j = 0; j < d; ++j) {
-    qcodes[j] = EncodeValue(query[j], offsets[j], scale, lmax);
+    qcodes[j] = EncodeValue(query[j], offsets[j], scale);
   }
 }
 
@@ -68,39 +64,9 @@ void DequantizeRow(const uint8_t* codes, size_t d, const double* offsets,
   }
 }
 
-void PackNibbleRows(const uint8_t* codes, size_t rows, size_t d,
-                    uint8_t* packed) {
-  const size_t stride = PackedNibbleStride(d);
-  for (size_t r = 0; r < rows; ++r) {
-    const uint8_t* in = codes + r * d;
-    uint8_t* out = packed + r * stride;
-    for (size_t b = 0; b < stride; ++b) {
-      const uint8_t lo = static_cast<uint8_t>(in[2 * b] & 0x0F);
-      const uint8_t hi = (2 * b + 1 < d)
-                             ? static_cast<uint8_t>(in[2 * b + 1] & 0x0F)
-                             : uint8_t{0};
-      out[b] = static_cast<uint8_t>(lo | (hi << 4));
-    }
-  }
-}
-
-void UnpackNibbleRow(const uint8_t* packed, size_t d, uint8_t* codes) {
-  for (size_t j = 0; j < d; ++j) {
-    const uint8_t byte = packed[j / 2];
-    codes[j] = (j % 2 == 0) ? static_cast<uint8_t>(byte & 0x0F)
-                            : static_cast<uint8_t>(byte >> 4);
-  }
-}
-
 void QuantizedSsdOneToMany(const uint8_t* qcodes, const uint8_t* codes,
                            size_t rows, size_t d, uint32_t* out) {
   internal::ActiveKernelOps().ssd8_one_to_many(qcodes, codes, rows, d, out);
-}
-
-void Quantized4SsdOneToMany(const uint8_t* qpacked, const uint8_t* packed,
-                            size_t rows, size_t d, uint32_t* out) {
-  internal::ActiveKernelOps().ssd4_one_to_many(qpacked, packed, rows, d,
-                                               out);
 }
 
 void QuantizedSsdManyToMany(const uint8_t* qcodes, size_t num_queries,
@@ -108,14 +74,6 @@ void QuantizedSsdManyToMany(const uint8_t* qcodes, size_t num_queries,
                             uint32_t* out, size_t out_stride) {
   internal::ActiveKernelOps().ssd8_many_to_many(qcodes, num_queries, codes,
                                                 rows, d, out, out_stride);
-}
-
-void Quantized4SsdManyToMany(const uint8_t* qpacked, size_t num_queries,
-                             const uint8_t* packed, size_t rows, size_t d,
-                             uint32_t* out, size_t out_stride) {
-  internal::ActiveKernelOps().ssd4_many_to_many(qpacked, num_queries,
-                                                packed, rows, d, out,
-                                                out_stride);
 }
 
 double QuantScanSlack(size_t d, double a_sq, double b_sq) {

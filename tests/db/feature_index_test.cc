@@ -353,14 +353,15 @@ TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
   }
 }
 
-// quantized_scan = false must give the same bits through the dot-form
-// path alone (the coarse tier is a pure work optimization).
+// Coding no partition (quantized_min_rows = SIZE_MAX) must give the
+// same bits through the dot-form path alone (the coarse tier is a pure
+// work optimization).
 TEST(FeatureIndexTest, QuantizedOffMatchesQuantizedOn) {
   MotionDatabase db = MakeDbDim(300, 33, 80);
   FeatureIndexOptions on;
   on.quantized_min_rows = 1;
   FeatureIndexOptions off;
-  off.quantized_scan = false;
+  off.quantized_min_rows = std::numeric_limits<size_t>::max();
   auto index_on = BuildIndex(&db, on);
   auto index_off = BuildIndex(&db, off);
   ASSERT_TRUE(index_on.ok());
@@ -381,92 +382,10 @@ TEST(FeatureIndexTest, QuantizedOffMatchesQuantizedOn) {
   }
 }
 
-// The code width is a coarse-tier implementation detail: 4-bit codes
-// must give exactly the linear scan's answers (and therefore exactly
-// the 8-bit index's answers) — the weaker grid only weakens pruning.
-TEST(FeatureIndexTest, FourBitResultsBitIdenticalToLinearAndEightBit) {
-  for (size_t dim : {1, 2, 5, 16, 33, 67}) {
-    MotionDatabase db = MakeDbDim(200, dim, 100 + dim);
-    FeatureIndexOptions opts8;
-    opts8.quantized_min_rows = 1;
-    opts8.num_partitions = 4;
-    FeatureIndexOptions opts4 = opts8;
-    opts4.quant_bits = 4;
-    auto index8 = BuildIndex(&db, opts8);
-    auto index4 = BuildIndex(&db, opts4);
-    ASSERT_TRUE(index8.ok()) << index8.status();
-    ASSERT_TRUE(index4.ok()) << index4.status();
-    EXPECT_TRUE(index4->has_quantized_tier());
-    Rng rng(110 + dim);
-    for (int q = 0; q < 20; ++q) {
-      std::vector<double> query(dim);
-      for (size_t j = 0; j < dim; ++j) {
-        query[j] = (j == 0 ? rng.Uniform(-5.0, 65.0)
-                           : rng.Gaussian(0, 2.0));
-      }
-      auto linear = db.NearestNeighbors(query, 5);
-      auto h8 = index8->NearestNeighbors(query, 5);
-      auto h4 = index4->NearestNeighbors(query, 5);
-      ASSERT_TRUE(linear.ok());
-      ASSERT_TRUE(h8.ok());
-      ASSERT_TRUE(h4.ok());
-      ASSERT_EQ(linear->size(), h4->size());
-      for (size_t i = 0; i < linear->size(); ++i) {
-        EXPECT_EQ((*linear)[i].record_index, (*h4)[i].record_index)
-            << "dim " << dim << " query " << q << " rank " << i;
-        EXPECT_EQ((*linear)[i].distance, (*h4)[i].distance)
-            << "dim " << dim << " query " << q << " rank " << i;
-        EXPECT_EQ((*h8)[i].record_index, (*h4)[i].record_index);
-        EXPECT_EQ((*h8)[i].distance, (*h4)[i].distance);
-      }
-    }
-  }
-}
-
-TEST(FeatureIndexTest, InvalidQuantBitsRejected) {
-  MotionDatabase db = MakeDb(50, 120);
-  for (size_t bits : {0, 1, 2, 3, 5, 7, 16}) {
-    FeatureIndexOptions opts;
-    opts.quant_bits = bits;
-    auto index = BuildIndex(&db, opts);
-    ASSERT_FALSE(index.ok()) << "quant_bits " << bits;
-    EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
-  }
-}
-
-// The degraded coarse path's certified bound must hold at 4 bits too —
-// the coarser grid widens B, it never invalidates it.
-TEST(FeatureIndexTest, FourBitCoarseErrorBoundHolds) {
-  MotionDatabase db = MakeDbDim(600, 24, 130);
-  FeatureIndexOptions opts;
-  opts.quant_bits = 4;
-  opts.quantized_min_rows = 1;
-  opts.num_partitions = 6;
-  auto index = BuildIndex(&db, opts);
-  ASSERT_TRUE(index.ok()) << index.status();
-  ASSERT_TRUE(index->has_quantized_tier());
-  Rng rng(131);
-  for (int q = 0; q < 25; ++q) {
-    std::vector<double> query(24);
-    for (size_t j = 0; j < query.size(); ++j) {
-      query[j] = (j == 0 ? rng.Uniform(-5.0, 65.0) : rng.Gaussian(0, 2.0));
-    }
-    double bound = -1.0;
-    auto hits = index->CoarseNearestNeighbors(query, 5, &bound);
-    ASSERT_TRUE(hits.ok()) << hits.status();
-    EXPECT_GE(bound, 0.0);
-    for (const QueryHit& h : *hits) {
-      const double truth = std::sqrt(SquaredL2(
-          query.data(), db.record(h.record_index).feature.data(), 24));
-      EXPECT_LE(std::abs(h.distance - truth), bound)
-          << "query " << q << " record " << h.record_index;
-    }
-  }
-}
-
 FeatureIndexOptions F32TierOptions(size_t threads = 0) {
   FeatureIndexOptions opts;
-  opts.quantized_scan = false;  // non-coded partitions carry the mirror
+  // Only non-coded partitions carry the mirror.
+  opts.quantized_min_rows = std::numeric_limits<size_t>::max();
   opts.exact_precision = ExactPrecision::kF32;
   opts.num_partitions = 4;
   if (threads > 0) opts.parallel.max_threads = threads;
@@ -481,7 +400,7 @@ TEST(FeatureIndexTest, F32TierBitIdenticalToF64AcrossDimsAndThreads) {
   for (size_t dim : {1, 5, 16, 33, 67}) {
     MotionDatabase db = MakeDbDim(200, dim, 140 + dim);
     FeatureIndexOptions f64opts;
-    f64opts.quantized_scan = false;
+    f64opts.quantized_min_rows = std::numeric_limits<size_t>::max();
     f64opts.num_partitions = 4;
     auto f64idx = BuildIndex(&db, f64opts);
     ASSERT_TRUE(f64idx.ok()) << f64idx.status();
@@ -668,7 +587,7 @@ TEST(FeatureIndexTest, F32NormGateFallsBackToF64) {
     auto f32idx = BuildIndex(&db, F32TierOptions());
     ASSERT_TRUE(f32idx.ok()) << f32idx.status();
     FeatureIndexOptions f64opts;
-    f64opts.quantized_scan = false;
+    f64opts.quantized_min_rows = std::numeric_limits<size_t>::max();
     f64opts.num_partitions = 4;
     auto f64idx = BuildIndex(&db, f64opts);
     ASSERT_TRUE(f64idx.ok());

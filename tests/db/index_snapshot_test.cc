@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,7 @@ FeatureIndexOptions QuantizedOptions() {
 FeatureIndexOptions F32Options() {
   FeatureIndexOptions opts;
   opts.num_partitions = 4;
-  opts.quantized_scan = false;
+  opts.quantized_min_rows = std::numeric_limits<size_t>::max();
   opts.exact_precision = ExactPrecision::kF32;
   return opts;
 }
@@ -138,7 +139,7 @@ void InstallForgedShard(const std::string& path, size_t shard,
                                                 body.data(), body.size()))
                   .ok());
   ASSERT_TRUE(WriteStringToFile(path + ".shard" + std::to_string(shard),
-                                TestFrame("MOCEMGSH3\n", payload.data(),
+                                TestFrame("MOCEMGSH4\n", payload.data(),
                                           payload.size()))
                   .ok());
 }
@@ -223,6 +224,15 @@ TEST(IndexSnapshotTest, RoundTripBitIdentity) {
   EXPECT_EQ(loaded->num_shards(), 1u);
   EXPECT_EQ(loaded->num_partitions(), index->num_partitions());
   EXPECT_TRUE(loaded->has_quantized_tier());
+  // The manifest's build options survive the trip.
+  const FeatureIndexOptions& saved = index->options().index;
+  const FeatureIndexOptions& restored = loaded->options().index;
+  EXPECT_EQ(restored.num_partitions, saved.num_partitions);
+  EXPECT_EQ(restored.seed, saved.seed);
+  EXPECT_EQ(restored.quantized_min_rows, saved.quantized_min_rows);
+  EXPECT_EQ(restored.exact_precision, saved.exact_precision);
+  EXPECT_EQ(restored.parallel.max_threads, saved.parallel.max_threads);
+  EXPECT_EQ(restored.parallel.grain, saved.parallel.grain);
 
   ASSERT_TRUE(SaveShardedFeatureIndex(*loaded, again).ok());
   EXPECT_EQ(SnapshotBytes(path, 1), SnapshotBytes(again, 1))
@@ -401,35 +411,12 @@ TEST(IndexSnapshotTest, GarbageAndShortFilesRejected) {
   RemoveSnapshot(path, 1);
 }
 
-// A 4-bit index round-trips with its code width intact: the reloaded
-// index reports quant_bits = 4, re-saves byte-for-byte, and answers —
-// exact AND coarse, with the certified bound — bit-identically.
-TEST(IndexSnapshotTest, FourBitRoundTripPreservesCodeWidth) {
-  MotionDatabase db = MakeDb(120, 9, 55);
-  FeatureIndexOptions opts = QuantizedOptions();
-  opts.quant_bits = 4;
-  auto index = BuildIndex(&db, opts);
-  ASSERT_TRUE(index.ok()) << index.status();
-  ASSERT_TRUE(index->has_quantized_tier());
-  const std::string path = ::testing::TempDir() + "/idx_4bit";
-  const std::string again = path + "_again";
-  ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-
-  auto loaded = LoadShardedFeatureIndex(path, &db);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->options().index.quant_bits, 4u);
-  EXPECT_TRUE(loaded->has_quantized_tier());
-  ASSERT_TRUE(SaveShardedFeatureIndex(*loaded, again).ok());
-  EXPECT_EQ(SnapshotBytes(path, 1), SnapshotBytes(again, 1));
-  ExpectAnswersEqual(*index, *loaded, 9, 56);
-  RemoveSnapshot(path, 1);
-  RemoveSnapshot(again, 1);
-}
-
-// Versions other than 3 — the pre-code-width version 1 and the
-// pre-fp32-mirror version 2 alike — are refused with the *detected*
-// version named and the supported one, so the operator knows to
-// regenerate rather than debug. Manifest and shard files both.
+// Versions other than 4 — the pre-code-width version 1, the
+// pre-fp32-mirror version 2 and the version 3 that still carried
+// code-width fields alike — are refused with the *detected* version
+// named and the supported one, so the operator knows to regenerate
+// rather than debug. Manifest and shard files both; the boot-time
+// recovery path rebuilds from the database instead.
 TEST(IndexSnapshotTest, VersionOneMagicRejected) {
   MotionDatabase db = MakeDb(60, 5, 57);
   auto index = BuildIndex(&db, QuantizedOptions());
@@ -438,9 +425,11 @@ TEST(IndexSnapshotTest, VersionOneMagicRejected) {
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
   const std::string manifest = ReadBytes(path);
   const std::string shard = ReadBytes(path + ".shard0");
-  ASSERT_EQ(manifest.compare(0, 10, "MOCEMGSM3\n"), 0);
-  ASSERT_EQ(shard.compare(0, 10, "MOCEMGSH3\n"), 0);
-  for (const char version : {'1', '2'}) {
+  ASSERT_EQ(manifest.compare(0, 10, "MOCEMGSM4\n"), 0);
+  ASSERT_EQ(shard.compare(0, 10, "MOCEMGSH4\n"), 0);
+  ShardedIndexOptions rebuild;
+  rebuild.index = QuantizedOptions();
+  for (const char version : {'1', '2', '3'}) {
     std::string old = manifest;
     old[8] = version;
     ASSERT_TRUE(WriteStringToFile(path, old).ok());
@@ -451,9 +440,20 @@ TEST(IndexSnapshotTest, VersionOneMagicRejected) {
                   std::string("container version ") + version),
               std::string::npos)
         << loaded.status();
-    EXPECT_NE(loaded.status().message().find("supports version 3"),
+    EXPECT_NE(loaded.status().message().find("supports version 4"),
               std::string::npos)
         << loaded.status();
+    ShardedSnapshotLoadInfo info;
+    auto recovered =
+        LoadOrRebuildShardedFeatureIndex(path, &db, rebuild, &info);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_TRUE(info.rebuilt);
+    EXPECT_FALSE(info.loaded_from_snapshot);
+    EXPECT_NE(info.fallback_reason.find(std::string("container version ") +
+                                        version),
+              std::string::npos)
+        << info.fallback_reason;
+    ExpectMatchesLinearScan(*recovered, db, 5, 57);
 
     ASSERT_TRUE(WriteStringToFile(path, manifest).ok());
     old = shard;
@@ -476,16 +476,16 @@ TEST(IndexSnapshotTest, FutureVersionRejectedWithDetectedVersion) {
   MotionDatabase db = MakeDb(40, 4, 59);
   auto index = BuildIndex(&db, QuantizedOptions());
   ASSERT_TRUE(index.ok());
-  const std::string path = ::testing::TempDir() + "/idx_v4";
+  const std::string path = ::testing::TempDir() + "/idx_v5";
   for (const std::string& victim : {path, path + ".shard0"}) {
     ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-    std::string v4 = ReadBytes(victim);
-    v4[8] = '4';
-    ASSERT_TRUE(WriteStringToFile(victim, v4).ok());
+    std::string v5 = ReadBytes(victim);
+    v5[8] = '5';
+    ASSERT_TRUE(WriteStringToFile(victim, v5).ok());
     auto loaded = LoadShardedFeatureIndex(path, &db);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-    EXPECT_NE(loaded.status().message().find("container version 4"),
+    EXPECT_NE(loaded.status().message().find("container version 5"),
               std::string::npos)
         << loaded.status();
     EXPECT_NE(loaded.status().message().find("regenerate"),
@@ -495,17 +495,17 @@ TEST(IndexSnapshotTest, FutureVersionRejectedWithDetectedVersion) {
   RemoveSnapshot(path, 1);
 }
 
-// A stored width that disagrees with the partition's code array must be
-// rejected even when checksum and manifest digest are valid — i.e. the
-// width is part of the validated structure, not advisory. We forge the
-// mismatch by flipping u64 fields of the shard payload holding 4 to 8
-// and re-installing the shard with a matching digest; the edit that
-// hits the partition's quant_bits makes the 4-bit code array the wrong
-// size for an 8-bit width.
+// A code array whose row width disagrees with the partition's
+// dimension must be rejected even when checksum and manifest digest
+// are valid — the size is part of the validated structure, not
+// advisory. We forge it by rewriting the code array as the ⌈dim/2⌉
+// bytes per row a nibble-packed array would take (the count field is
+// the u64 holding rows × dim, followed by that many code bytes) and
+// re-installing the shard with a matching digest.
 TEST(IndexSnapshotTest, CodeWidthMismatchRejected) {
-  MotionDatabase db = MakeDb(60, 5, 58);  // odd dim: 4-bit stride differs
+  const size_t rows = 60, dim = 5;
+  MotionDatabase db = MakeDb(rows, dim, 58);
   FeatureIndexOptions opts = QuantizedOptions();
-  opts.quant_bits = 4;
   opts.num_partitions = 1;
   auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
@@ -515,23 +515,27 @@ TEST(IndexSnapshotTest, CodeWidthMismatchRejected) {
   const std::string manifest = ReadBytes(path);
   const std::string payload = ReadBytes(path + ".shard0").substr(kHeader);
 
+  const size_t full = rows * dim;
+  const size_t narrow = rows * ((dim + 1) / 2);
   bool width_rejected = false;
-  for (size_t off = 0; off + 8 <= payload.size(); ++off) {
-    if (U64At(payload, off) != 4) continue;
-    std::string forged = payload;
-    PutU64At(&forged, off, 8);
+  for (size_t off = 0; off + 8 + full <= payload.size(); ++off) {
+    if (U64At(payload, off) != full) continue;
+    std::string forged = payload.substr(0, off + 8);
+    PutU64At(&forged, off, narrow);
+    forged.append(payload, off + 8, narrow);
+    forged.append(payload, off + 8 + full, std::string::npos);
     ASSERT_TRUE(WriteStringToFile(path, manifest).ok());
     InstallForgedShard(path, 0, 1, forged);
     auto loaded = LoadShardedFeatureIndex(path, &db);
     if (loaded.ok()) continue;
-    if (loaded.status().message().find("width implies") !=
+    if (loaded.status().message().find("code bytes but") !=
         std::string::npos) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
       width_rejected = true;
     }
   }
   EXPECT_TRUE(width_rejected)
-      << "no forged width mismatch was rejected by the size validation";
+      << "no forged code-width mismatch was rejected by the size validation";
   RemoveSnapshot(path, 1);
 }
 
@@ -547,8 +551,8 @@ TEST(IndexSnapshotTest, F32MirrorRoundTripBitIdentity) {
   const std::string path = ::testing::TempDir() + "/idx_f32";
   const std::string again = path + "_again";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-  EXPECT_EQ(ReadBytes(path).compare(0, 10, "MOCEMGSM3\n"), 0);
-  EXPECT_EQ(ReadBytes(path + ".shard0").compare(0, 10, "MOCEMGSH3\n"), 0);
+  EXPECT_EQ(ReadBytes(path).compare(0, 10, "MOCEMGSM4\n"), 0);
+  EXPECT_EQ(ReadBytes(path + ".shard0").compare(0, 10, "MOCEMGSH4\n"), 0);
 
   auto loaded = LoadShardedFeatureIndex(path, &db);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -578,7 +582,8 @@ TEST(IndexSnapshotTest, F32MirrorRoundTripBitIdentity) {
 // ParseError without reading out of bounds (the asan run enforces no
 // over-read). Raw file prefixes (no re-framing) exercise the
 // header-level classification: too short for a header, then length
-// mismatch.
+// mismatch. (Named for version 3, which added the fp32 mirror fields;
+// it sweeps the current version's payload.)
 TEST(IndexSnapshotTest, TruncationSweepVersionThree) {
   MotionDatabase db = MakeDb(40, 4, 66);
   FeatureIndexOptions opts = F32Options();
@@ -915,10 +920,9 @@ TEST(ShardedSnapshotTest, ManifestShardCountMismatchRejected) {
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
   const std::string manifest = ReadBytes(path);
   // Payload u64 fields: applied epoch, dim, records, shard count, then
-  // the options (num_partitions, seed, quantized_scan,
-  // quantized_min_rows, quant_bits, exact_precision, max_threads,
-  // grain, num_shards).
-  const size_t shards_opt_off = kHeader + 12 * 8;
+  // the options (num_partitions, seed, quantized_min_rows,
+  // exact_precision, max_threads, grain, num_shards).
+  const size_t shards_opt_off = kHeader + 10 * 8;
   ASSERT_EQ(U64At(manifest, kHeader + 3 * 8), 2u);
   ASSERT_EQ(U64At(manifest, shards_opt_off), 2u);
   for (uint64_t forged_count : {0u, 1u, 3u}) {

@@ -146,7 +146,7 @@ struct BackendScope {
 // 33, 70 against the 32-query block), an exactly full block (32) and
 // several whole blocks (64). Every shape must equal the linear scan —
 // on every usable backend, at both exact-tier precisions, with codes
-// off and at both code widths — and must fold to the same stats.
+// off and on — and must fold to the same stats.
 TEST(QueryBlockTest, BatchSizeSweepBitIdenticalToLinearScan) {
   const size_t kDim = 8;
   const size_t kBatches[] = {1, 3, 7, 31, 32, 33, 64, 70};
@@ -156,18 +156,17 @@ TEST(QueryBlockTest, BatchSizeSweepBitIdenticalToLinearScan) {
   for (KernelBackend backend : UsableKernelBackends()) {
     ASSERT_TRUE(SetKernelBackend(backend).ok());
     for (ExactPrecision prec : {ExactPrecision::kF64, ExactPrecision::kF32}) {
-      for (size_t bits : {0, 8, 4}) {
+      for (const bool coded : {false, true}) {
         SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
                      " prec=" + ExactPrecisionName(prec) +
-                     " bits=" + std::to_string(bits));
+                     " coded=" + std::to_string(coded));
         FeatureIndexOptions opts;
         opts.exact_precision = prec;
         // Eight partitions of ~37 rows around the 40-row code floor:
         // with codes on, coded and uncoded partitions both serve.
         opts.num_partitions = 8;
-        opts.quantized_scan = bits != 0;
-        opts.quant_bits = bits != 0 ? bits : 8;
-        opts.quantized_min_rows = 40;
+        opts.quantized_min_rows =
+            coded ? 40 : std::numeric_limits<size_t>::max();
         auto index = BuildIndex(&db, opts);
         ASSERT_TRUE(index.ok()) << index.status();
         IndexQueryStats ref_stats;
@@ -182,7 +181,7 @@ TEST(QueryBlockTest, BatchSizeSweepBitIdenticalToLinearScan) {
           if (batch == 1) {
             ref_stats = st;
             // The sweep exercises the tiers it claims to.
-            EXPECT_EQ(st.coarse_computations > 0, bits != 0);
+            EXPECT_EQ(st.coarse_computations > 0, coded);
             EXPECT_EQ(st.f32_scans > 0, prec == ExactPrecision::kF32);
           }
           ExpectStatsEqual(ref_stats, st);
@@ -369,42 +368,39 @@ TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 91);
   const auto queries = MakeQueries(19, kDim, 92);
-  for (size_t bits : {8, 4}) {
-    for (size_t shards : {1, 4}) {
-      ShardedIndexOptions ropts;
-      ropts.num_shards = shards;
-      ropts.index.quant_bits = bits;
-      ropts.index.quantized_min_rows = 1;
-      auto rindex = ShardedFeatureIndex::Build(&db, ropts);
-      ASSERT_TRUE(rindex.ok()) << rindex.status();
-      ASSERT_TRUE(rindex->has_quantized_tier());
-      std::vector<std::vector<QueryHit>> ref(queries.size());
-      std::vector<double> ref_bounds(queries.size());
-      for (size_t q = 0; q < queries.size(); ++q) {
-        auto hits =
-            rindex->CoarseNearestNeighbors(queries[q], 5, &ref_bounds[q]);
-        ASSERT_TRUE(hits.ok()) << hits.status();
-        ExpectCertified(db, queries[q], *hits, ref_bounds[q]);
-        ref[q] = std::move(*hits);
-      }
-      for (size_t threads : {1, 8}) {
-        ShardedIndexOptions opts = ropts;
-        opts.index.parallel.max_threads = threads;
-        auto index = ShardedFeatureIndex::Build(&db, opts);
-        ASSERT_TRUE(index.ok()) << index.status();
-        for (size_t batch : {1, 6, 19}) {
-          for (size_t q0 = 0; q0 < queries.size(); q0 += batch) {
-            const size_t q1 = std::min(queries.size(), q0 + batch);
-            std::vector<std::vector<double>> slice(queries.begin() + q0,
-                                                   queries.begin() + q1);
-            std::vector<double> bounds;
-            auto hits = index->BatchCoarseNearestNeighbors(slice, 5, &bounds);
-            ASSERT_TRUE(hits.ok()) << hits.status();
-            ASSERT_EQ(bounds.size(), slice.size());
-            for (size_t i = 0; i < slice.size(); ++i) {
-              ExpectHitsIdentical(ref[q0 + i], (*hits)[i]);
-              EXPECT_EQ(ref_bounds[q0 + i], bounds[i]);
-            }
+  for (size_t shards : {1, 4}) {
+    ShardedIndexOptions ropts;
+    ropts.num_shards = shards;
+    ropts.index.quantized_min_rows = 1;
+    auto rindex = ShardedFeatureIndex::Build(&db, ropts);
+    ASSERT_TRUE(rindex.ok()) << rindex.status();
+    ASSERT_TRUE(rindex->has_quantized_tier());
+    std::vector<std::vector<QueryHit>> ref(queries.size());
+    std::vector<double> ref_bounds(queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      auto hits =
+          rindex->CoarseNearestNeighbors(queries[q], 5, &ref_bounds[q]);
+      ASSERT_TRUE(hits.ok()) << hits.status();
+      ExpectCertified(db, queries[q], *hits, ref_bounds[q]);
+      ref[q] = std::move(*hits);
+    }
+    for (size_t threads : {1, 8}) {
+      ShardedIndexOptions opts = ropts;
+      opts.index.parallel.max_threads = threads;
+      auto index = ShardedFeatureIndex::Build(&db, opts);
+      ASSERT_TRUE(index.ok()) << index.status();
+      for (size_t batch : {1, 6, 19}) {
+        for (size_t q0 = 0; q0 < queries.size(); q0 += batch) {
+          const size_t q1 = std::min(queries.size(), q0 + batch);
+          std::vector<std::vector<double>> slice(queries.begin() + q0,
+                                                 queries.begin() + q1);
+          std::vector<double> bounds;
+          auto hits = index->BatchCoarseNearestNeighbors(slice, 5, &bounds);
+          ASSERT_TRUE(hits.ok()) << hits.status();
+          ASSERT_EQ(bounds.size(), slice.size());
+          for (size_t i = 0; i < slice.size(); ++i) {
+            ExpectHitsIdentical(ref[q0 + i], (*hits)[i]);
+            EXPECT_EQ(ref_bounds[q0 + i], bounds[i]);
           }
         }
       }

@@ -111,9 +111,9 @@ TEST(ShardedIndexTest, ZeroShardsRejectedAndExcessShards) {
 
 // The bit-identity claim: for every shard count, exact kNN answers
 // (records AND distance bits) equal the linear scan, for several k —
-// on every usable backend, at both exact-tier precisions and both code
-// widths (eight ~37-row partitions around a 40-row code floor, so
-// coded and uncoded partitions both serve).
+// on every usable backend and at both exact-tier precisions (eight
+// ~37-row partitions around a 40-row code floor, so coded and uncoded
+// partitions both serve).
 TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 21);
@@ -122,29 +122,25 @@ TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
   for (KernelBackend backend : UsableKernelBackends()) {
     ASSERT_TRUE(SetKernelBackend(backend).ok());
     for (ExactPrecision prec : {ExactPrecision::kF64, ExactPrecision::kF32}) {
-      for (size_t bits : {8, 4}) {
-        SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
-                     " prec=" + ExactPrecisionName(prec) +
-                     " bits=" + std::to_string(bits));
-        for (size_t shards : {1, 2, 3, 8}) {
-          ShardedIndexOptions sopts;
-          sopts.index.exact_precision = prec;
-          sopts.index.num_partitions = 8;
-          sopts.index.quant_bits = bits;
-          sopts.index.quantized_min_rows = 40;
-          sopts.num_shards = shards;
-          auto index = ShardedFeatureIndex::Build(&db, sopts);
-          ASSERT_TRUE(index.ok()) << index.status();
-          EXPECT_EQ(index->num_shards(), shards);
-          EXPECT_TRUE(index->has_quantized_tier());
-          for (size_t k : {1, 3, 10}) {
-            for (const auto& q : queries) {
-              auto linear = db.NearestNeighbors(q, k);
-              auto viaShards = index->NearestNeighbors(q, k);
-              ASSERT_TRUE(linear.ok());
-              ASSERT_TRUE(viaShards.ok()) << viaShards.status();
-              ExpectHitsIdentical(*linear, *viaShards);
-            }
+      SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
+                   " prec=" + ExactPrecisionName(prec));
+      for (size_t shards : {1, 2, 3, 8}) {
+        ShardedIndexOptions sopts;
+        sopts.index.exact_precision = prec;
+        sopts.index.num_partitions = 8;
+        sopts.index.quantized_min_rows = 40;
+        sopts.num_shards = shards;
+        auto index = ShardedFeatureIndex::Build(&db, sopts);
+        ASSERT_TRUE(index.ok()) << index.status();
+        EXPECT_EQ(index->num_shards(), shards);
+        EXPECT_TRUE(index->has_quantized_tier());
+        for (size_t k : {1, 3, 10}) {
+          for (const auto& q : queries) {
+            auto linear = db.NearestNeighbors(q, k);
+            auto viaShards = index->NearestNeighbors(q, k);
+            ASSERT_TRUE(linear.ok());
+            ASSERT_TRUE(viaShards.ok()) << viaShards.status();
+            ExpectHitsIdentical(*linear, *viaShards);
           }
         }
       }
@@ -216,45 +212,6 @@ TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
     ASSERT_TRUE(index.ok()) << index.status();
     ASSERT_TRUE(index->has_quantized_tier());
     for (const auto& q : queries) {
-      double bound_single = 0.0, bound_sharded = 0.0;
-      auto ref = single->CoarseNearestNeighbors(q, 5, &bound_single);
-      auto got = index->CoarseNearestNeighbors(q, 5, &bound_sharded);
-      ASSERT_TRUE(ref.ok()) << ref.status();
-      ASSERT_TRUE(got.ok()) << got.status();
-      ExpectHitsIdentical(*ref, *got);
-      EXPECT_EQ(bound_single, bound_sharded);
-      ExpectCertified(db, q, *got, bound_sharded);
-    }
-  }
-}
-
-// The 4-bit coarse tier shards exactly like the 8-bit one: exact kNN
-// stays bit-identical to the linear scan at every shard count, and the
-// degraded coarse answers + certified bound regroup identically to the
-// one-shard index and hold against the linear-scan distances.
-TEST(ShardedIndexTest, FourBitShardedMatchesSingleIndex) {
-  const size_t kDim = 9;
-  MotionDatabase db = MakeDb(300, kDim, 91);
-  ShardedIndexOptions one;
-  one.index.quant_bits = 4;
-  one.index.quantized_min_rows = 1;
-  const FeatureIndexOptions& fopts = one.index;
-  auto single = ShardedFeatureIndex::Build(&db, one);
-  ASSERT_TRUE(single.ok()) << single.status();
-  ASSERT_TRUE(single->has_quantized_tier());
-  const auto queries = MakeQueries(15, kDim, 92);
-  for (size_t shards : {1, 2, 3, 8}) {
-    ShardedIndexOptions sopts;
-    sopts.index = fopts;
-    sopts.num_shards = shards;
-    auto index = ShardedFeatureIndex::Build(&db, sopts);
-    ASSERT_TRUE(index.ok()) << index.status();
-    for (const auto& q : queries) {
-      auto linear = db.NearestNeighbors(q, 5);
-      auto viaShards = index->NearestNeighbors(q, 5);
-      ASSERT_TRUE(linear.ok());
-      ASSERT_TRUE(viaShards.ok()) << viaShards.status();
-      ExpectHitsIdentical(*linear, *viaShards);
       double bound_single = 0.0, bound_sharded = 0.0;
       auto ref = single->CoarseNearestNeighbors(q, 5, &bound_single);
       auto got = index->CoarseNearestNeighbors(q, 5, &bound_sharded);

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "util/quant_kernels.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -53,18 +52,16 @@ std::vector<double> RandomVector(size_t n, Rng* rng) {
   return v;
 }
 
-std::vector<uint8_t> RandomCodes(size_t n, uint32_t levels, Rng* rng) {
+std::vector<uint8_t> RandomCodes(size_t n, Rng* rng) {
   std::vector<uint8_t> v(n);
-  for (uint8_t& x : v) {
-    x = static_cast<uint8_t>(rng->NextBelow(levels + 1));
-  }
+  for (uint8_t& x : v) x = static_cast<uint8_t>(rng->NextBelow(256));
   return v;
 }
 
 TEST(KernelDispatchTest, NamesParseRoundTrip) {
   for (KernelBackend b :
        {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2,
-        KernelBackend::kAvx512, KernelBackend::kNeon}) {
+        KernelBackend::kAvx512}) {
     auto parsed = ParseKernelBackend(KernelBackendName(b));
     ASSERT_TRUE(parsed.ok()) << KernelBackendName(b);
     EXPECT_EQ(*parsed, b);
@@ -72,6 +69,14 @@ TEST(KernelDispatchTest, NamesParseRoundTrip) {
   EXPECT_FALSE(ParseKernelBackend("").ok());
   EXPECT_FALSE(ParseKernelBackend("sse9").ok());
   EXPECT_FALSE(ParseKernelBackend("AVX2 ").ok());
+  // "neon" is not a backend name, and the error lists exactly the four
+  // accepted names.
+  const auto neon = ParseKernelBackend("neon");
+  ASSERT_FALSE(neon.ok());
+  EXPECT_EQ(neon.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(neon.status().message(),
+            "unknown kernel backend \"neon\" (expected auto, scalar, avx2 "
+            "or avx512)");
 }
 
 TEST(KernelDispatchTest, DispatchInfoInvariants) {
@@ -102,8 +107,8 @@ TEST(KernelDispatchTest, OpsTableLookup) {
   EXPECT_STREQ(auto_ops->name, KernelBackendName(ActiveKernelBackend()));
   const std::vector<KernelBackend> usable = UsableKernelBackends();
   for (KernelBackend b :
-       {KernelBackend::kScalar, KernelBackend::kAvx2, KernelBackend::kAvx512,
-        KernelBackend::kNeon}) {
+       {KernelBackend::kScalar, KernelBackend::kAvx2,
+        KernelBackend::kAvx512}) {
     const KernelOps* ops = GetKernelOps(b);
     if (!Contains(usable, b)) {
       EXPECT_EQ(ops, nullptr) << KernelBackendName(b);
@@ -117,7 +122,6 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2dot_one_to_many, nullptr);
     EXPECT_NE(ops->row_norms, nullptr);
     EXPECT_NE(ops->ssd8_one_to_many, nullptr);
-    EXPECT_NE(ops->ssd4_one_to_many, nullptr);
     EXPECT_NE(ops->l2_f32_one_to_many, nullptr);
     EXPECT_NE(ops->l2dot_f32_one_to_many, nullptr);
     EXPECT_NE(ops->row_norms_f32, nullptr);
@@ -126,7 +130,6 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2dot_f32_many_to_many, nullptr);
     EXPECT_NE(ops->l2_gather, nullptr);
     EXPECT_NE(ops->ssd8_many_to_many, nullptr);
-    EXPECT_NE(ops->ssd4_many_to_many, nullptr);
   }
 }
 
@@ -135,7 +138,7 @@ TEST(KernelDispatchTest, ForcingUnusableBackendFailsCleanly) {
   const KernelBackend before = ActiveKernelBackend();
   const std::vector<KernelBackend> usable = UsableKernelBackends();
   for (KernelBackend b :
-       {KernelBackend::kAvx2, KernelBackend::kAvx512, KernelBackend::kNeon}) {
+       {KernelBackend::kAvx2, KernelBackend::kAvx512}) {
     if (Contains(usable, b)) continue;
     const Status s = SetKernelBackend(b);
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition)
@@ -204,23 +207,13 @@ TEST(KernelDispatchTest, AllUsableBackendsMatchScalarBitExactly) {
             << ops->name << " l2dot_one_to_many dim " << d << " row " << r;
       }
 
-      const std::vector<uint8_t> qc = RandomCodes(d, 255, &rng);
-      const std::vector<uint8_t> codes = RandomCodes(rows * d, 255, &rng);
+      const std::vector<uint8_t> qc = RandomCodes(d, &rng);
+      const std::vector<uint8_t> codes = RandomCodes(rows * d, &rng);
       std::vector<uint32_t> got_ssd(rows), want_ssd(rows);
       ops->ssd8_one_to_many(qc.data(), codes.data(), rows, d, got_ssd.data());
       ref->ssd8_one_to_many(qc.data(), codes.data(), rows, d,
                             want_ssd.data());
       EXPECT_EQ(got_ssd, want_ssd) << ops->name << " ssd8 dim " << d;
-
-      const size_t stride = PackedNibbleStride(d);
-      const std::vector<uint8_t> qn = RandomCodes(d, 15, &rng);
-      const std::vector<uint8_t> rn = RandomCodes(rows * d, 15, &rng);
-      std::vector<uint8_t> qp(stride), rp(rows * stride);
-      PackNibbleRows(qn.data(), 1, d, qp.data());
-      PackNibbleRows(rn.data(), rows, d, rp.data());
-      ops->ssd4_one_to_many(qp.data(), rp.data(), rows, d, got_ssd.data());
-      ref->ssd4_one_to_many(qp.data(), rp.data(), rows, d, want_ssd.data());
-      EXPECT_EQ(got_ssd, want_ssd) << ops->name << " ssd4 dim " << d;
     }
   }
 }
@@ -435,9 +428,9 @@ TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
         }
       }
 
-      // int8 / packed int4 block SSD vs per-query one-to-many.
-      const std::vector<uint8_t> qc = RandomCodes(nq * d, 255, &rng);
-      const std::vector<uint8_t> codes = RandomCodes(rows * d, 255, &rng);
+      // int8 block SSD vs per-query one-to-many.
+      const std::vector<uint8_t> qc = RandomCodes(nq * d, &rng);
+      const std::vector<uint8_t> codes = RandomCodes(rows * d, &rng);
       std::vector<uint32_t> got_ssd(nq * stride, 0xDEADu), want_ssd(rows);
       ops->ssd8_many_to_many(qc.data(), nq, codes.data(), rows, d,
                              got_ssd.data(), stride);
@@ -449,56 +442,6 @@ TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
               << ops->name << " ssd8_many_to_many dim " << d << " q " << q
               << " row " << r;
         }
-      }
-
-      const size_t nib = PackedNibbleStride(d);
-      const std::vector<uint8_t> qn = RandomCodes(nq * d, 15, &rng);
-      const std::vector<uint8_t> rn = RandomCodes(rows * d, 15, &rng);
-      std::vector<uint8_t> qp(nq * nib), rp(rows * nib);
-      PackNibbleRows(qn.data(), nq, d, qp.data());
-      PackNibbleRows(rn.data(), rows, d, rp.data());
-      std::fill(got_ssd.begin(), got_ssd.end(), 0xDEADu);
-      ops->ssd4_many_to_many(qp.data(), nq, rp.data(), rows, d,
-                             got_ssd.data(), stride);
-      for (size_t q = 0; q < nq; ++q) {
-        ops->ssd4_one_to_many(qp.data() + q * nib, rp.data(), rows, d,
-                              want_ssd.data());
-        for (size_t r = 0; r < rows; ++r) {
-          EXPECT_EQ(got_ssd[q * stride + r], want_ssd[r])
-              << ops->name << " ssd4_many_to_many dim " << d << " q " << q
-              << " row " << r;
-        }
-      }
-    }
-  }
-}
-
-// The packed 4-bit scan equals the unpacked integer reference —
-// including odd dims, where the pad nibble must contribute exactly 0.
-TEST(KernelDispatchTest, Ssd4MatchesUnpackedReferenceOnEveryBackend) {
-  Rng rng(33);
-  for (KernelBackend b : UsableKernelBackends()) {
-    const KernelOps* ops = GetKernelOps(b);
-    ASSERT_NE(ops, nullptr);
-    for (size_t d = 1; d <= kMaxDim; ++d) {
-      const size_t rows = 1 + (d * 5) % 11;
-      const size_t stride = PackedNibbleStride(d);
-      const std::vector<uint8_t> qn = RandomCodes(d, 15, &rng);
-      const std::vector<uint8_t> rn = RandomCodes(rows * d, 15, &rng);
-      std::vector<uint8_t> qp(stride), rp(rows * stride);
-      PackNibbleRows(qn.data(), 1, d, qp.data());
-      PackNibbleRows(rn.data(), rows, d, rp.data());
-      std::vector<uint32_t> got(rows);
-      ops->ssd4_one_to_many(qp.data(), rp.data(), rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        uint32_t want = 0;
-        for (size_t j = 0; j < d; ++j) {
-          const int32_t diff =
-              int32_t(qn[j]) - int32_t(rn[r * d + j]);
-          want += uint32_t(diff * diff);
-        }
-        EXPECT_EQ(got[r], want)
-            << ops->name << " dim " << d << " row " << r;
       }
     }
   }

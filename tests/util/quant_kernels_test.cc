@@ -177,99 +177,6 @@ TEST(QuantKernelsTest, IntegerSsdMatchesDecodedReconstructions) {
   }
 }
 
-// The 4-bit grid obeys the same cover/round-to-nearest properties as
-// the 8-bit grid, with 15 levels instead of 255.
-TEST(QuantKernelsTest, FourBitGridCoversAndRoundsWithinHalfStep) {
-  for (size_t d : {1, 3, 4, 9, 32}) {
-    const size_t rows = 50;
-    std::vector<double> block(rows * d);
-    Rng rng(40 + d);
-    for (double& v : block) v = rng.Gaussian(0.0, 10.0);
-    std::vector<double> offsets(d);
-    double scale = 0.0;
-    std::vector<uint8_t> codes(rows * d);
-    ComputeQuantGrid(block.data(), rows, d, offsets.data(), &scale,
-                     /*levels=*/15);
-    EXPECT_GT(scale, 0.0);
-    QuantizeRows(block.data(), rows, d, offsets.data(), scale, codes.data(),
-                 /*levels=*/15);
-    std::vector<double> decoded(d);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t j = 0; j < d; ++j) {
-        EXPECT_LE(codes[r * d + j], 15) << "d " << d << " row " << r;
-      }
-      DequantizeRow(codes.data() + r * d, d, offsets.data(), scale,
-                    decoded.data());
-      for (size_t j = 0; j < d; ++j) {
-        EXPECT_LE(std::abs(decoded[j] - block[r * d + j]),
-                  0.5 * scale * (1.0 + 1e-12))
-            << "d " << d << " row " << r << " col " << j;
-      }
-    }
-  }
-}
-
-// Nibble packing is lossless and lays dims out exactly as documented:
-// dim 2b in the low nibble of byte b, dim 2b+1 in the high nibble,
-// odd-d pad nibble 0.
-TEST(QuantKernelsTest, NibblePackRoundTripsAndPadsWithZero) {
-  Rng rng(44);
-  for (size_t d = 1; d <= 19; ++d) {
-    const size_t rows = 6;
-    const size_t stride = PackedNibbleStride(d);
-    EXPECT_EQ(stride, (d + 1) / 2);
-    std::vector<uint8_t> codes(rows * d);
-    for (uint8_t& c : codes) {
-      c = static_cast<uint8_t>(rng.NextBelow(16));
-    }
-    std::vector<uint8_t> packed(rows * stride);
-    PackNibbleRows(codes.data(), rows, d, packed.data());
-    std::vector<uint8_t> unpacked(d);
-    for (size_t r = 0; r < rows; ++r) {
-      const uint8_t* row = packed.data() + r * stride;
-      for (size_t j = 0; j < d; ++j) {
-        const uint8_t nib =
-            (j % 2 == 0) ? (row[j / 2] & 0x0f) : (row[j / 2] >> 4);
-        EXPECT_EQ(nib, codes[r * d + j])
-            << "d " << d << " row " << r << " dim " << j;
-      }
-      if (d % 2 == 1) {
-        EXPECT_EQ(row[stride - 1] >> 4, 0) << "d " << d;
-      }
-      UnpackNibbleRow(row, d, unpacked.data());
-      for (size_t j = 0; j < d; ++j) {
-        EXPECT_EQ(unpacked[j], codes[r * d + j]);
-      }
-    }
-  }
-}
-
-// The packed scan equals the unpacked integer sum exactly — the 4-bit
-// tier's correctness reduces to the 8-bit argument once this holds.
-TEST(QuantKernelsTest, PackedSsdMatchesUnpackedReference) {
-  Rng rng(45);
-  for (size_t d : {1, 2, 3, 5, 8, 16, 31, 33, 67}) {
-    const size_t rows = 23;
-    const size_t stride = PackedNibbleStride(d);
-    std::vector<uint8_t> qn(d), rn(rows * d);
-    for (uint8_t& c : qn) c = static_cast<uint8_t>(rng.NextBelow(16));
-    for (uint8_t& c : rn) c = static_cast<uint8_t>(rng.NextBelow(16));
-    std::vector<uint8_t> qp(stride), rp(rows * stride);
-    PackNibbleRows(qn.data(), 1, d, qp.data());
-    PackNibbleRows(rn.data(), rows, d, rp.data());
-    std::vector<uint32_t> got(rows);
-    Quantized4SsdOneToMany(qp.data(), rp.data(), rows, d, got.data());
-    for (size_t r = 0; r < rows; ++r) {
-      uint32_t want = 0;
-      for (size_t j = 0; j < d; ++j) {
-        const int32_t diff = int32_t(qn[j]) - int32_t(rn[r * d + j]);
-        want += uint32_t(diff * diff);
-      }
-      EXPECT_EQ(got[r], want) << "d " << d << " row " << r;
-    }
-  }
-}
-
 // The blocked many-to-many scan is bit-identical to running the
 // one-to-many scan per query, including when out_stride > rows.
 TEST(QuantKernelsTest, ManyToManyMatchesPerQueryScan) {
@@ -296,62 +203,58 @@ TEST(QuantKernelsTest, ManyToManyMatchesPerQueryScan) {
   }
 }
 
-// Certified prune-bound property at both widths: the coarse lower
+// Certified prune-bound property: the coarse lower
 // bound scale·√ssd − ‖q − q̃‖ − err_r (all scalars slack-inflated the
 // way the index computes it) never exceeds the true distance, so
 // pruning on it can never discard a true neighbor.
 TEST(QuantKernelsTest, CoarseLowerBoundNeverExceedsTrueDistance) {
   Rng rng(47);
-  for (uint32_t levels : {255u, 15u}) {
-    for (size_t d : {2, 5, 16, 33}) {
-      const size_t rows = 60;
-      std::vector<double> block(rows * d);
-      for (double& v : block) v = rng.Gaussian(0.0, 8.0);
-      std::vector<double> offsets(d);
-      double scale = 0.0;
-      std::vector<uint8_t> codes(rows * d);
-      ComputeQuantGrid(block.data(), rows, d, offsets.data(), &scale,
-                       levels);
-      QuantizeRows(block.data(), rows, d, offsets.data(), scale,
-                   codes.data(), levels);
-      // Per-row measured reconstruction errors (as the index stores).
-      std::vector<double> row_err(rows), decoded(d);
-      double max_norm_sq = 0.0;
+  for (size_t d : {2, 5, 16, 33}) {
+    const size_t rows = 60;
+    std::vector<double> block(rows * d);
+    for (double& v : block) v = rng.Gaussian(0.0, 8.0);
+    std::vector<double> offsets(d);
+    double scale = 0.0;
+    std::vector<uint8_t> codes(rows * d);
+    ComputeQuantGrid(block.data(), rows, d, offsets.data(), &scale);
+    QuantizeRows(block.data(), rows, d, offsets.data(), scale,
+                 codes.data());
+    // Per-row measured reconstruction errors (as the index stores).
+    std::vector<double> row_err(rows), decoded(d);
+    double max_norm_sq = 0.0;
+    for (size_t r = 0; r < rows; ++r) {
+      DequantizeRow(codes.data() + r * d, d, offsets.data(), scale,
+                    decoded.data());
+      row_err[r] = std::sqrt(
+          SquaredL2(decoded.data(), block.data() + r * d, d));
+      max_norm_sq = std::max(max_norm_sq,
+                             SquaredNorm(block.data() + r * d, d));
+    }
+    std::vector<uint8_t> qcodes(d);
+    std::vector<double> query(d), q_dec(d);
+    std::vector<uint32_t> ssd(rows);
+    for (int trial = 0; trial < 20; ++trial) {
+      // Mix of in-box queries and far-outside ones (clamped codes).
+      const double spread = (trial % 4 == 3) ? 100.0 : 8.0;
+      for (double& v : query) v = rng.Gaussian(0.0, spread);
+      QuantizeQuery(query.data(), d, offsets.data(), scale,
+                    qcodes.data());
+      QuantizedSsdOneToMany(qcodes.data(), codes.data(), rows, d,
+                            ssd.data());
+      DequantizeRow(qcodes.data(), d, offsets.data(), scale,
+                    q_dec.data());
+      const double q_sq = SquaredNorm(query.data(), d);
+      const double slack = QuantScanSlack(d, q_sq, max_norm_sq);
+      const double q_res =
+          std::sqrt(SquaredL2(query.data(), q_dec.data(), d) + slack);
       for (size_t r = 0; r < rows; ++r) {
-        DequantizeRow(codes.data() + r * d, d, offsets.data(), scale,
-                      decoded.data());
-        row_err[r] = std::sqrt(
-            SquaredL2(decoded.data(), block.data() + r * d, d));
-        max_norm_sq = std::max(max_norm_sq,
-                               SquaredNorm(block.data() + r * d, d));
-      }
-      std::vector<uint8_t> qcodes(d);
-      std::vector<double> query(d), q_dec(d);
-      std::vector<uint32_t> ssd(rows);
-      for (int trial = 0; trial < 20; ++trial) {
-        // Mix of in-box queries and far-outside ones (clamped codes).
-        const double spread = (trial % 4 == 3) ? 100.0 : 8.0;
-        for (double& v : query) v = rng.Gaussian(0.0, spread);
-        QuantizeQuery(query.data(), d, offsets.data(), scale,
-                      qcodes.data(), levels);
-        QuantizedSsdOneToMany(qcodes.data(), codes.data(), rows, d,
-                              ssd.data());
-        DequantizeRow(qcodes.data(), d, offsets.data(), scale,
-                      q_dec.data());
-        const double q_sq = SquaredNorm(query.data(), d);
-        const double slack = QuantScanSlack(d, q_sq, max_norm_sq);
-        const double q_res =
-            std::sqrt(SquaredL2(query.data(), q_dec.data(), d) + slack);
-        for (size_t r = 0; r < rows; ++r) {
-          const double coarse =
-              scale * std::sqrt(double(ssd[r])) - q_res -
-              (row_err[r] + std::sqrt(slack));
-          const double truth = std::sqrt(
-              SquaredL2(query.data(), block.data() + r * d, d));
-          EXPECT_LE(coarse, truth + 1e-12)
-              << "levels " << levels << " d " << d << " trial " << trial
-              << " row " << r;
-        }
+        const double coarse =
+            scale * std::sqrt(double(ssd[r])) - q_res -
+            (row_err[r] + std::sqrt(slack));
+        const double truth = std::sqrt(
+            SquaredL2(query.data(), block.data() + r * d, d));
+        EXPECT_LE(coarse, truth + 1e-12)
+            << "d " << d << " trial " << trial << " row " << r;
       }
     }
   }

@@ -8,12 +8,12 @@
 //   serve-bench [--records N] [--dim D] [--queries Q] [--unique U]
 //               [--k K] [--batch B] [--threads 1,2,8] [--seed S] [--json]
 //               [--deadline-us N] [--watermark N] [--snapshot <path>]
-//               [--shards N] [--pipeline D] [--bits 8|4]
+//               [--shards N] [--pipeline D]
 //   kernel-info [--json]       dispatch report + backend equivalence gate
 //   coarse-bench [--records N] [--dim D] [--queries Q] [--k K]
-//               [--seed S] [--json]   8-bit vs 4-bit coarse-tier A/B
+//               [--seed S] [--json]   coarse-tier recall/bound/throughput
 //
-// Every subcommand accepts --kernel {auto,scalar,avx2,avx512,neon} to
+// Every subcommand accepts --kernel {auto,scalar,avx2,avx512} to
 // force the SIMD kernel backend (same semantics as MOCEMG_KERNEL, but
 // forcing an unusable backend is a hard error here), and
 // --exact-precision {f64,f32} to pick the exact-scan tier (overrides
@@ -28,6 +28,7 @@
 //   mocemg_cli classify --model hand.model --trc q.trc --emg q.csv --k 5
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -47,7 +48,6 @@
 #include "util/kernel_dispatch.h"
 #include "util/logging.h"
 #include "util/macros.h"
-#include "util/quant_kernels.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -76,12 +76,12 @@ int Usage() {
                "                      [--deadline-us N] [--watermark N] "
                "[--snapshot <path>]\n"
                "                      [--shards N (>= 1, default 1)] "
-               "[--pipeline D] [--bits 8|4]\n"
+               "[--pipeline D]\n"
                "  mocemg_cli kernel-info [--json]\n"
                "  mocemg_cli coarse-bench [--records N] [--dim D] "
                "[--queries Q] [--k K]\n"
                "                      [--seed S] [--json]\n"
-               "  (any subcommand) --kernel auto|scalar|avx2|avx512|neon\n"
+               "  (any subcommand) --kernel auto|scalar|avx2|avx512\n"
                "  (any subcommand) --exact-precision f64|f32\n");
   return 2;
 }
@@ -340,16 +340,15 @@ int RunServeBench(const Args& args) {
   auto watermark = ParseInt(args.Get("--watermark", "0"));
   auto shards = ParseInt(args.Get("--shards", "1"));
   auto pipeline = ParseInt(args.Get("--pipeline", "1"));
-  auto bits = ParseInt(args.Get("--bits", "8"));
   const std::string snapshot_path = args.Get("--snapshot", "");
   if (!records.ok() || !dim.ok() || !queries.ok() || !unique.ok() ||
       !k.ok() || !batch.ok() || !seed.ok() || !deadline_us.ok() ||
-      !watermark.ok() || !shards.ok() || !pipeline.ok() || !bits.ok()) {
+      !watermark.ok() || !shards.ok() || !pipeline.ok()) {
     return Usage();
   }
   if (*records < 1 || *dim < 1 || *queries < 1 || *unique < 1 ||
       *k < 1 || *batch < 1 || *deadline_us < 0 || *watermark < 0 ||
-      *shards < 1 || *pipeline < 1 || (*bits != 8 && *bits != 4)) {
+      *shards < 1 || *pipeline < 1) {
     return Usage();
   }
   std::vector<size_t> threads;
@@ -373,7 +372,6 @@ int RunServeBench(const Args& args) {
       static_cast<uint64_t>(*seed));
   ShardedIndexOptions iopts;
   iopts.num_shards = static_cast<size_t>(*shards);
-  iopts.index.quant_bits = static_cast<size_t>(*bits);
   iopts.index.exact_precision = g_cli_exact_precision;
   if (*watermark > 0) {
     // Degraded mode answers from the int8 tier, so force codes on even
@@ -525,11 +523,9 @@ int RunServeBench(const Args& args) {
                 static_cast<long long>(*unique), kk,
                 static_cast<long long>(*batch));
     std::printf("  \"bit_identical\": true,\n");
-    std::printf("  \"shards\": %lld, \"pipeline\": %lld, "
-                "\"quant_bits\": %lld,\n",
+    std::printf("  \"shards\": %lld, \"pipeline\": %lld,\n",
                 static_cast<long long>(*shards),
-                static_cast<long long>(*pipeline),
-                static_cast<long long>(*bits));
+                static_cast<long long>(*pipeline));
     const KernelDispatchInfo kinfo = GetKernelDispatchInfo();
     std::printf("  \"kernel_backend\": \"%s\", \"cpu_features\": \"%s\",\n",
                 kinfo.active.c_str(), kinfo.cpu_features.c_str());
@@ -579,7 +575,7 @@ int RunServeBench(const Args& args) {
                       : 0.0);
       // Per-tier throughput over this run's wall clock: rows scored
       // by the f64 exact tier (full-precision distance evaluations),
-      // the fp32 mirror tier, and the int8/int4 coarse tier. Shows
+      // the fp32 mirror tier, and the int8 coarse tier. Shows
       // where the scan work landed and how fast each tier moved.
       const double wall = r.wall_s > 0.0 ? r.wall_s : 1.0;
       std::printf(
@@ -632,8 +628,7 @@ int RunServeBench(const Args& args) {
               static_cast<long long>(*batch));
   {
     const KernelDispatchInfo kinfo = GetKernelDispatchInfo();
-    std::printf("  kernel backend %s (%lld-bit coarse codes; cpu: %s)\n",
-                kinfo.active.c_str(), static_cast<long long>(*bits),
+    std::printf("  kernel backend %s (cpu: %s)\n", kinfo.active.c_str(),
                 kinfo.cpu_features.c_str());
     std::printf("  exact precision %s\n",
                 ExactPrecisionName(
@@ -704,12 +699,12 @@ int RunServeBench(const Args& args) {
 //
 // Prints which SIMD backend the dispatcher picked (and why it could),
 // then verifies every CPU-usable backend against the scalar reference
-// across dims 1..67 for all sixteen table entries (seven f64/int ops,
-// four fp32-mirror ops, and the five query-block many-to-many/gather
-// ops, exercised with out_stride > rows) — the same bit-exactness
-// contract the unit tests enforce, exercised on the actual production
-// binary and CPU. Also reports per-op backend coverage; a compiled backend with a
-// missing (null) table entry fails the gate. Exits 1 on any mismatch
+// across dims 1..67 for every table entry (six f64/int ops, four
+// fp32-mirror ops, and the four query-block many-to-many/gather ops,
+// exercised with out_stride > rows) — the same bit-exactness contract
+// the unit tests enforce, exercised on the actual production binary
+// and CPU. Also reports per-op backend coverage; a compiled backend
+// with a missing (null) table entry fails the gate. Exits 1 on any mismatch
 // or hole, so CI can gate on `mocemg_cli kernel-info`.
 // run_benchmarks.sh embeds the --json form as BENCH_pr9.json host
 // metadata.
@@ -729,29 +724,37 @@ bool BitsEqualF(float a, float b) {
 }
 
 /// Every KernelOps entry with its field name, for coverage reporting.
-std::vector<std::pair<const char*, bool>> NamedOpPresence(
-    const KernelOps* ops) {
-  return {
-      {"squared_l2_pair", ops->squared_l2_pair != nullptr},
-      {"dot_pair", ops->dot_pair != nullptr},
-      {"l2_one_to_many", ops->l2_one_to_many != nullptr},
-      {"l2dot_one_to_many", ops->l2dot_one_to_many != nullptr},
-      {"row_norms", ops->row_norms != nullptr},
-      {"ssd8_one_to_many", ops->ssd8_one_to_many != nullptr},
-      {"ssd4_one_to_many", ops->ssd4_one_to_many != nullptr},
-      {"l2_f32_one_to_many", ops->l2_f32_one_to_many != nullptr},
-      {"l2dot_f32_one_to_many", ops->l2dot_f32_one_to_many != nullptr},
-      {"row_norms_f32", ops->row_norms_f32 != nullptr},
-      {"l2dot_f32d_one_to_many",
-       ops->l2dot_f32d_one_to_many != nullptr},
-      {"l2dot_many_to_many", ops->l2dot_many_to_many != nullptr},
-      {"l2dot_f32_many_to_many",
-       ops->l2dot_f32_many_to_many != nullptr},
-      {"l2_gather", ops->l2_gather != nullptr},
-      {"ssd8_many_to_many", ops->ssd8_many_to_many != nullptr},
-      {"ssd4_many_to_many", ops->ssd4_many_to_many != nullptr},
+auto NamedOpPresence(const KernelOps* ops) {
+  using Entry = std::pair<const char*, bool>;
+  return std::array{
+      Entry{"squared_l2_pair", ops->squared_l2_pair != nullptr},
+      Entry{"dot_pair", ops->dot_pair != nullptr},
+      Entry{"l2_one_to_many", ops->l2_one_to_many != nullptr},
+      Entry{"l2dot_one_to_many", ops->l2dot_one_to_many != nullptr},
+      Entry{"row_norms", ops->row_norms != nullptr},
+      Entry{"ssd8_one_to_many", ops->ssd8_one_to_many != nullptr},
+      Entry{"l2_f32_one_to_many", ops->l2_f32_one_to_many != nullptr},
+      Entry{"l2dot_f32_one_to_many",
+            ops->l2dot_f32_one_to_many != nullptr},
+      Entry{"row_norms_f32", ops->row_norms_f32 != nullptr},
+      Entry{"l2dot_f32d_one_to_many",
+            ops->l2dot_f32d_one_to_many != nullptr},
+      Entry{"l2dot_many_to_many", ops->l2dot_many_to_many != nullptr},
+      Entry{"l2dot_f32_many_to_many",
+            ops->l2dot_f32_many_to_many != nullptr},
+      Entry{"l2_gather", ops->l2_gather != nullptr},
+      Entry{"ssd8_many_to_many", ops->ssd8_many_to_many != nullptr},
   };
 }
+
+constexpr size_t kNumKernelOps =
+    std::tuple_size_v<decltype(NamedOpPresence(nullptr))>;
+// A KernelOps is its name plus one function pointer per op, so an op
+// added to the table without an entry above fails to compile here
+// instead of slipping past the coverage gate.
+static_assert(sizeof(KernelOps) ==
+                  sizeof(const char*) + kNumKernelOps * sizeof(void (*)()),
+              "NamedOpPresence must list every KernelOps function pointer");
 
 Status VerifyKernelEquivalence() {
   const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
@@ -778,13 +781,6 @@ Status VerifyKernelEquivalence() {
       std::vector<uint8_t> qc(d), codes(rows * d);
       for (auto& v : qc) v = static_cast<uint8_t>(rng.NextBelow(256));
       for (auto& v : codes) v = static_cast<uint8_t>(rng.NextBelow(256));
-      const size_t stride = PackedNibbleStride(d);
-      std::vector<uint8_t> qn(d), rn(rows * d);
-      for (auto& v : qn) v = static_cast<uint8_t>(rng.NextBelow(16));
-      for (auto& v : rn) v = static_cast<uint8_t>(rng.NextBelow(16));
-      std::vector<uint8_t> qp(stride), rp(rows * stride);
-      PackNibbleRows(qn.data(), 1, d, qp.data());
-      PackNibbleRows(rn.data(), rows, d, rp.data());
 
       const auto fail = [&](const char* op) {
         return Status::Unknown(
@@ -827,9 +823,6 @@ Status VerifyKernelEquivalence() {
       ops->ssd8_one_to_many(qc.data(), codes.data(), rows, d,
                             goti.data());
       if (wanti != goti) return fail("ssd8_one_to_many");
-      ref->ssd4_one_to_many(qp.data(), rp.data(), rows, d, wanti.data());
-      ops->ssd4_one_to_many(qp.data(), rp.data(), rows, d, goti.data());
-      if (wanti != goti) return fail("ssd4_one_to_many");
       // fp32-mirror ops: same fixtures narrowed to float, compared at
       // the fp32 bit level (and at the f64 bit level for the
       // fp64-accumulate variant).
@@ -945,20 +938,6 @@ Status VerifyKernelEquivalence() {
           }
         }
       }
-      std::vector<uint8_t> qnm(nq * d), qpm(nq * stride);
-      for (auto& v : qnm) v = static_cast<uint8_t>(rng.NextBelow(16));
-      PackNibbleRows(qnm.data(), nq, d, qpm.data());
-      ops->ssd4_many_to_many(qpm.data(), nq, rp.data(), rows, d,
-                             gotim.data(), ostride);
-      for (size_t q = 0; q < nq; ++q) {
-        ref->ssd4_one_to_many(qpm.data() + q * stride, rp.data(), rows, d,
-                              wantim.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (wantim[r] != gotim[q * ostride + r]) {
-            return fail("ssd4_many_to_many");
-          }
-        }
-      }
     }
   }
   return Status::OK();
@@ -976,15 +955,16 @@ Status VerifyOpCoverage(std::vector<std::string>* lines) {
           std::string("compiled backend has no ops table: ") +
           KernelBackendName(backend));
     }
+    const auto presence = NamedOpPresence(ops);
     std::string missing;
-    for (const auto& [name, present] : NamedOpPresence(ops)) {
+    for (const auto& [name, present] : presence) {
       if (!present) {
         missing += missing.empty() ? name : (std::string(", ") + name);
       }
     }
     std::string line = std::string(KernelBackendName(backend)) + ": ";
     if (missing.empty()) {
-      line += "all 16 ops";
+      line += "all " + std::to_string(presence.size()) + " ops";
     } else {
       line += "MISSING " + missing;
       holes = Status::Unknown(
@@ -1031,22 +1011,24 @@ int RunKernelInfo(const Args& args) {
     for (const std::string& line : coverage) {
       std::printf("    %s\n", line.c_str());
     }
-    std::printf("  equivalence:  %s\n",
-                equiv.ok() ? "every usable backend bit-identical to scalar "
-                             "(dims 1..67, all 16 ops)"
-                           : equiv.ToString().c_str());
+    const std::string equiv_line =
+        equiv.ok() ? "every usable backend bit-identical to scalar "
+                     "(dims 1..67, all " +
+                         std::to_string(kNumKernelOps) + " ops)"
+                   : equiv.ToString();
+    std::printf("  equivalence:  %s\n", equiv_line.c_str());
   }
   return equiv.ok() ? 0 : 1;
 }
 
-// --- coarse-bench: 8-bit vs 4-bit coarse tier A/B ---------------------
+// --- coarse-bench: coarse tier vs linear scan ------------------------
 //
-// Builds the same index at both code widths, checks the exact path is
-// bit-identical to the linear scan at both, then measures the coarse
-// tier alone: queries/s, recall@k of the certified estimates against
-// the true kNN, mean certified error bound, and coarse bytes per
-// record. run_benchmarks.sh stores the --json form as BENCH_pr8.json's
-// "four_bit" section.
+// Builds the index with every partition coded, checks the exact path is
+// bit-identical to the linear scan, then measures the coarse tier
+// alone: queries/s, recall@k of the certified estimates against the
+// true kNN, mean certified error bound, and coarse bytes per record.
+// run_benchmarks.sh stores the --json form as BENCH_pr8.json's
+// "eight_bit" section.
 
 int RunCoarseBench(const Args& args) {
   auto records = ParseInt(args.Get("--records", "20000"));
@@ -1076,64 +1058,44 @@ int RunCoarseBench(const Args& args) {
     expected[i] = *std::move(hits);
   }
 
-  struct WidthRow {
-    size_t bits = 0;
-    size_t bytes_per_record = 0;
-    double coarse_qps = 0.0;
-    double exact_qps = 0.0;
-    double recall = 0.0;
-    double mean_bound = 0.0;
-  };
-  std::vector<WidthRow> out_rows;
-  for (const size_t bits : {size_t{8}, size_t{4}}) {
-    ShardedIndexOptions iopts;
-    iopts.index.quant_bits = bits;
-    iopts.index.exact_precision = g_cli_exact_precision;
-    iopts.index.quantized_min_rows = 1;  // code every partition at bench scale
-    auto index = ShardedFeatureIndex::Build(&db, iopts);
-    if (!index.ok()) return Fail(index.status());
+  ShardedIndexOptions iopts;
+  iopts.index.exact_precision = g_cli_exact_precision;
+  iopts.index.quantized_min_rows = 1;  // code every partition at bench scale
+  auto index = ShardedFeatureIndex::Build(&db, iopts);
+  if (!index.ok()) return Fail(index.status());
 
-    WidthRow row;
-    row.bits = bits;
-    row.bytes_per_record =
-        bits == 4 ? PackedNibbleStride(static_cast<size_t>(*dim))
-                  : static_cast<size_t>(*dim);
-
-    // Exact path must stay bit-identical at any width.
-    auto t0 = BenchClock::now();
-    for (size_t i = 0; i < workload.size(); ++i) {
-      auto hits = index->NearestNeighbors(workload[i], kk);
-      if (!hits.ok()) return Fail(hits.status());
-      if (!SameHits(*hits, expected[i])) {
-        return Fail(Status::Unknown(
-            std::to_string(bits) +
-            "-bit indexed results diverged from the linear scan"));
-      }
+  // The exact path must stay bit-identical to the linear scan.
+  auto t0 = BenchClock::now();
+  for (size_t i = 0; i < workload.size(); ++i) {
+    auto hits = index->NearestNeighbors(workload[i], kk);
+    if (!hits.ok()) return Fail(hits.status());
+    if (!SameHits(*hits, expected[i])) {
+      return Fail(Status::Unknown(
+          "indexed results diverged from the linear scan"));
     }
-    row.exact_qps = double(workload.size()) / SecondsSince(t0);
+  }
+  const double exact_qps = double(workload.size()) / SecondsSince(t0);
 
-    size_t found = 0;
-    double bound_sum = 0.0;
-    t0 = BenchClock::now();
-    for (size_t i = 0; i < workload.size(); ++i) {
-      double bound = 0.0;
-      auto hits = index->CoarseNearestNeighbors(workload[i], kk, &bound);
-      if (!hits.ok()) return Fail(hits.status());
-      bound_sum += bound;
-      for (const QueryHit& h : *hits) {
-        for (const QueryHit& e : expected[i]) {
-          if (h.record_index == e.record_index) {
-            ++found;
-            break;
-          }
+  size_t found = 0;
+  double bound_sum = 0.0;
+  t0 = BenchClock::now();
+  for (size_t i = 0; i < workload.size(); ++i) {
+    double bound = 0.0;
+    auto hits = index->CoarseNearestNeighbors(workload[i], kk, &bound);
+    if (!hits.ok()) return Fail(hits.status());
+    bound_sum += bound;
+    for (const QueryHit& h : *hits) {
+      for (const QueryHit& e : expected[i]) {
+        if (h.record_index == e.record_index) {
+          ++found;
+          break;
         }
       }
     }
-    row.coarse_qps = double(workload.size()) / SecondsSince(t0);
-    row.recall = double(found) / double(workload.size() * kk);
-    row.mean_bound = bound_sum / double(workload.size());
-    out_rows.push_back(row);
   }
+  const double coarse_qps = double(workload.size()) / SecondsSince(t0);
+  const double recall = double(found) / double(workload.size() * kk);
+  const double mean_bound = bound_sum / double(workload.size());
 
   const KernelDispatchInfo kinfo = GetKernelDispatchInfo();
   if (json) {
@@ -1143,16 +1105,12 @@ int RunCoarseBench(const Args& args) {
                 static_cast<long long>(*records),
                 static_cast<long long>(*dim), workload.size(), kk);
     std::printf("  \"kernel_backend\": \"%s\",\n", kinfo.active.c_str());
-    for (size_t i = 0; i < out_rows.size(); ++i) {
-      const WidthRow& r = out_rows[i];
-      std::printf("  \"%s\": {\"bits\": %zu, \"bytes_per_record\": %zu, "
-                  "\"coarse_qps\": %.1f, \"exact_qps\": %.1f, "
-                  "\"recall_at_k\": %.4f, \"mean_error_bound\": %.6f, "
-                  "\"exact_bit_identical\": true}%s\n",
-                  r.bits == 8 ? "eight_bit" : "four_bit", r.bits,
-                  r.bytes_per_record, r.coarse_qps, r.exact_qps, r.recall,
-                  r.mean_bound, i + 1 < out_rows.size() ? "," : "");
-    }
+    std::printf("  \"eight_bit\": {\"bits\": 8, \"bytes_per_record\": %lld, "
+                "\"coarse_qps\": %.1f, \"exact_qps\": %.1f, "
+                "\"recall_at_k\": %.4f, \"mean_error_bound\": %.6f, "
+                "\"exact_bit_identical\": true}\n",
+                static_cast<long long>(*dim), coarse_qps, exact_qps, recall,
+                mean_bound);
     std::printf("}\n");
     return 0;
   }
@@ -1161,15 +1119,12 @@ int RunCoarseBench(const Args& args) {
               static_cast<long long>(*records),
               static_cast<long long>(*dim), workload.size(), kk,
               kinfo.active.c_str());
-  std::printf("  %-6s %16s %12s %12s %10s %12s\n", "bits", "bytes/record",
+  std::printf("  %16s %12s %12s %10s %12s\n", "bytes/record",
               "coarse qps", "exact qps", "recall@k", "mean bound");
-  for (const WidthRow& r : out_rows) {
-    std::printf("  %-6zu %16zu %12.0f %12.0f %10.4f %12.4f\n", r.bits,
-                r.bytes_per_record, r.coarse_qps, r.exact_qps, r.recall,
-                r.mean_bound);
-  }
-  std::printf("  (exact kNN answers were bit-identical to the linear scan "
-              "at both widths)\n");
+  std::printf("  %16lld %12.0f %12.0f %10.4f %12.4f\n",
+              static_cast<long long>(*dim), coarse_qps, exact_qps, recall,
+              mean_bound);
+  std::printf("  (exact kNN answers were bit-identical to the linear scan)\n");
   return 0;
 }
 

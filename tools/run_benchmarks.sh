@@ -16,7 +16,7 @@
 # a second serve-bench run at --shards 4 --pipeline 2. Pipeline-
 # overlap ratios are annotated, not gated, when cpus_online is too
 # low to overlap anything. The pr8 file holds the scalar-vs-dispatched
-# SIMD kernel pairs plus the 8-bit/4-bit coarse-tier A/B. The pr9 file
+# SIMD kernel pairs plus the 8-bit coarse-tier row. The pr9 file
 # holds the certified fp32 exact-tier families: cross-family
 # fp32-vs-f64 kernel ratios (the dispatched rows carry a gated 1.4x
 # claim on SIMD hosts; recorded-only on 1-cpu or scalar hosts), the
@@ -150,7 +150,7 @@ echo "== serve-bench (fp32 exact tier) ==" >&2
 # PR 8 host metadata + A/B sections. kernel-info doubles as the
 # bit-exactness gate: it exits 1 if any usable SIMD backend diverges
 # from the scalar reference on this CPU. coarse-bench measures the
-# 8-bit vs 4-bit coarse tier (bytes/record, recall, certified bounds).
+# 8-bit coarse tier (bytes/record, recall, certified bounds).
 echo "== kernel-info ==" >&2
 ./build/tools/mocemg_cli kernel-info --json >"$out/kernel_info.json"
 coarse_args=(--json)
@@ -209,8 +209,7 @@ PR7_PREFIXES = ("BM_ShardedKnn", "BM_ServedKnnSharded",
 # mode 1 (the runtime-dispatched widest backend). The int8 families'
 # wins are gated directionally; the double families depend on how well
 # the auto-vectorizer already did and are annotated only.
-PR8_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked", "BM_Ssd4OneToMany",
-                "BM_L2OneToMany")
+PR8_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked", "BM_L2OneToMany")
 PR8_GATED_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked")
 # The fp32 exact-tier families (PR 9). The kernel families carry the
 # usual {dim, mode} scalar-vs-dispatched pairing; the fp32-vs-f64
@@ -487,14 +486,12 @@ if kernel_info:
     print(f"kernel dispatch: active={kernel_info.get('active')} "
           f"usable={kernel_info.get('usable')} "
           f"equivalence_ok={kernel_info.get('equivalence_ok')}")
-if coarse:
-    for key in ("eight_bit", "four_bit"):
-        row = coarse.get(key)
-        if row:
-            print(f"coarse tier {row['bits']}-bit: "
-                  f"{row['bytes_per_record']} bytes/record, "
-                  f"recall@k {row['recall_at_k']:.3f}, "
-                  f"{row['coarse_qps']:.0f} coarse qps")
+if coarse and coarse.get("eight_bit"):
+    row = coarse["eight_bit"]
+    print(f"coarse tier {row['bits']}-bit: "
+          f"{row['bytes_per_record']} bytes/record, "
+          f"recall@k {row['recall_at_k']:.3f}, "
+          f"{row['coarse_qps']:.0f} coarse qps")
 if serving:
     print("serving (mocemg_cli serve-bench, "
           f"{serving['records']}x{serving['dim']}):")
@@ -1060,14 +1057,13 @@ doc8 = {
                 "before any number is reported. The int8 families "
                 "(BM_SsdOneToMany, BM_SsdBlocked) are gated "
                 "directionally; the double families are annotated. "
-                "The four_bit section pairs the 8-bit and 4-bit "
-                "coarse tiers at identical exact answers.",
+                "The eight_bit section measures the coarse tier at "
+                "exact answers identical to the linear scan.",
     },
     "benchmarks": results8,
     "paired_speedups": speedups8,
     "dispatch_check": dispatch_check,
     "eight_bit": coarse.get("eight_bit") if coarse else None,
-    "four_bit": coarse.get("four_bit") if coarse else None,
 }
 doc9 = {
     "schema": "mocemg-bench-pr9",
@@ -1178,7 +1174,7 @@ if update:
         f.write("\n")
     print(f"wrote {bench8_path} ({len(results8)} benchmarks, "
           f"{len(speedups8)} paired speedups, "
-          f"{'with' if coarse else 'WITHOUT'} four_bit section)")
+          f"{'with' if coarse else 'WITHOUT'} eight_bit section)")
     with open(bench9_path, "w") as f:
         json.dump(doc9, f, indent=2, sort_keys=True)
         f.write("\n")

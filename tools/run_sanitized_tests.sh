@@ -26,13 +26,15 @@ ctest --preset "$preset" "$@"
 # Kernel-backend rerun matrix: the main pass above runs under the
 # dispatched default (widest SIMD backend this CPU supports). Re-run
 # the kernel and index suites with the backend pinned to the scalar
-# reference and then explicitly to the dispatched best, so both sides
-# of the bit-exactness contract get sanitizer coverage — the scalar
-# fallback path is otherwise dead code on machines with AVX2/AVX-512.
-# QueryBlock is the §16 query-block grid: together with the fp32 loop
-# below, the blocked many-to-many scan path gets sanitizer coverage
-# under MOCEMG_KERNEL={scalar,auto} x MOCEMG_EXACT_PRECISION={f64,f32}.
-for kern in scalar auto; do
+# reference, then to AVX2, then explicitly to the dispatched best, so
+# every backend gets sanitizer coverage — the scalar fallback and the
+# AVX2 backend are otherwise dead code on machines with AVX-512. On a
+# CPU or build without AVX2, MOCEMG_KERNEL=avx2 warns and falls back
+# to auto detection. QueryBlock is the §16 query-block grid: together
+# with the fp32 loop below, the blocked many-to-many scan path gets
+# sanitizer coverage under MOCEMG_KERNEL={scalar,avx2,auto} x
+# MOCEMG_EXACT_PRECISION={f64,f32}.
+for kern in scalar avx2 auto; do
   echo "== $preset: kernel/index suites under MOCEMG_KERNEL=$kern =="
   MOCEMG_KERNEL="$kern" ctest --preset "$preset" \
     -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock' \
@@ -45,9 +47,9 @@ done
 # are unaffected (options beat the env default, §15.4); tests that
 # build with defaults now route their scans through the mirror +
 # refine path, so the bound arithmetic, the norm gate, and the
-# refine's double re-evaluation all get sanitizer coverage on both
-# the scalar and the dispatched kernels.
-for kern in scalar auto; do
+# refine's double re-evaluation all get sanitizer coverage on the
+# scalar, AVX2 and dispatched kernels.
+for kern in scalar avx2 auto; do
   echo "== $preset: kernel/index suites under" \
     "MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL=$kern =="
   MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL="$kern" \
