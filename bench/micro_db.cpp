@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <limits>
 #include <map>
 
 #include "db/motion_database.h"
@@ -92,53 +91,12 @@ void BM_IndexedKnnDim(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedKnnDim)->Arg(30)->Arg(64)->Arg(128)->Arg(240);
 
-// Paired quantized-tier family (BENCH_pr5.json): mode 0 scans with the
-// PR 4 dot-form path alone (quantized_min_rows = SIZE_MAX codes no
-// partition), mode 1 adds the int8 coarse tier. Same binary, same
-// pass, so the per-pass ratio cancels host load. The partition count
-// is pinned low (8 over 20000 records, ~2500 rows each) so the
-// in-partition scan — the stage the coarse tier accelerates —
-// dominates per-query time; with the √N default the reference pass and
-// partition-level triangle prune leave almost no scan work to measure.
-// The dimension sweep covers the paper's final-feature width up to 4x
-// wider, where the 1-byte/dim coarse scan saves the most memory
-// traffic.
-void BM_QuantIndexedKnnDim(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const bool quantized = state.range(1) == 1;
-  const size_t n = 20000;
-  static std::map<size_t, MotionDatabase>* dbs =
-      new std::map<size_t, MotionDatabase>();
-  if (dbs->find(dim) == dbs->end()) {
-    dbs->emplace(dim, MakeDb(n, dim, 3));
-  }
-  const MotionDatabase& db = dbs->at(dim);
-  ShardedIndexOptions opts;
-  opts.index.num_partitions = 8;
-  if (!quantized) {
-    opts.index.quantized_min_rows = std::numeric_limits<size_t>::max();
-  }
-  auto index = ShardedFeatureIndex::Build(&db, opts);
-  MOCEMG_CHECK_OK(index.status());
-  const auto query = MakeQuery(dim, 4);
-  for (auto _ : state) {
-    auto hits = index->NearestNeighbors(query, 5);
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_QuantIndexedKnnDim)
-    ->Args({30, 0})->Args({30, 1})
-    ->Args({64, 0})->Args({64, 1})
-    ->Args({128, 0})->Args({128, 1});
-
 // Paired fp32-exact-tier family (BENCH_pr9.json): mode 0 answers
 // through the f64 dot-form scan, mode 1 through the certified fp32
 // mirror scan with error-bound-gated double refine. Same binary, same
 // pass, identical (bit-for-bit) answers — the ratio is the end-to-end
-// indexed-kNN win from halving scan bandwidth. Quantization stays off
-// on both sides so the exact tier is the stage measured, and the
-// partition count is pinned low so the in-partition scan dominates.
+// indexed-kNN win from halving scan bandwidth. The partition count is
+// pinned low so the in-partition scan dominates.
 void BM_IndexedKnnF32(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const bool f32 = state.range(1) == 1;
@@ -151,7 +109,6 @@ void BM_IndexedKnnF32(benchmark::State& state) {
   const MotionDatabase& db = dbs->at(dim);
   ShardedIndexOptions opts;
   opts.index.num_partitions = 8;
-  opts.index.quantized_min_rows = std::numeric_limits<size_t>::max();
   opts.index.exact_precision =
       f32 ? ExactPrecision::kF32 : ExactPrecision::kF64;
   auto index = ShardedFeatureIndex::Build(&db, opts);

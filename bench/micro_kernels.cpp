@@ -37,56 +37,6 @@ std::vector<double> GaussianVec(size_t n, uint64_t seed) {
   return v;
 }
 
-std::vector<uint8_t> ByteVec(size_t n, uint32_t lo_bits, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<uint8_t> v(n);
-  for (uint8_t& x : v) {
-    x = static_cast<uint8_t>(rng.NextBelow(uint64_t{1} << lo_bits));
-  }
-  return v;
-}
-
-// Args: {dim, mode}. The int8 coarse scan: one query's codes against a
-// partition block of rows, exact int32 SSDs out.
-void BM_SsdOneToMany(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const KernelOps* ops = OpsForMode(state.range(1));
-  const size_t rows = 4096;
-  const auto qc = ByteVec(dim, 8, 11);
-  const auto codes = ByteVec(rows * dim, 8, 12);
-  std::vector<uint32_t> out(rows);
-  for (auto _ : state) {
-    ops->ssd8_one_to_many(qc.data(), codes.data(), rows, dim, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * rows));
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * rows * dim));
-}
-BENCHMARK(BM_SsdOneToMany)->ArgsProduct({{16, 30, 64, 128, 240}, {0, 1}});
-
-// Args: {dim, mode}. The blocked many-to-many coarse sweep a batched
-// degraded drain performs: Q queries against the same row block.
-void BM_SsdBlocked(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const KernelOps* ops = OpsForMode(state.range(1));
-  const size_t rows = 1024;
-  const size_t num_queries = 16;
-  const auto qc = ByteVec(num_queries * dim, 8, 13);
-  const auto codes = ByteVec(rows * dim, 8, 14);
-  std::vector<uint32_t> out(num_queries * rows);
-  for (auto _ : state) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      ops->ssd8_one_to_many(qc.data() + q * dim, codes.data(), rows, dim,
-                            out.data() + q * rows);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<int64_t>(state.iterations() * num_queries * rows));
-}
-BENCHMARK(BM_SsdBlocked)->ArgsProduct({{30, 64, 128}, {0, 1}});
-
 // Args: {dim, mode}. The double one-to-many partition scan (exact
 // tier) — the 4-lane contract means both modes emit identical bits.
 void BM_L2OneToMany(benchmark::State& state) {

@@ -1,10 +1,10 @@
 // Microbenchmarks: the batched query-serving front end vs per-request
-// exact scans — the §11.3 serving path measured as paired families so
+// exact scans — the §11.1 serving path measured as paired families so
 // the per-pass ratio cancels host load (BENCH_pr5.json).
 //
 //   BM_ServedKnnBatch/<mode>   mode 0: per-request linear scan loop
 //                              mode 1: QueryServer micro-batch through
-//                                      the quantized index, cache OFF —
+//                                      the index, cache OFF —
 //                                      isolates batching + index.
 //   BM_ServedKnnCached/<mode>  same pairing over a workload where every
 //                              query repeats, with the cache ON — the
@@ -143,7 +143,7 @@ void ServeWorkload(benchmark::State& state,
 }
 
 // All-unique workload, cache off: the win is micro-batching through the
-// quantized index alone.
+// index alone.
 void BM_ServedKnnBatch(benchmark::State& state) {
   static const auto* workload =
       new std::vector<std::vector<double>>(MakeQueries(64, kDim, 101));

@@ -12,7 +12,6 @@
 #include "util/distance_kernels.h"
 #include "util/logging.h"
 #include "util/macros.h"
-#include "util/quant_kernels.h"
 
 namespace mocemg {
 namespace {
@@ -32,9 +31,8 @@ constexpr double kF32TierNormGate = 1e30;
 // partition's row count, so a block of one query allocates no more
 // than it scores). A pure performance knob: every
 // per-(query, row) quantity is bit-identical at any value, because
-// each pair's kernel accumulation is self-contained and every gate
-// either evolves per-row within one query (coarse) or is frozen at
-// partition entry (dot-form tiers).
+// each pair's kernel accumulation is self-contained and every gate is
+// frozen at partition entry.
 constexpr size_t kBlockRowSlab = 4096;
 
 // Second prune stage for the dot-form tiers' frozen-gate survivors
@@ -182,19 +180,17 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
     part->norms_sq[j] = norm_sq;
   }
   part->radius = std::sqrt(part->radius_sq);
-  // fp32 mirror tier (DESIGN.md §15): partitions the quantized tier
-  // will *not* code get a float32 copy of the block plus fp32 row
-  // norms, so the exact scan can run the cheaper fp32 dot-form kernel
-  // and re-evaluate in double only the rows inside the certified fp32
-  // error bound. The pack-time norm gate keeps every f64→f32
-  // conversion finite (and defined behaviour); mirror_max_abs feeds
-  // the subnormal term of Float32DotFormErrorBound.
+  // fp32 mirror tier (DESIGN.md §15): at f32 precision every partition
+  // gets a float32 copy of the block plus fp32 row norms, so the exact
+  // scan can run the cheaper fp32 dot-form kernel and re-evaluate in
+  // double only the rows inside the certified fp32 error bound. The
+  // pack-time norm gate keeps every f64→f32 conversion finite (and
+  // defined behaviour); mirror_max_abs feeds the subnormal term of
+  // Float32DotFormErrorBound.
   part->block_f32.clear();
   part->norms_f32.clear();
   part->mirror_max_abs = 0.0;
-  const bool coded =
-      dim <= 60000 && rows > 0 && rows >= options.quantized_min_rows;
-  if (!coded && rows > 0 &&
+  if (rows > 0 &&
       ResolveExactPrecision(options.exact_precision) ==
           ExactPrecision::kF32 &&
       part->max_norm_sq < kF32TierNormGate) {
@@ -211,48 +207,6 @@ void IndexPartitionSet::FillPartition(const double* packed, size_t dim,
     RowSquaredNormsF32(part->block_f32.data(), rows, dim,
                        part->norms_f32.data());
   }
-  // Quantized tier: code the partition on its own 8-bit integer grid
-  // and *measure* the worst reconstruction error — the provable prune
-  // leans on this number, not on an analytic half-step bound, so
-  // heavy-tailed columns can only cost pruning power, not correctness.
-  // The integer coarse distance Σ(qc − c)² must fit uint32:
-  // d · 255² < 2³². Any realistic feature width is far below it.
-  part->quant_offsets.clear();
-  part->quant_codes.clear();
-  part->quant_scale = 0.0;
-  part->quant_err_sq = 0.0;
-  part->quant_box_sq = 0.0;
-  if (!coded) return;
-  part->quant_offsets.resize(dim);
-  ComputeQuantGrid(part->block.data(), rows, dim,
-                   part->quant_offsets.data(), &part->quant_scale);
-  part->quant_codes.resize(rows * dim);
-  QuantizeRows(part->block.data(), rows, dim, part->quant_offsets.data(),
-               part->quant_scale, part->quant_codes.data());
-  // Squared-norm bound over the whole grid bounding box (any
-  // reconstruction — of a row or of a clamped query — lies inside
-  // it); feeds the slack's magnitude argument.
-  double box_sq = 0.0;
-  for (size_t j = 0; j < dim; ++j) {
-    const double lo = part->quant_offsets[j];
-    const double hi = lo + kQuantLevels * part->quant_scale;
-    box_sq += std::max(lo * lo, hi * hi);
-  }
-  part->quant_box_sq = box_sq;
-  std::vector<double> decoded(dim);
-  double max_err = 0.0;
-  for (size_t r = 0; r < rows; ++r) {
-    DequantizeRow(part->quant_codes.data() + r * dim, dim,
-                  part->quant_offsets.data(), part->quant_scale,
-                  decoded.data());
-    max_err = std::max(max_err,
-                       SquaredL2Dispatched(part->block.data() + r * dim,
-                                           decoded.data(), dim));
-  }
-  // Inflate the measured error by the build-side accumulation slack so
-  // ‖r − r̃‖² (exact real value) is provably covered.
-  part->quant_err_sq =
-      max_err + QuantScanSlack(dim, part->max_norm_sq, box_sq);
 }
 
 void IndexPartitionSet::RefreshDerived() {
@@ -290,7 +244,7 @@ Status IndexPartitionSet::Pack(const MotionDatabase& database,
   for (size_t i = 0; i < members.size(); ++i) {
     partitions_[i].record_indices = members[i];
   }
-  // Partitions fill independently (radius, block, norms, codes are pure
+  // Partitions fill independently (radius, block, norms, mirror are pure
   // functions of the partition's own rows), so the packing pass
   // parallelizes per partition with bit-identical results at any
   // thread count.
@@ -331,125 +285,6 @@ Status IndexPartitionSet::RefreshPartition(const MotionDatabase& database,
   return Status::OK();
 }
 
-IndexPartitionSet::CoarsePrep IndexPartitionSet::PrepCoarse(
-    const double* query, double q_sq, size_t dim, const Partition& part,
-    BlockScratch* scratch) const {
-  // Clamp the query onto the partition's grid box, dimension by
-  // dimension. For an out-of-box dimension the box edge q'_j lies
-  // between q_j and every row value, so
-  //   (q_j − r_j)² >= (q_j − q'_j)² + (q'_j − r_j)²
-  // and summing gives ‖q − r‖² >= out² + ‖q' − r‖²: the out-of-box
-  // energy is a certified additive term common to every row, and the
-  // integer bound only has to separate the in-box part — where the
-  // grid residual ‖q' − q̃‖ is at most half a step per dimension
-  // instead of the full clamp distance.
-  scratch->qclamp.resize(dim);
-  scratch->qcodes.resize(dim);
-  scratch->decoded.resize(dim);
-  const double s = part.quant_scale;
-  for (size_t j = 0; j < dim; ++j) {
-    const double lo = part.quant_offsets[j];
-    const double hi = lo + kQuantLevels * s;
-    scratch->qclamp[j] = std::clamp(query[j], lo, hi);
-  }
-  CoarsePrep prep;
-  prep.out_sq = SquaredL2Dispatched(query, scratch->qclamp.data(), dim);
-  QuantizeQuery(scratch->qclamp.data(), dim, part.quant_offsets.data(), s,
-                scratch->qcodes.data());
-  DequantizeRow(scratch->qcodes.data(), dim, part.quant_offsets.data(), s,
-                scratch->decoded.data());
-  const double q_res_sq = SquaredL2Dispatched(scratch->qclamp.data(),
-                                              scratch->decoded.data(), dim);
-  prep.slack = QuantScanSlack(
-      dim, q_sq, std::max(part.max_norm_sq, part.quant_box_sq));
-  prep.q_res = std::sqrt(q_res_sq + prep.slack);
-  prep.err = std::sqrt(part.quant_err_sq);
-  return prep;
-}
-
-void IndexPartitionSet::SelectCoarse(const double* query, size_t dim,
-                                     const Partition& part,
-                                     size_t row_begin, size_t row_end,
-                                     const uint32_t* ssd,
-                                     const CoarsePrep& prep,
-                                     BoundedTopK* top,
-                                     IndexQueryStats* stats) const {
-  // Integer prune threshold, recomputed only when the k-th best
-  // moves: with t_rem = √max(0, kth + 2·slack − out²) the remaining
-  // in-box budget, prune iff scale·√D − q_res − err > t_rem, i.e.
-  // D > T. The 1e-9 relative inflation dominates every ε-level
-  // rounding in computing T itself (the slack terms already cover the
-  // kernel-evaluated quantities' accumulation error). The threshold
-  // cache resets per call, but T is a pure function of (worst,
-  // partition scalars), so splitting a partition's rows across calls
-  // (the query-block path scans in row slabs) changes no decision.
-  const double s = part.quant_scale;
-  double last_worst = -1.0;
-  double threshold = -1.0;
-  for (size_t j = row_begin; j < row_end; ++j) {
-    const double worst = top->worst();
-    if (worst != last_worst) {
-      last_worst = worst;
-      if (s > 0.0) {
-        const double t_rem = std::sqrt(
-            std::max(0.0, worst + 2.0 * prep.slack - prep.out_sq));
-        const double rhs = t_rem + prep.q_res + prep.err;
-        threshold = (rhs / s) * (rhs / s) * (1.0 + 1e-9);
-      } else {
-        threshold = std::numeric_limits<double>::infinity();
-      }
-    }
-    if (static_cast<double>(ssd[j - row_begin]) > threshold) {
-      ++stats->coarse_pruned;
-      continue;
-    }
-    const double sq =
-        SquaredL2Dispatched(query, part.block.data() + j * dim, dim);
-    ++stats->distance_computations;
-    top->Push(sq, part.record_indices[j]);
-  }
-}
-
-void IndexPartitionSet::VisitCoarse(const double* query, double q_sq,
-                                    size_t dim, const Partition& part,
-                                    BoundedTopK* top,
-                                    BlockScratch* scratch,
-                                    IndexQueryStats* stats) const {
-  // Coarse tier. The prune needs a k-th best to compare against, so
-  // first seed the heap with exact evaluations (only the very first
-  // visited partition ever does this), then score the remaining rows
-  // with the exact-integer code distance D = Σ(qc − c)² and discard
-  // rows provably outside the k-th best via the two-hop triangle
-  // inequality
-  //   ‖q − r‖ ≥ scale·√D − ‖q − q̃‖ − ‖r − r̃‖
-  // (q̃, r̃ the grid reconstructions; scale·√D = ‖q̃ − r̃‖ exactly in
-  // real arithmetic since the grid step is uniform). All
-  // floating-point roundings live in per-partition *scalars*: the
-  // residual and the k-th best are inflated by the §11.2 slack, the
-  // stored error was inflated at build, and the integer threshold T
-  // gets a final relative margin — so the per-row test `D > T` can
-  // only under-prune, never drop a row the exact kernels might still
-  // rank into the top k.
-  const size_t rows = part.size();
-  size_t start = 0;
-  while (!top->full() && start < rows) {
-    const double sq =
-        SquaredL2Dispatched(query, part.block.data() + start * dim, dim);
-    ++stats->distance_computations;
-    top->Push(sq, part.record_indices[start]);
-    ++start;
-  }
-  if (start >= rows) return;
-  const CoarsePrep prep = PrepCoarse(query, q_sq, dim, part, scratch);
-  scratch->ssd.resize(max_partition_size_);
-  QuantizedSsdOneToMany(scratch->qcodes.data(),
-                        part.quant_codes.data() + start * dim, rows - start,
-                        dim, scratch->ssd.data());
-  stats->coarse_computations += rows - start;
-  SelectCoarse(query, dim, part, start, rows, scratch->ssd.data(), prep,
-               top, stats);
-}
-
 void IndexPartitionSet::RefinePush(const double* query, size_t dim,
                                    const Partition& part,
                                    const std::vector<uint32_t>& ridx,
@@ -470,7 +305,8 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
                                        size_t num_queries, size_t dim,
                                        BoundedTopK* tops,
                                        BlockScratch* bs,
-                                       IndexQueryStats* stats) const {
+                                       IndexQueryStats* stats,
+                                       const size_t* visit_limits) const {
   const size_t p = partitions_.size();
   const size_t b = num_queries;
   if (p == 0 || b == 0) return;
@@ -485,11 +321,17 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
   SquaredL2ManyToMany(queries, b, references_.RowPtr(0), p, dim,
                       bs->ref_sq.data(), p);
   local.distance_computations += b * p;
+  // A visit limit needs only that prefix of the order sorted.
   bs->order.resize(b * p);
   for (size_t q = 0; q < b; ++q) {
     auto* ord = bs->order.data() + q * p;
     for (size_t i = 0; i < p; ++i) ord[i] = {bs->ref_sq[q * p + i], i};
-    std::sort(ord, ord + p);
+    const size_t limit = visit_limits != nullptr ? visit_limits[q] : p;
+    if (limit < p) {
+      std::partial_sort(ord, ord + limit, ord + p);
+    } else {
+      std::sort(ord, ord + p);
+    }
   }
   bs->cursor.assign(b, 0);
   bs->active.assign(b, 1);
@@ -527,8 +369,9 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
     for (size_t q = 0; q < b; ++q) {
       if (!bs->active[q]) continue;
       BoundedTopK* top = &tops[q];
+      const size_t limit = visit_limits != nullptr ? visit_limits[q] : p;
       bool selected = false;
-      while (bs->cursor[q] < p) {
+      while (bs->cursor[q] < limit) {
         const auto& step = bs->order[q * p + bs->cursor[q]];
         const double ref_sq_dist = step.first;
         const size_t pi = step.second;
@@ -562,54 +405,6 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
       while (v1 < bs->visits.size() && bs->visits[v1].first == pi) ++v1;
       const Partition& part = partitions_[pi];
       const size_t rows = part.size();
-      if (part.quantized()) {
-        // Coarse tier. A query whose heap is not yet full at entry
-        // needs the seed loop, whose pushes interleave with its own
-        // integer scan — run the one-query visit for those (at most
-        // the block's first visited partitions); full-heap queries
-        // share one blocked integer scan over all rows and then run
-        // the same evolving-threshold decision loop on their own ssd
-        // rows.
-        bs->group_members.clear();
-        for (size_t v = v0; v < v1; ++v) {
-          const size_t q = bs->visits[v].second;
-          if (!tops[q].full()) {
-            VisitCoarse(queries + q * dim, query_sqs[q], dim, part,
-                        &tops[q], bs, &local);
-          } else {
-            bs->group_members.push_back(q);
-          }
-        }
-        const size_t g = bs->group_members.size();
-        if (g > 0) {
-          bs->group_qcodes.resize(g * dim);
-          bs->group_prep.resize(g);
-          for (size_t m = 0; m < g; ++m) {
-            const size_t q = bs->group_members[m];
-            bs->group_prep[m] = PrepCoarse(queries + q * dim,
-                                           query_sqs[q], dim, part,
-                                           bs);
-            std::memcpy(bs->group_qcodes.data() + m * dim,
-                        bs->qcodes.data(), dim);
-            local.coarse_computations += rows;
-          }
-          bs->group_ssd.resize(g * slab_cap);
-          for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
-            const size_t slab = std::min(rows - r0, slab_cap);
-            QuantizedSsdManyToMany(bs->group_qcodes.data(), g,
-                                   part.quant_codes.data() + r0 * dim, slab,
-                                   dim, bs->group_ssd.data(), slab_cap);
-            for (size_t m = 0; m < g; ++m) {
-              const size_t q = bs->group_members[m];
-              SelectCoarse(queries + q * dim, dim, part, r0, r0 + slab,
-                           bs->group_ssd.data() + m * slab_cap,
-                           bs->group_prep[m], &tops[q], &local);
-            }
-          }
-        }
-        v0 = v1;
-        continue;
-      }
       // Dot-form tiers. The fp32 norm gate is per query, so a mirrored
       // partition's group can split between the fp32 and f64 scans.
       bs->group_members.clear();
@@ -762,103 +557,6 @@ void IndexPartitionSet::ScanExactBlock(const double* queries,
         }
       }
       v0 = v1;
-    }
-  }
-}
-
-void IndexPartitionSet::ScanCoarseBlock(const double* queries,
-                                        const double* query_sqs,
-                                        size_t num_queries, size_t dim,
-                                        BoundedTopK* tops, double* bounds,
-                                        BlockScratch* bs,
-                                        IndexQueryStats* stats) const {
-  const size_t b = num_queries;
-  if (b == 0) return;
-  IndexQueryStats& local = *stats;
-  const size_t slab_cap = std::min(kBlockRowSlab, max_partition_size_);
-  // Degraded mode trades the exact re-rank for bounded error: every
-  // quantized partition is scored with the integer code distance only.
-  // For a reported estimate est = out + s·√D the true distance obeys
-  //   true ≤ ‖q − q'‖ + ‖q' − q̃‖ + ‖q̃ − r̃‖ + ‖r̃ − r‖
-  //        ≤ out + q_res + s·√D + err            = est + (q_res + err)
-  //   true ≥ ‖q' − r‖ ≥ ‖q̃ − r̃‖ − ‖q' − q̃‖ − ‖r − r̃‖
-  //        ≥ s·√D − q_res − err                  = est − out − (q_res + err)
-  // so |est − true| ≤ out + q_res + err, and the per-query certified
-  // bound is the max of that scalar over the quantized partitions
-  // visited (q_res and err already carry the §11.2 slack inflation).
-  // Unquantized partitions are scanned with the dot-form kernel, whose
-  // squared-space error margin adds √margin to the bound. Every
-  // quantity here is a pure function of the partition that owns the
-  // rows, so scanning the same partitions split across sets (shards)
-  // pushes the same estimates and raises the same bound.
-  //
-  // The scan has no cross-row decision state (every row of every
-  // partition is scored and pushed unconditionally), so blocking is
-  // pure kernel grouping: per partition, prep each query once, run the
-  // blocked integer (or dot-form) scan over row slabs, and push each
-  // query's estimates in row order — hits, bounds, and stats are the
-  // same at any block size.
-  for (size_t pi = 0; pi < partitions_.size(); ++pi) {
-    const Partition& part = partitions_[pi];
-    const size_t rows = part.size();
-    local.partitions_visited += b;
-    if (part.quantized() && part.quant_scale > 0.0) {
-      const double s = part.quant_scale;
-      bs->group_qcodes.resize(b * dim);
-      bs->group_prep.resize(b);
-      for (size_t q = 0; q < b; ++q) {
-        bs->group_prep[q] = PrepCoarse(queries + q * dim, query_sqs[q],
-                                       dim, part, bs);
-        std::memcpy(bs->group_qcodes.data() + q * dim, bs->qcodes.data(),
-                    dim);
-      }
-      bs->group_ssd.resize(b * slab_cap);
-      for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
-        const size_t slab = std::min(rows - r0, slab_cap);
-        QuantizedSsdManyToMany(bs->group_qcodes.data(), b,
-                               part.quant_codes.data() + r0 * dim, slab,
-                               dim, bs->group_ssd.data(), slab_cap);
-        for (size_t q = 0; q < b; ++q) {
-          const double out = std::sqrt(bs->group_prep[q].out_sq);
-          const uint32_t* row = bs->group_ssd.data() + q * slab_cap;
-          for (size_t j = 0; j < slab; ++j) {
-            const double est =
-                out + s * std::sqrt(static_cast<double>(row[j]));
-            tops[q].Push(est, part.record_indices[r0 + j]);
-          }
-        }
-      }
-      for (size_t q = 0; q < b; ++q) {
-        const CoarsePrep& prep = bs->group_prep[q];
-        bounds[q] = std::max(
-            bounds[q], std::sqrt(prep.out_sq) + prep.q_res + prep.err);
-        local.coarse_computations += rows;
-      }
-    } else {
-      // Small/unquantized partition: blocked dot-form scan, no exact
-      // re-check. The block's queries are already packed row-major, so
-      // the kernel consumes them directly.
-      bs->group_dist.resize(b * slab_cap);
-      for (size_t r0 = 0; r0 < rows; r0 += slab_cap) {
-        const size_t slab = std::min(rows - r0, slab_cap);
-        SquaredL2DotManyToMany(queries, query_sqs, b,
-                               part.block.data() + r0 * dim,
-                               part.norms_sq.data() + r0, slab, dim,
-                               bs->group_dist.data(), slab_cap);
-        for (size_t q = 0; q < b; ++q) {
-          const double* row = bs->group_dist.data() + q * slab_cap;
-          for (size_t j = 0; j < slab; ++j) {
-            tops[q].Push(std::sqrt(std::max(0.0, row[j])),
-                         part.record_indices[r0 + j]);
-          }
-        }
-      }
-      for (size_t q = 0; q < b; ++q) {
-        const double margin =
-            DotFormErrorBound(dim, query_sqs[q], part.max_norm_sq);
-        bounds[q] = std::max(bounds[q], std::sqrt(margin));
-        local.distance_computations += rows;
-      }
     }
   }
 }

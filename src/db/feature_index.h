@@ -6,26 +6,20 @@
 /// ComputeIndexLayout partitions the records with k-means. Each
 /// partition keeps its reference point (centroid), covering radius, a
 /// contiguous row-major copy of its member records plus their squared
-/// norms (DESIGN.md §10.3), and — the quantized tier (§11) — int8
-/// per-dimension affine codes of the same rows with a measured
-/// reconstruction-error bound. A query visits partitions in ascending
+/// norms (DESIGN.md §10.3), and optionally a float32 mirror of the
+/// block (§15). A query visits partitions in ascending
 /// distance-to-reference order, prunes whole partitions with the
-/// triangle-inequality bound d(q, ref) − radius, and inside a surviving
-/// partition runs a two-tier scan: an exact-integer coarse pass over
-/// the codes (1 byte/dim of memory traffic instead of 8, int32
-/// arithmetic instead of doubles) discards every record whose
-/// *provable* distance lower bound exceeds the current k-th best, and
-/// only the survivors are re-ranked with the exact full-precision
-/// kernels. Results are bit-identical to the linear scan — the coarse
-/// tier only ever changes how much full-precision work is done, never
-/// which hits are reported.
+/// triangle-inequality bound d(q, ref) − radius, and scans a surviving
+/// partition with the dot-form kernel, re-checking every row within the
+/// kernel's certified error margin of the k-th best through the exact
+/// kernels. Results are bit-identical to the linear scan.
 ///
 /// IndexPartitionSet packs and scans an arbitrary subset of the layout's
 /// partitions; ShardedFeatureIndex distributes the layout across N >= 1
-/// sets. Because every per-record quantity (exact distance, coarse
-/// estimate, prune bound) is a pure function of the partition that
-/// owns the record, regrouping partitions into shards cannot change
-/// any reported hit — that is the §13 bit-identity argument.
+/// sets. Because every per-record quantity (exact distance, prune
+/// bound) is a pure function of the partition that owns the record,
+/// regrouping partitions into shards cannot change any reported hit —
+/// that is the §13 bit-identity argument.
 
 #ifndef MOCEMG_DB_FEATURE_INDEX_H_
 #define MOCEMG_DB_FEATURE_INDEX_H_
@@ -75,18 +69,6 @@ struct FeatureIndexOptions {
   /// Number of k-means partitions; 0 = auto (≈ √N, at least 1).
   size_t num_partitions = 0;
   uint64_t seed = 17;
-  /// Two-tier scan: partitions with at least this many rows get int8
-  /// codes at Rebuild, and the coarse pass prunes their records before
-  /// the exact re-rank; SIZE_MAX codes no partition. Results are
-  /// bit-identical either way. Smaller partitions are scanned directly
-  /// with the dot-form kernel: the coarse pass carries a fixed
-  /// per-partition cost (query clamp + encode + residual measurement +
-  /// threshold math), and below a few hundred rows that overhead exceeds the
-  /// full-precision work it could save — measured on the √N-partition
-  /// default layout, where ~100-row partitions ran ~1.3x slower with
-  /// codes than without. Pure build-time property, so scan behaviour
-  /// stays deterministic.
-  size_t quantized_min_rows = 256;
   /// Exact-tier storage precision (see ExactPrecision above). Resolved
   /// (env applied) at Build/Rebuild and stored back, so snapshots and
   /// RefreshPartition see the concrete choice, not kDefault. Results
@@ -101,16 +83,11 @@ struct FeatureIndexOptions {
 
 /// \brief Query-time statistics (filled per query).
 struct IndexQueryStats {
-  /// Full-precision distance evaluations (partition references + exact
-  /// scans + coarse-survivor re-ranks). The coarse-tier win is this
-  /// number shrinking relative to the records visited.
+  /// Full-precision distance evaluations (partition references +
+  /// dot-form scans + exact re-checks).
   size_t distance_computations = 0;
   size_t partitions_visited = 0;
   size_t partitions_pruned = 0;
-  /// Records scored by the int8 coarse pass (1 byte/dim traffic).
-  size_t coarse_computations = 0;
-  /// Records the coarse bound discarded without exact evaluation.
-  size_t coarse_pruned = 0;
   /// Records scored through the float32 mirror (4 bytes/dim traffic
   /// instead of 8). Zero unless the index packed mirrors (f32 tier).
   size_t f32_scans = 0;
@@ -126,8 +103,6 @@ struct IndexQueryStats {
     distance_computations += other.distance_computations;
     partitions_visited += other.partitions_visited;
     partitions_pruned += other.partitions_pruned;
-    coarse_computations += other.coarse_computations;
-    coarse_pruned += other.coarse_pruned;
     f32_scans += other.f32_scans;
     f32_refined += other.f32_refined;
     return *this;
@@ -170,18 +145,6 @@ class IndexPartitionSet {
     /// their squared norms for the dot-product-form scan.
     std::vector<double> block;
     std::vector<double> norms_sq;
-    /// Quantized tier (empty when disabled or below quantized_min_rows):
-    /// per-dimension offsets + uniform scale of the affine grid and the
-    /// members' integer codes, plus the partition's worst measured
-    /// reconstruction error ‖r − r̃‖² (inflated by the build-side
-    /// slack) and the grid bounding box's squared-norm bound — the two
-    /// scalars the provable integer prune leans on. quant_codes is
-    /// rows × dim bytes, one code per dimension.
-    std::vector<double> quant_offsets;
-    std::vector<uint8_t> quant_codes;
-    double quant_scale = 0.0;
-    double quant_err_sq = 0.0;
-    double quant_box_sq = 0.0;
     /// float32 mirror of `block` + fp32 row norms (packed only when
     /// the resolved exact_precision is f32): the dot-form scan streams
     /// these at half the bytes/dim, with candidates near the k-th best
@@ -194,18 +157,7 @@ class IndexPartitionSet {
     double mirror_max_abs = 0.0;
 
     size_t size() const { return record_indices.size(); }
-    bool quantized() const { return !quant_codes.empty(); }
     bool mirrored() const { return !block_f32.empty(); }
-  };
-
-  /// Per-(query, partition) scalars of the coarse tier's provable
-  /// prune, produced by the shared prep pass (clamp, encode, residual
-  /// measurement) that both the exact and the coarse block scans call.
-  struct CoarsePrep {
-    double out_sq = 0.0;  ///< certified out-of-box energy ‖q − q'‖²
-    double q_res = 0.0;   ///< √(‖q' − q̃‖² + slack)
-    double err = 0.0;     ///< √quant_err_sq (build-side inflated)
-    double slack = 0.0;   ///< §11.2 float slack for this (q, partition)
   };
 
   /// Per-query-block scratch for the blocked scans (DESIGN.md §16),
@@ -230,9 +182,6 @@ class IndexPartitionSet {
     std::vector<float> group_qf32;      ///< gathered fp32 queries
     std::vector<float> group_qsq32;
     std::vector<float> group_dist32;
-    std::vector<uint8_t> group_qcodes;  ///< g coded queries (row-major)
-    std::vector<uint32_t> group_ssd;    ///< g × slab integer distances
-    std::vector<CoarsePrep> group_prep;
     std::vector<double> group_worst;    ///< per-member entry-time k-th
     std::vector<double> group_margin;
     std::vector<uint8_t> group_full;
@@ -245,21 +194,16 @@ class IndexPartitionSet {
     std::vector<float> query_f32;       ///< B × dim
     std::vector<float> q_sq_f32;
     std::vector<uint8_t> qf32_ready;
-    /// Per-visit buffers: coarse prep (PrepCoarse), the seeding coarse
-    /// visit's one-query integer scan (VisitCoarse), the §16.3
-    /// order-statistic buffer, and the refine gather (RefinePush).
-    std::vector<double> qclamp;    ///< query clamped into the grid box
-    std::vector<uint8_t> qcodes;   ///< query coded on a partition's grid
-    std::vector<double> decoded;   ///< q̃, for the residual measurement
-    std::vector<uint32_t> ssd;     ///< one query's integer distances
+    /// Per-visit buffers: the §16.3 order-statistic buffer and the
+    /// refine gather (RefinePush).
     std::vector<double> cand_sort; ///< order-statistic buffer (§16.3)
     std::vector<double> rdist;     ///< gathered exact refine distances
   };
 
-  /// \brief Exact scan of every partition in the set, for a block of
+  /// \brief Exact scan of the set's partitions, for a block of
   /// `num_queries` packed row-major queries (with their squared norms;
   /// a single query is a block of one). Each query visits partitions
-  /// in ascending distance-to-reference order with the
+  /// in ascending (distance-to-reference, partition) order with the
   /// triangle-inequality prune, into its own heap `tops[q]`
   /// (squared-distance space). The queries advance in lockstep rounds,
   /// and each round's visits are grouped by partition so one blocked
@@ -267,28 +211,20 @@ class IndexPartitionSet {
   /// partition (DESIGN.md §16). Each query's decision chain (visit
   /// order, prunes, pushes, stat counts) depends only on its own heap,
   /// so its hits and stats are the same at any block size and equal
-  /// the linear scan's hits. `tops[q]` must be Reset by the caller;
-  /// stats are accumulated (+=) with the block's totals.
+  /// the linear scan's hits over the partitions it may visit.
+  /// `visit_limits`, when given, caps query q at the first
+  /// visit_limits[q] entries of its visit order — the degraded mode's
+  /// partition budget (§12.2); nullptr scans every partition.
+  /// `tops[q]` must be Reset by the caller; stats are accumulated (+=)
+  /// with the block's totals.
   void ScanExactBlock(const double* queries, const double* query_sqs,
                       size_t num_queries, size_t dim, BoundedTopK* tops,
-                      BlockScratch* scratch, IndexQueryStats* stats) const;
-
-  /// \brief Coarse-tier scan of every partition in the set, for a
-  /// block of queries, into `tops[q]` (true-distance estimates,
-  /// DESIGN.md §12.2). The coarse tier has no cross-row decision state,
-  /// so blocking only groups kernel calls: per query, the estimates,
-  /// bound and stats are the same at any block size. `bounds[q]` is
-  /// raised (max) to cover every estimate pushed for query q; the
-  /// caller seeds each with 0 and takes the max across sets. Stats are
-  /// accumulated (+=).
-  void ScanCoarseBlock(const double* queries, const double* query_sqs,
-                       size_t num_queries, size_t dim, BoundedTopK* tops,
-                       double* bounds, BlockScratch* scratch,
-                       IndexQueryStats* stats) const;
+                      BlockScratch* scratch, IndexQueryStats* stats,
+                      const size_t* visit_limits = nullptr) const;
 
   /// \brief Packs the given partitions from the database's current
   /// packed features: per-partition radius, SoA block, squared norms,
-  /// and (when options allow) the int8 quantized tier. `references`
+  /// and (at f32 precision) the float32 mirror. `references`
   /// row i and `members[i]` describe partition i; every member list
   /// must be non-empty and ascending. Partitions pack independently in
   /// parallel; every stored quantity is a pure function of the
@@ -298,7 +234,7 @@ class IndexPartitionSet {
               const std::vector<std::vector<size_t>>& members,
               const FeatureIndexOptions& options);
 
-  /// \brief Re-derives one partition's block, norms, radius, and codes
+  /// \brief Re-derives one partition's block, norms, radius, and mirror
   /// from the database's *current* rows (membership unchanged) — the
   /// O(partition) refresh behind ShardedFeatureIndex::ApplyUpdate.
   Status RefreshPartition(const MotionDatabase& database, size_t partition,
@@ -316,12 +252,6 @@ class IndexPartitionSet {
   /// Total records across the set's partitions.
   size_t num_rows() const { return num_rows_; }
   size_t max_partition_size() const { return max_partition_size_; }
-  bool has_quantized_tier() const {
-    for (const Partition& p : partitions_) {
-      if (p.quantized()) return true;
-    }
-    return false;
-  }
   const Matrix& references() const { return references_; }
   const std::vector<Partition>& partitions() const { return partitions_; }
 
@@ -338,25 +268,6 @@ class IndexPartitionSet {
   /// Recomputes num_rows_ / max_partition_size_ after (re)packing.
   void RefreshDerived();
 
-  // Per-(query, partition) building blocks of the block scans.
-
-  /// Clamp + encode + residual measurement for the coarse tier; leaves
-  /// the coded query in scratch->qcodes.
-  CoarsePrep PrepCoarse(const double* query, double q_sq, size_t dim,
-                        const Partition& part, BlockScratch* scratch) const;
-  /// The coarse tier's evolving-threshold decision loop over rows
-  /// [row_begin, row_end); ssd[j − row_begin] is row j's integer
-  /// distance. Survivors are exact-evaluated and pushed.
-  void SelectCoarse(const double* query, size_t dim, const Partition& part,
-                    size_t row_begin, size_t row_end, const uint32_t* ssd,
-                    const CoarsePrep& prep, BoundedTopK* top,
-                    IndexQueryStats* stats) const;
-  /// One full coarse-tier partition visit for one query (seed + prep +
-  /// integer scan + SelectCoarse) — the exact block scan's path for a
-  /// query whose heap is not yet full at partition entry.
-  void VisitCoarse(const double* query, double q_sq, size_t dim,
-                   const Partition& part, BoundedTopK* top,
-                   BlockScratch* scratch, IndexQueryStats* stats) const;
   /// Gather-refines the survivor rows (one blocked fp32→f64 /
   /// dot-form→difference-form kernel call) and pushes them in row
   /// order. Push order cannot change the final top-k set (top_k.h).

@@ -17,13 +17,13 @@ namespace {
 // magic+version tag, payload byte count (detects truncation), FNV-1a64
 // checksum of the payload (detects corruption). The newline in the
 // magic catches CRLF-mangling transfers early; the digit at offset 8 is
-// the format version. Version 4 (the only one read or written) carries
-// the resolved exact-scan precision in the manifest's options, the
+// the format version. Version 5 (the only one read or written) carries
+// the resolved exact-scan precision in the manifest's options and the
 // fp32 mirror (float block, float row norms, max |element|) in every
-// partition, and 8-bit codes only (no code-width fields); any other
-// version is rejected with the detected version named.
-constexpr char kManifestMagic[] = "MOCEMGSM4\n";
-constexpr char kShardMagic[] = "MOCEMGSH4\n";
+// partition, and no coarse codes; any other version is rejected with
+// the detected version named.
+constexpr char kManifestMagic[] = "MOCEMGSM5\n";
+constexpr char kShardMagic[] = "MOCEMGSH5\n";
 constexpr size_t kMagicLen = sizeof(kManifestMagic) - 1;
 static_assert(sizeof(kShardMagic) - 1 == kMagicLen,
               "snapshot magics share one header layout");
@@ -32,7 +32,7 @@ static_assert(sizeof(kShardMagic) - 1 == kMagicLen,
 constexpr char kManifestPrefix[] = "MOCEMGSM";
 constexpr char kShardPrefix[] = "MOCEMGSH";
 constexpr size_t kPrefixLen = 8;
-constexpr int kVersion = 4;
+constexpr int kVersion = 5;
 
 uint64_t Fnv1a64(const char* data, size_t n) {
   uint64_t h = 14695981039346656037ULL;
@@ -65,11 +65,6 @@ void PutDoubles(std::string* out, const std::vector<double>& v) {
 void PutIndices(std::string* out, const std::vector<size_t>& v) {
   PutU64(out, v.size());
   for (size_t i : v) PutU64(out, i);
-}
-
-void PutBytes(std::string* out, const std::vector<uint8_t>& v) {
-  PutU64(out, v.size());
-  out->append(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
 void PutFloats(std::string* out, const std::vector<float>& v) {
@@ -154,21 +149,6 @@ class Reader {
       pos_ += 4;
       std::memcpy(&v[i], &bits, sizeof(bits));
     }
-    return v;
-  }
-
-  Result<std::vector<uint8_t>> Bytes(uint64_t max_elems) {
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t n, U64());
-    if (n > max_elems || size_ - pos_ < n) {
-      return Status::ParseError("index snapshot byte array overruns payload");
-    }
-    std::vector<uint8_t> v(n);
-    if (n > 0) {
-      // An empty vector's data() may be null, which memcpy's nonnull
-      // contract forbids even at length 0.
-      std::memcpy(v.data(), data_ + pos_, n);
-    }
-    pos_ += n;
     return v;
   }
 
@@ -291,7 +271,7 @@ struct ShardedManifest {
 /// Friend of ShardedFeatureIndex and IndexPartitionSet: reads and
 /// writes the private representation field-for-field so a restored
 /// index is bit-identical to the saved one (same partitions, same
-/// blocks, same quantized grids, same epochs).
+/// blocks, same mirrors, same epochs).
 class IndexSnapshotCodec {
  public:
   static void PutPartition(std::string* p,
@@ -299,16 +279,11 @@ class IndexSnapshotCodec {
     PutDouble(p, part.radius);
     PutDouble(p, part.radius_sq);
     PutDouble(p, part.max_norm_sq);
-    PutDouble(p, part.quant_scale);
-    PutDouble(p, part.quant_err_sq);
-    PutDouble(p, part.quant_box_sq);
     PutIndices(p, part.record_indices);
     PutDoubles(p, part.block);
     PutDoubles(p, part.norms_sq);
-    PutDoubles(p, part.quant_offsets);
-    PutBytes(p, part.quant_codes);
-    // The fp32 mirror (empty when the partition is coded, the precision
-    // is f64, or the norm gate rejected it).
+    // The fp32 mirror (empty when the precision is f64 or the norm gate
+    // rejected it).
     PutDouble(p, part.mirror_max_abs);
     PutFloats(p, part.block_f32);
     PutFloats(p, part.norms_f32);
@@ -320,9 +295,6 @@ class IndexSnapshotCodec {
     MOCEMG_ASSIGN_OR_RETURN(part->radius, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->radius_sq, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->max_norm_sq, r->Double());
-    MOCEMG_ASSIGN_OR_RETURN(part->quant_scale, r->Double());
-    MOCEMG_ASSIGN_OR_RETURN(part->quant_err_sq, r->Double());
-    MOCEMG_ASSIGN_OR_RETURN(part->quant_box_sq, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->record_indices, r->Indices(n_records));
     const uint64_t n = part->record_indices.size();
     for (size_t idx : part->record_indices) {
@@ -340,20 +312,6 @@ class IndexSnapshotCodec {
     MOCEMG_ASSIGN_OR_RETURN(part->norms_sq, r->Doubles(n));
     if (part->norms_sq.size() != n) {
       return Status::ParseError("index snapshot norms size mismatch");
-    }
-    MOCEMG_ASSIGN_OR_RETURN(part->quant_offsets, r->Doubles(dim));
-    MOCEMG_ASSIGN_OR_RETURN(part->quant_codes, r->Bytes(n * dim));
-    // The code array must hold exactly one byte per (row, dim); a
-    // payload whose code bytes disagree is rejected here rather than
-    // mis-scanned later.
-    if (!part->quant_codes.empty() &&
-        (part->quant_codes.size() != n * dim ||
-         part->quant_offsets.size() != dim)) {
-      return Status::ParseError(
-          "index snapshot quantized tier malformed: " +
-          std::to_string(part->quant_codes.size()) + " code bytes but " +
-          std::to_string(n) + " rows of dimension " + std::to_string(dim) +
-          " imply " + std::to_string(n * dim));
     }
     MOCEMG_ASSIGN_OR_RETURN(part->mirror_max_abs, r->Double());
     MOCEMG_ASSIGN_OR_RETURN(part->block_f32, r->Floats(n * dim));
@@ -397,7 +355,6 @@ class IndexSnapshotCodec {
     // Build options, so a fallback rebuild reproduces the same index.
     PutU64(&p, index.options_.index.num_partitions);
     PutU64(&p, index.options_.index.seed);
-    PutU64(&p, index.options_.index.quantized_min_rows);
     PutU64(&p,
            static_cast<uint64_t>(index.options_.index.exact_precision));
     PutU64(&p, index.options_.index.parallel.max_threads);
@@ -445,8 +402,6 @@ class IndexSnapshotCodec {
     MOCEMG_ASSIGN_OR_RETURN(uint64_t num_parts_opt, r.U64());
     m.options.index.num_partitions = static_cast<size_t>(num_parts_opt);
     MOCEMG_ASSIGN_OR_RETURN(m.options.index.seed, r.U64());
-    MOCEMG_ASSIGN_OR_RETURN(uint64_t qmin, r.U64());
-    m.options.index.quantized_min_rows = static_cast<size_t>(qmin);
     MOCEMG_ASSIGN_OR_RETURN(uint64_t precision, r.U64());
     if (precision != static_cast<uint64_t>(ExactPrecision::kF64) &&
         precision != static_cast<uint64_t>(ExactPrecision::kF32)) {

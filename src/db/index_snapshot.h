@@ -3,14 +3,14 @@
 /// (DESIGN.md §12.3, §13.4).
 ///
 /// An index over millions of records takes seconds to minutes to
-/// rebuild (k-means + SoA packing + quantization); losing it to a
-/// process restart turns every crash into a cold-start storm. A
-/// snapshot is a checksummed *manifest* at `path` ("MOCEMGSM4") plus
-/// one checksummed file per shard at `path + ".shard<i>"`
-/// ("MOCEMGSH4"). The shard files hold the full packed representation
-/// — SoA partition blocks, norms, the int8 quantized tier, the fp32
-/// mirror — so a loaded index answers every query with exactly the
-/// bytes the saved one would have produced. The manifest carries everything
+/// rebuild (k-means + SoA packing); losing it to a process restart
+/// turns every crash into a cold-start storm. A snapshot is a
+/// checksummed *manifest* at `path` ("MOCEMGSM5") plus one checksummed
+/// file per shard at `path + ".shard<i>"` ("MOCEMGSH5"). The shard
+/// files hold the full packed representation — SoA partition blocks,
+/// norms, the fp32 mirror — so a loaded index answers every query with
+/// exactly the bytes the saved one would have produced. The manifest
+/// carries everything
 /// needed to repack any shard without re-running k-means: the applied
 /// and per-shard epochs, the build options, the global partition
 /// references, every record's owning partition, and each shard file's
@@ -23,7 +23,7 @@
 /// length check, in-place corruption by the checksum, format drift by
 /// the magic/version (the detected version is named) — each with a
 /// distinct ParseError so operators can tell a half-written file from
-/// a bit-rotted one. Only version 4 is read; an older snapshot gets the
+/// a bit-rotted one. Only version 5 is read; an older snapshot gets the
 /// version-mismatch status, and LoadOrRebuildShardedFeatureIndex
 /// rebuilds from the database. Saves write the shard files first and
 /// commit the manifest last, each to a temporary

@@ -436,14 +436,11 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   } else {
     f->mode = Flight::kExact;
   }
-  // Degradation needs a coarse tier on the serving index; without one
-  // the exact path serves under any load.
-  const bool coarse_capable =
-      f->mode == Flight::kIndex && f->via_index->has_quantized_tier();
   // Degradation trigger: a pure function of post-sweep queue depth,
   // so a replayed request sequence degrades identically at any
-  // thread count and pipeline depth (DESIGN.md §12.2).
-  f->degraded = coarse_capable && opts.degrade_watermark > 0 &&
+  // thread count and pipeline depth (DESIGN.md §12.2). Degraded mode
+  // is a budgeted index scan, so the exact fallback never degrades.
+  f->degraded = f->mode == Flight::kIndex && opts.degrade_watermark > 0 &&
                 queue.size() >= opts.degrade_watermark;
   while (!queue.empty() && f->batch.size() < opts.max_batch) {
     f->batch.push_back(std::move(queue.front()));
@@ -513,40 +510,7 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
   f->eval_hits.resize(nu);
   f->eval_bounds.assign(nu, 0.0);
   f->t0 = clock->NowMicros();
-  if (nu > 0 && eval_status.ok() && f->degraded) {
-    // Degraded mode: answer from the coarse tier alone. The unique
-    // evaluations are grouped by k (std::map: deterministic order) and
-    // each group drains through ONE blocked coarse scan — the same
-    // query-block engine as the exact path (DESIGN.md §16), which is
-    // per-query bit-identical to CoarseNearestNeighbors, so every
-    // answer and error bound matches the former per-query loop.
-    std::map<size_t, std::vector<size_t>> by_k;
-    for (size_t u = 0; u < nu; ++u) {
-      by_k[f->batch[f->uniq[u]].k].push_back(u);
-    }
-    for (const auto& [k, slots] : by_k) {
-      std::vector<std::vector<double>> queries(slots.size());
-      for (size_t s = 0; s < slots.size(); ++s) {
-        queries[s] = f->batch[f->uniq[slots[s]]].query;
-      }
-      IndexQueryStats st;
-      std::vector<double> bounds;
-      std::vector<IndexQueryStats> ps;
-      auto hits = f->via_index->BatchCoarseNearestNeighbors(
-          queries, k, &bounds, &st, &ps, &opts.parallel);
-      if (!hits.ok()) {
-        eval_status =
-            hits.status().WithContext("query server degraded batch");
-        break;
-      }
-      f->agg += st;
-      AddPerShard(f, ps, slots.size());
-      for (size_t s = 0; s < slots.size(); ++s) {
-        f->eval_hits[slots[s]] = std::move((*hits)[s]);
-        f->eval_bounds[slots[s]] = bounds[s];
-      }
-    }
-  } else if (nu > 0 && eval_status.ok()) {
+  if (nu > 0 && eval_status.ok()) {
     // Requests may carry different k; group the unique evaluations by
     // k so each group is one batched kernel call. std::map keeps the
     // group order deterministic.
@@ -562,8 +526,15 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
         }
         IndexQueryStats st;
         std::vector<IndexQueryStats> ps;
-        auto hits = f->via_index->BatchNearestNeighbors(
-            queries, k, &st, &ps, &opts.parallel);
+        std::vector<double> bounds;
+        // Degraded mode is the partition-budgeted exact scan through
+        // the same query-block engine (DESIGN.md §12.2); its answers
+        // and bounds are the same at any batch size.
+        auto hits = f->degraded
+                        ? f->via_index->BatchBudgetedNearestNeighbors(
+                              queries, k, &bounds, &st, &ps, &opts.parallel)
+                        : f->via_index->BatchNearestNeighbors(
+                              queries, k, &st, &ps, &opts.parallel);
         if (!hits.ok()) {
           eval_status = hits.status().WithContext("query server batch");
           break;
@@ -572,6 +543,7 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
         AddPerShard(f, ps, slots.size());
         for (size_t s = 0; s < slots.size(); ++s) {
           f->eval_hits[slots[s]] = std::move((*hits)[s]);
+          if (f->degraded) f->eval_bounds[slots[s]] = bounds[s];
         }
       } else {
         std::vector<const std::vector<double>*> queries(slots.size());
@@ -619,8 +591,6 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
         ShardServeStats& ss = counters.shard_stats[s];
         ss.scans += f->shard_scans[s];
         ss.distance_computations += f->per_shard[s].distance_computations;
-        ss.coarse_computations += f->per_shard[s].coarse_computations;
-        ss.coarse_pruned += f->per_shard[s].coarse_pruned;
       }
     }
     // Drain-rate EWMA (integer, α=1/2): feeds the retry_after hint.
@@ -629,7 +599,7 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
     drain_ewma_us =
         drain_ewma_us == 0 ? per_req : (drain_ewma_us + per_req) / 2;
     // Degraded answers are never cached: a later cache hit would serve
-    // the approximation after pressure cleared.
+    // the budgeted answer after pressure cleared.
     if (f->eval_status.ok() && opts.cache_capacity > 0 && !f->degraded) {
       for (size_t u = 0; u < f->uniq.size(); ++u) {
         const Request& req = f->batch[f->uniq[u]];

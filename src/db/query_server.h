@@ -3,7 +3,7 @@
 /// optional ShardedFeatureIndex: the production-facing path for the
 /// paper's Section 4 retrieval step.
 ///
-/// Serving mechanisms (DESIGN.md §11.3):
+/// Serving mechanisms (DESIGN.md §11.1):
 ///
 ///  - **Bounded admission**: Submit* enqueues a request and returns a
 ///    ticket; once `max_queue` requests are waiting, further submits
@@ -55,15 +55,17 @@
 ///  - **Deterministic graceful degradation**: when the number of
 ///    waiting requests at batch formation (after the expiry sweep,
 ///    before extraction) reaches `degrade_watermark`, the batch's
-///    cache misses are answered from the index's int8 coarse tier
-///    alone, grouped by k and drained through the blocked coarse scan
-///    (ShardedFeatureIndex::BatchCoarseNearestNeighbors, DESIGN.md
-///    §16) — roughly an order of magnitude less full-precision work
-///    per query, one many-to-many kernel pass per group instead of a
-///    per-query loop — tagged `degraded=true`
-///    with a certified error bound on every distance. The trigger is a
-///    pure function of queue state, so a replayed request sequence
-///    degrades identically at any thread count. Degraded results are
+///    cache misses are answered by a partition-budgeted exact scan,
+///    grouped by k and drained through one blocked scan per group
+///    (ShardedFeatureIndex::BatchBudgetedNearestNeighbors, DESIGN.md
+///    §12.2): each query scans only its kDegradedPartitionBudget
+///    nearest partitions (more if they hold fewer than k records), so
+///    its work is bounded however poorly the triangle-inequality
+///    prune separates the data. Answers are tagged `degraded=true`
+///    with a certified one-sided bound B. The trigger is a pure
+///    function of queue state, so a replayed request sequence degrades
+///    identically at any thread count. Any index can degrade; the
+///    exact fallback (no fresh index) never does. Degraded results are
 ///    never cached; when pressure clears the server falls back to the
 ///    full exact path on its own.
 ///  - **Fault injection seam**: `options.faults`, when set, is
@@ -75,8 +77,9 @@
 /// scan: the index tier is exact (sharded_index.h), the blocked
 /// fallback uses the same kernels and tie-break as MotionDatabase, and
 /// cached entries are only ever served for the exact (bytes, k, epoch)
-/// they were computed under. Degraded-mode results are approximate but
-/// certified: each carries a bound B with |reported − true| <= B.
+/// they were computed under. Degraded-mode results are certified: every
+/// reported distance dᵢ is exact, and the true i-th nearest distance
+/// lies in [dᵢ − B, dᵢ] (B = 0: the answer is the linear scan's).
 ///
 /// Threading: Submit/Take are safe from any thread. Serving happens
 /// either inline (Drain/DrainOnce, or lazily inside Take when no
@@ -136,9 +139,9 @@ struct QueryServerOptions {
   /// carry their own. 0 = requests never expire.
   uint64_t default_deadline_us = 0;
   /// Degraded-mode trigger: when this many requests are waiting at
-  /// batch formation, cache misses are answered from the coarse tier
-  /// (needs a fresh index with a quantized tier; otherwise the exact
-  /// path serves as usual). 0 disables degradation. Must be
+  /// batch formation, cache misses are answered by the budgeted scan
+  /// (needs a fresh index; otherwise the exact fallback serves as
+  /// usual). 0 disables degradation. Must be
   /// <= max_queue — a watermark above the admission bound could never
   /// fire.
   size_t degrade_watermark = 0;
@@ -159,14 +162,10 @@ struct QueryServerOptions {
 /// request sequence at any thread count and pipeline depth.
 struct ShardServeStats {
   /// Per-(query, shard) scan tasks executed against this shard
-  /// (exact and coarse).
+  /// (exact and budgeted).
   uint64_t scans = 0;
-  /// Exact distance evaluations this shard performed.
+  /// Full-precision distance evaluations this shard performed.
   uint64_t distance_computations = 0;
-  /// int8 coarse estimates this shard computed.
-  uint64_t coarse_computations = 0;
-  /// Records skipped by this shard's coarse prefilter.
-  uint64_t coarse_pruned = 0;
   /// Cache entries invalidated because this shard's mutation broke
   /// their revalidation certificate (attributed to the first failing
   /// shard).
@@ -187,7 +186,7 @@ struct QueryServerStats {
   uint64_t evictions = 0;    ///< cache entries dropped by the FIFO bound
   /// Requests failed with DeadlineExceeded by the expiry sweep.
   uint64_t expired = 0;
-  /// Requests answered from the coarse tier (tagged degraded=true).
+  /// Requests answered by the budgeted scan (tagged degraded=true).
   uint64_t degraded = 0;
   /// Micro-batches that ran in degraded mode.
   uint64_t degraded_batches = 0;
@@ -223,9 +222,11 @@ struct QueryServerStats {
 };
 
 /// \brief A served result with its degradation provenance. Exact
-/// answers have degraded=false and error_bound=0; degraded answers
-/// carry the certified bound B: every hit's true distance lies within
-/// [hit.distance − B, hit.distance + B].
+/// answers have degraded=false and error_bound=0. A degraded answer's
+/// hits are exact records with exact distances dᵢ (each equals the
+/// linear scan's distance of that record), and it carries the certified
+/// one-sided bound B: the true i-th nearest distance lies in
+/// [dᵢ − B, dᵢ], and B = 0 means the answer is the linear scan's.
 struct ServedAnswer {
   bool degraded = false;
   double error_bound = 0.0;

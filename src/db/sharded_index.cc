@@ -21,12 +21,12 @@ namespace {
 constexpr size_t kDefaultQueryBlock = 32;
 
 // Merges one query's per-shard sorted lists (fixed shard order, the
-// usual (distance, index) tie-break) into `out`. The exact scans keep
-// squared distances and report their square roots; the coarse scans
-// already work in distance space. A single list is the answer as is —
-// merging it into a heap of the same capacity reproduces it exactly.
+// usual (distance, index) tie-break) into `out`. The scans keep squared
+// distances; the reported hits carry their square roots. A single list
+// is the answer as is — merging it into a heap of the same capacity
+// reproduces it exactly.
 void GatherHits(const std::vector<std::vector<TopKEntry>>& lists, size_t kk,
-                bool coarse, BoundedTopK* merged,
+                BoundedTopK* merged,
                 std::vector<TopKEntry>* entries,
                 std::vector<QueryHit>* out) {
   const std::vector<TopKEntry>* sorted = &lists[0];
@@ -39,8 +39,7 @@ void GatherHits(const std::vector<std::vector<TopKEntry>>& lists, size_t kk,
   out->resize(sorted->size());
   for (size_t i = 0; i < sorted->size(); ++i) {
     (*out)[i].record_index = (*sorted)[i].second;
-    (*out)[i].distance =
-        coarse ? (*sorted)[i].first : std::sqrt((*sorted)[i].first);
+    (*out)[i].distance = std::sqrt((*sorted)[i].first);
   }
 }
 
@@ -173,8 +172,57 @@ Status ShardedFeatureIndex::ValidateBatch(
   return Status::OK();
 }
 
+void ShardedFeatureIndex::ChooseBudget(
+    const double* packed, size_t nq, size_t kk, std::vector<size_t>* limits,
+    std::vector<double>* lower_bounds) const {
+  const size_t num_shards = shards_.size();
+  const size_t p = global_references_.rows();
+  const size_t dim = global_references_.cols();
+  // Global partition g lives on shard g mod N at local slot g / N.
+  const auto partition = [&](size_t g) -> const IndexPartitionSet::Partition& {
+    return shards_[g % num_shards].partitions()[g / num_shards];
+  };
+  std::vector<double> ref_sq(nq * p);
+  SquaredL2ManyToMany(packed, nq, global_references_.RowPtr(0), p, dim,
+                      ref_sq.data(), p);
+  limits->assign(num_shards * nq, 0);
+  lower_bounds->assign(nq, std::numeric_limits<double>::infinity());
+  std::vector<uint8_t> in_budget(p);
+  for (size_t q = 0; q < nq; ++q) {
+    const double* rq = ref_sq.data() + q * p;
+    // V grows by the next partition in (d², id) order: a selection
+    // pass per member is cheaper than sorting all p when V is short.
+    in_budget.assign(p, 0);
+    size_t visited = 0;
+    size_t rows = 0;
+    while (visited < p &&
+           (visited < kDegradedPartitionBudget || rows < kk)) {
+      size_t next = p;
+      for (size_t g = 0; g < p; ++g) {
+        if (!in_budget[g] && (next == p || rq[g] < rq[next])) next = g;
+      }
+      in_budget[next] = 1;
+      ++visited;
+      rows += partition(next).size();
+      ++(*limits)[(next % num_shards) * nq + q];
+    }
+    // Every record r of a left-out partition has d(q, r) >= d(q, ref)
+    // − radius. ref_sq, radius and the records' own distances each
+    // carry a relative rounding error far below 1e-9 (a few ulps per
+    // dimension), so shrinking by 1e-9 · (d + radius) keeps lb below
+    // every left-out record's computed distance.
+    for (size_t g = 0; g < p; ++g) {
+      if (in_budget[g]) continue;
+      const double radius = partition(g).radius;
+      const double d = std::sqrt(rq[g]);
+      (*lower_bounds)[q] = std::min((*lower_bounds)[q],
+                                    d - radius - 1e-9 * (d + radius));
+    }
+  }
+}
+
 Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
-    const std::vector<double>* queries, size_t nq, size_t k, bool coarse,
+    const std::vector<double>* queries, size_t nq, size_t k, bool budgeted,
     double* error_bounds, IndexQueryStats* stats,
     std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
@@ -198,16 +246,20 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
   const size_t cells = num_blocks * num_shards;
   std::vector<std::vector<TopKEntry>> lists(nq * num_shards);
   std::vector<IndexQueryStats> cell_stats(cells);
-  // Per-(query, shard) certified coarse bounds, shard-major so each
-  // cell's query-block slice is contiguous; the per-query bound maxes
-  // across shards afterwards.
-  std::vector<double> shard_bounds(coarse ? num_shards * nq : 0, 0.0);
   std::vector<double> packed(nq * dim);
   std::vector<double> q_sq(nq);
   for (size_t q = 0; q < nq; ++q) {
     std::memcpy(packed.data() + q * dim, queries[q].data(),
                 dim * sizeof(double));
     q_sq[q] = SquaredNorm(queries[q].data(), queries[q].size());
+  }
+  // Budgeted mode: per-(shard, query) visit limits (shard-major, so a
+  // cell's query-block slice is contiguous) and each query's lower
+  // bound over the partitions left out.
+  std::vector<size_t> limits;
+  std::vector<double> lower_bounds;
+  if (budgeted && nq > 0) {
+    ChooseBudget(packed.data(), nq, kk, &limits, &lower_bounds);
   }
   ParallelOptions cell_parallel = parallel;
   cell_parallel.grain = 1;
@@ -226,17 +278,10 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
           const size_t q0 = blk * qb;
           const size_t bq = std::min(qb, nq - q0);
           for (size_t i = 0; i < bq; ++i) tops[i].Reset(kk);
-          if (coarse) {
-            shards_[s].ScanCoarseBlock(packed.data() + q0 * dim,
-                                       q_sq.data() + q0, bq, dim,
-                                       tops.data(),
-                                       shard_bounds.data() + s * nq + q0,
-                                       &bs, &cell_stats[cell]);
-          } else {
-            shards_[s].ScanExactBlock(packed.data() + q0 * dim,
-                                      q_sq.data() + q0, bq, dim,
-                                      tops.data(), &bs, &cell_stats[cell]);
-          }
+          shards_[s].ScanExactBlock(
+              packed.data() + q0 * dim, q_sq.data() + q0, bq, dim,
+              tops.data(), &bs, &cell_stats[cell],
+              limits.empty() ? nullptr : limits.data() + s * nq + q0);
           for (size_t i = 0; i < bq; ++i) {
             tops[i].ExtractSorted(&lists[(q0 + i) * num_shards + s]);
           }
@@ -254,13 +299,18 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
     for (size_t s = 0; s < num_shards; ++s) {
       row[s] = std::move(lists[q * num_shards + s]);
     }
-    GatherHits(row, kk, coarse, &merged, &entries, &results[q]);
+    GatherHits(row, kk, &merged, &entries, &results[q]);
     if (error_bounds != nullptr) {
-      double bound = 0.0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        bound = std::max(bound, shard_bounds[s * nq + q]);
-      }
-      error_bounds[q] = bound;
+      // B = max(0, d_k − lb), rounded up; d_k == lb stays positive, so
+      // B = 0 certifies that every left-out record ranks strictly after
+      // the k-th hit (V holds >= k records, so the answer is never
+      // short).
+      const double dk = results[q].back().distance;
+      const double lb = lower_bounds[q];
+      error_bounds[q] =
+          dk < lb ? 0.0
+                  : std::nextafter(dk - lb,
+                                   std::numeric_limits<double>::infinity());
     }
   }
   // Stats fold in fixed (block, shard) cell order — identical at any
@@ -272,6 +322,10 @@ Result<std::vector<std::vector<QueryHit>>> ShardedFeatureIndex::ScanBatch(
     for (size_t cell = 0; cell < cells; ++cell) {
       total += cell_stats[cell];
       by_shard[cell % num_shards] += cell_stats[cell];
+    }
+    // The budget pass's reference distances are global, not per shard.
+    if (budgeted) {
+      total.distance_computations += nq * global_references_.rows();
     }
     if (stats != nullptr) *stats = total;
     if (per_shard != nullptr) *per_shard = std::move(by_shard);
@@ -285,19 +339,8 @@ Result<std::vector<QueryHit>> ShardedFeatureIndex::NearestNeighbors(
   MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
   MOCEMG_ASSIGN_OR_RETURN(
       std::vector<std::vector<QueryHit>> hits,
-      ScanBatch(&query, 1, k, /*coarse=*/false, nullptr, stats, per_shard,
-                nullptr));
-  return std::move(hits[0]);
-}
-
-Result<std::vector<QueryHit>> ShardedFeatureIndex::CoarseNearestNeighbors(
-    const std::vector<double>& query, size_t k, double* error_bound,
-    IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard) const {
-  MOCEMG_RETURN_NOT_OK(ValidateQuery(query, k));
-  MOCEMG_ASSIGN_OR_RETURN(
-      std::vector<std::vector<QueryHit>> hits,
-      ScanBatch(&query, 1, k, /*coarse=*/true, error_bound, stats, per_shard,
-                nullptr));
+      ScanBatch(&query, 1, k, /*budgeted=*/false, nullptr, stats,
+                per_shard, nullptr));
   return std::move(hits[0]);
 }
 
@@ -307,19 +350,19 @@ ShardedFeatureIndex::BatchNearestNeighbors(
     IndexQueryStats* stats, std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
   MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
-  return ScanBatch(queries.data(), queries.size(), k, /*coarse=*/false,
+  return ScanBatch(queries.data(), queries.size(), k, /*budgeted=*/false,
                    nullptr, stats, per_shard, parallel_override);
 }
 
 Result<std::vector<std::vector<QueryHit>>>
-ShardedFeatureIndex::BatchCoarseNearestNeighbors(
+ShardedFeatureIndex::BatchBudgetedNearestNeighbors(
     const std::vector<std::vector<double>>& queries, size_t k,
     std::vector<double>* error_bounds, IndexQueryStats* stats,
     std::vector<IndexQueryStats>* per_shard,
     const ParallelOptions* parallel_override) const {
   MOCEMG_RETURN_NOT_OK(ValidateBatch(queries, k));
   if (error_bounds != nullptr) error_bounds->assign(queries.size(), 0.0);
-  return ScanBatch(queries.data(), queries.size(), k, /*coarse=*/true,
+  return ScanBatch(queries.data(), queries.size(), k, /*budgeted=*/true,
                    error_bounds != nullptr ? error_bounds->data() : nullptr,
                    stats, per_shard, parallel_override);
 }
@@ -346,13 +389,6 @@ size_t ShardedFeatureIndex::num_partitions() const {
   size_t total = 0;
   for (const IndexPartitionSet& s : shards_) total += s.num_partitions();
   return total;
-}
-
-bool ShardedFeatureIndex::has_quantized_tier() const {
-  for (const IndexPartitionSet& s : shards_) {
-    if (s.has_quantized_tier()) return true;
-  }
-  return false;
 }
 
 }  // namespace mocemg

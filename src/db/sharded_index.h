@@ -8,28 +8,29 @@
 /// Build runs ComputeIndexLayout (seeded k-means → global partition
 /// layout) and distributes whole partitions across N shards
 /// round-robin (partition p → shard p mod N). Each shard owns an
-/// IndexPartitionSet — its own SoA blocks, squared norms, coarse tier,
-/// fp32 mirrors — plus a per-shard epoch. kNN is scatter-gather: every
+/// IndexPartitionSet — its own SoA blocks, squared norms and fp32
+/// mirrors — plus a per-shard epoch. kNN is scatter-gather: every
 /// shard scans into its own bounded top-k heap and the per-shard
 /// sorted lists are merged in fixed shard order with the usual
 /// (distance, index) tie-break.
 ///
 /// Bit-identity argument: every per-record quantity the scans produce
-/// (exact distance, coarse estimate `out + s·√D`, the per-partition
-/// error-bound scalar) is a pure function of the partition that owns
-/// the record — never of which other partitions share its set. The
-/// exact top-k is in turn a pure function of the candidate set under
-/// the (distance, index) order. Regrouping partitions into shards
-/// therefore changes only *where* candidates are scored, not any
-/// score: exact answers are bit-identical to the linear scan, and
-/// degraded coarse answers and their certified bound are identical at
-/// any shard count and any thread count.
+/// (exact distance, partition prune bound) is a pure function of the
+/// partition that owns the record — never of which other partitions
+/// share its set. The exact top-k is in turn a pure function of the
+/// candidate set under the (distance, index) order. Regrouping
+/// partitions into shards therefore changes only *where* candidates
+/// are scored, not any score: exact answers are bit-identical to the
+/// linear scan. Degraded answers scan a partition budget V chosen once
+/// per query over the global layout before the scatter, so they and
+/// their certified bound are identical at any shard count, thread
+/// count and batch size too.
 ///
 /// Mutation model: the database epoch advances on every mutation, and
 /// queries fail with FailedPrecondition until the index catches up.
 /// ApplyUpdate(record) absorbs one UpdateFeature without a global
 /// rebuild: it repacks only the partition owning the record
-/// (O(partition) work: block row, norms, radius, re-quantize) and
+/// (O(partition) work: block row, norms, radius, fp32 mirror) and
 /// bumps only the owning shard's epoch. The serving cache keys
 /// validity on the shard-epoch vector, so a mutation invalidates only
 /// entries that provably depended on the mutated shard
@@ -55,9 +56,16 @@
 
 namespace mocemg {
 
+/// \brief Degraded mode's partition budget (DESIGN.md §12.2): a
+/// degraded query scans V, the shortest prefix of the global ascending
+/// (d²(q, ref), partition id) order holding at least this many
+/// partitions and at least k records. Picked from a serve-bench sweep
+/// over {1, 2, 4} (EXPERIMENTS.md).
+inline constexpr size_t kDegradedPartitionBudget = 2;
+
 /// \brief Sharded index construction parameters.
 struct ShardedIndexOptions {
-  /// Layout/quantization/parallel knobs: the same options produce the
+  /// Layout/precision/parallel knobs: the same options produce the
   /// same global partition layout at every shard count.
   FeatureIndexOptions index;
   /// Number of shards, >= 1 (0 fails Build with InvalidArgument). More
@@ -95,12 +103,9 @@ class ShardedFeatureIndex {
   /// \brief Exact kNN, scatter-gather across shards: the query runs
   /// through BatchNearestNeighbors' engine as a block of one, so its S
   /// shard cells fan out over options().index.parallel like a batch's.
-  /// The coarse tier (when built) prunes records whose
-  /// triangle-inequality lower bound — inflated by the §11.2 error
-  /// slack — provably exceeds the current k-th best; every survivor is
-  /// evaluated with the exact kernels, so the reported hits (indices
-  /// and distances, ties broken toward the smaller record index) are
-  /// bit-identical to the database's linear scan. `per_shard`, when
+  /// The reported hits (indices and distances, ties broken toward the
+  /// smaller record index) are bit-identical to the database's linear
+  /// scan. `per_shard`, when
   /// given, is resized to num_shards() and receives each shard's scan
   /// stats. An invalid query fails with ValidateQuery's status as is.
   Result<std::vector<QueryHit>> NearestNeighbors(
@@ -124,27 +129,21 @@ class ShardedFeatureIndex {
       std::vector<IndexQueryStats>* per_shard = nullptr,
       const ParallelOptions* parallel_override = nullptr) const;
 
-  /// \brief Degraded-mode kNN from the coarse tier (DESIGN.md §12.2) —
-  /// the query server's answer under overload. Coded partitions are
-  /// scored with the integer code distance only (no exact re-rank); a
-  /// hit's reported distance is the estimate `out + scale·√D`, and
-  /// partitions without codes are scanned with the dot-form kernel.
-  /// Per-shard scans merge in shard order; `error_bound`, when given,
-  /// receives the certified bound B (maxed across shards) such that
-  /// every hit's true distance lies within [estimate − B, estimate + B].
-  /// Identical answers and bound at any shard count. Runs as a block of
-  /// one through BatchCoarseNearestNeighbors' engine.
-  Result<std::vector<QueryHit>> CoarseNearestNeighbors(
-      const std::vector<double>& query, size_t k,
-      double* error_bound = nullptr, IndexQueryStats* stats = nullptr,
-      std::vector<IndexQueryStats>* per_shard = nullptr) const;
-
-  /// \brief Degraded-mode kNN for a batch of queries over the same
-  /// (query-block × shard) grid as BatchNearestNeighbors, using the
-  /// blocked coarse scan. Element i (and error_bounds[i]) equals
-  /// CoarseNearestNeighbors(queries[i], k) exactly at any shard count,
-  /// thread count, and batch size.
-  Result<std::vector<std::vector<QueryHit>>> BatchCoarseNearestNeighbors(
+  /// \brief Degraded-mode batch kNN (DESIGN.md §12.2) — the query
+  /// server's answer under overload, over the same (query-block ×
+  /// shard) grid as BatchNearestNeighbors. Query i scans only V, the
+  /// shortest prefix of the global ascending (d²(q, ref), partition id)
+  /// order holding at least kDegradedPartitionBudget partitions and at
+  /// least k records, so every reported distance dⱼ is exact (the
+  /// linear scan's distance of that record, bit for bit).
+  /// `error_bounds[i]`, when given, receives the certified one-sided
+  /// bound B = max(0, d_k − lb), where lb lower-bounds d(q, ref) −
+  /// radius over the partitions outside V (rounded so it can only
+  /// shrink): the true j-th nearest distance lies in [dⱼ − B, dⱼ], and
+  /// B = 0 means the answer is the linear scan's. V is chosen once per
+  /// query before the scatter, so answers and bounds are identical at
+  /// any shard count, thread count and batch size.
+  Result<std::vector<std::vector<QueryHit>>> BatchBudgetedNearestNeighbors(
       const std::vector<std::vector<double>>& queries, size_t k,
       std::vector<double>* error_bounds = nullptr,
       IndexQueryStats* stats = nullptr,
@@ -165,9 +164,6 @@ class ShardedFeatureIndex {
 
   size_t num_shards() const { return shards_.size(); }
   size_t num_partitions() const;
-  /// \brief True when at least one partition carries coarse codes — the
-  /// precondition for the query server's degraded mode.
-  bool has_quantized_tier() const;
 
   /// \brief The database epoch the index has fully absorbed (build or
   /// ApplyUpdate); queries require database->epoch() to equal it.
@@ -197,14 +193,27 @@ class ShardedFeatureIndex {
                        size_t k) const;
 
   /// The (query-block × shard) scatter, per-query gather and stat fold
-  /// behind every query entry point, exact or coarse, single or batch.
-  /// The `nq` queries must already be validated; `error_bounds`, when
-  /// given, has nq slots and receives each query's coarse bound.
+  /// behind every query entry point, exact or budgeted, single or
+  /// batch. The `nq` queries must already be validated; `error_bounds`,
+  /// when given, has nq slots and receives each query's budgeted-mode
+  /// bound.
   Result<std::vector<std::vector<QueryHit>>> ScanBatch(
-      const std::vector<double>* queries, size_t nq, size_t k, bool coarse,
-      double* error_bounds, IndexQueryStats* stats,
+      const std::vector<double>* queries, size_t nq, size_t k,
+      bool budgeted, double* error_bounds, IndexQueryStats* stats,
       std::vector<IndexQueryStats>* per_shard,
       const ParallelOptions* parallel_override) const;
+
+  /// The degraded mode's partition budget for `nq` packed queries:
+  /// orders the global partitions by (d²(q, ref), partition id), takes
+  /// the shortest prefix V with >= kDegradedPartitionBudget partitions
+  /// and >= kk records, and writes limits[s * nq + q] = the number of
+  /// V's partitions shard s owns (a prefix of that shard's own visit
+  /// order, whose reference distances carry the same kernel bits) and
+  /// lower_bounds[q] = a rounded-down min of d(q, ref) − radius over
+  /// the partitions outside V (+inf when V is everything).
+  void ChooseBudget(const double* packed, size_t nq, size_t kk,
+                    std::vector<size_t>* limits,
+                    std::vector<double>* lower_bounds) const;
 
   const MotionDatabase* database_ = nullptr;
   ShardedIndexOptions options_;

@@ -1,6 +1,5 @@
 #include "signal/rectify.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace mocemg {
@@ -8,48 +7,6 @@ namespace mocemg {
 std::vector<double> FullWaveRectify(const std::vector<double>& signal) {
   std::vector<double> out(signal.size());
   for (size_t i = 0; i < signal.size(); ++i) out[i] = std::fabs(signal[i]);
-  return out;
-}
-
-std::vector<double> HalfWaveRectify(const std::vector<double>& signal) {
-  std::vector<double> out(signal.size());
-  for (size_t i = 0; i < signal.size(); ++i) {
-    out[i] = std::max(signal[i], 0.0);
-  }
-  return out;
-}
-
-Result<std::vector<double>> MovingAverage(const std::vector<double>& signal,
-                                          size_t window) {
-  if (window == 0) {
-    return Status::InvalidArgument("MovingAverage window must be > 0");
-  }
-  std::vector<double> out(signal.size());
-  const ptrdiff_t half = static_cast<ptrdiff_t>(window) / 2;
-  const ptrdiff_t n = static_cast<ptrdiff_t>(signal.size());
-  // Prefix sums for O(n) evaluation.
-  std::vector<double> prefix(signal.size() + 1, 0.0);
-  for (size_t i = 0; i < signal.size(); ++i) {
-    prefix[i + 1] = prefix[i] + signal[i];
-  }
-  for (ptrdiff_t i = 0; i < n; ++i) {
-    const ptrdiff_t lo = std::max<ptrdiff_t>(0, i - half);
-    const ptrdiff_t hi = std::min<ptrdiff_t>(n - 1, i + half);
-    out[static_cast<size_t>(i)] =
-        (prefix[static_cast<size_t>(hi + 1)] -
-         prefix[static_cast<size_t>(lo)]) /
-        static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<double> RemoveMean(const std::vector<double>& signal) {
-  if (signal.empty()) return {};
-  double mean = 0.0;
-  for (double x : signal) mean += x;
-  mean /= static_cast<double>(signal.size());
-  std::vector<double> out(signal.size());
-  for (size_t i = 0; i < signal.size(); ++i) out[i] = signal[i] - mean;
   return out;
 }
 

@@ -1,29 +1,16 @@
 /// \file rectify.h
-/// \brief Rectification and envelope utilities for EMG conditioning.
+/// \brief Rectification for EMG conditioning.
 
 #ifndef MOCEMG_SIGNAL_RECTIFY_H_
 #define MOCEMG_SIGNAL_RECTIFY_H_
 
 #include <vector>
 
-#include "util/result.h"
-
 namespace mocemg {
 
 /// \brief Full-wave rectification: |x| per sample (the paper's processed
 /// Myomonitor signal is full-wave rectified before down-sampling).
 std::vector<double> FullWaveRectify(const std::vector<double>& signal);
-
-/// \brief Half-wave rectification: max(x, 0).
-std::vector<double> HalfWaveRectify(const std::vector<double>& signal);
-
-/// \brief Centered moving-average smoothing with edge shrinking; a cheap
-/// linear envelope estimator used in tests and examples.
-Result<std::vector<double>> MovingAverage(const std::vector<double>& signal,
-                                          size_t window);
-
-/// \brief Removes the mean of the signal (DC offset).
-std::vector<double> RemoveMean(const std::vector<double>& signal);
 
 }  // namespace mocemg
 

@@ -7,25 +7,6 @@
 
 namespace mocemg {
 
-Result<std::vector<double>> Decimate(const std::vector<double>& signal,
-                                     double sample_rate_hz, int factor) {
-  if (factor < 1) {
-    return Status::InvalidArgument("decimation factor must be >= 1");
-  }
-  if (factor == 1) return signal;
-  const double target_nyquist = sample_rate_hz / factor / 2.0;
-  MOCEMG_ASSIGN_OR_RETURN(
-      BiquadCascade lp,
-      DesignButterworthLowPass(8, 0.8 * target_nyquist, sample_rate_hz));
-  std::vector<double> filtered = lp.FiltFilt(signal);
-  std::vector<double> out;
-  out.reserve(filtered.size() / static_cast<size_t>(factor) + 1);
-  for (size_t i = 0; i < filtered.size(); i += static_cast<size_t>(factor)) {
-    out.push_back(filtered[i]);
-  }
-  return out;
-}
-
 size_t ResampledLength(size_t input_len, double fs_in, double fs_out) {
   if (input_len == 0) return 0;
   const double duration =

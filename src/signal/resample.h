@@ -2,8 +2,7 @@
 /// \brief Sample-rate conversion: the Myomonitor's 1000 Hz EMG stream must
 /// be brought down to the Vicon frame rate (120 Hz) before the two streams
 /// can share windows. 1000/120 is not an integer ratio, so the library
-/// provides an anti-aliased arbitrary-ratio resampler in addition to an
-/// integer decimator.
+/// provides an anti-aliased arbitrary-ratio resampler.
 
 #ifndef MOCEMG_SIGNAL_RESAMPLE_H_
 #define MOCEMG_SIGNAL_RESAMPLE_H_
@@ -13,11 +12,6 @@
 #include "util/result.h"
 
 namespace mocemg {
-
-/// \brief Integer decimation by `factor` after an 8th-order Butterworth
-/// anti-alias low-pass at 0.4·(fs/factor). Fails on factor < 1.
-Result<std::vector<double>> Decimate(const std::vector<double>& signal,
-                                     double sample_rate_hz, int factor);
 
 /// \brief Arbitrary-ratio resampling: zero-phase anti-alias low-pass at
 /// 0.45·min(fs_in, fs_out) followed by linear interpolation at the output

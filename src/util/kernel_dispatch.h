@@ -1,6 +1,6 @@
 /// \file kernel_dispatch.h
-/// \brief Runtime selection of SIMD backends for the distance / coarse
-/// quantized kernel family.
+/// \brief Runtime selection of SIMD backends for the distance kernel
+/// family.
 ///
 /// The library ships several implementations of the hot kernels —
 /// portable scalar (the bit-exactness reference, see
@@ -9,23 +9,21 @@
 /// carries all of them without `-march=native`. At first use the
 /// dispatcher probes the CPU once, picks the widest usable backend, and
 /// publishes a function-pointer table (`KernelOps`) that every kernel
-/// entry point (`SquaredL2OneToMany`, `QuantizedSsdOneToMany`, …) routes
+/// entry point (`SquaredL2OneToMany`, `SquaredL2DotManyToMany`, …) routes
 /// through. Consumers — MotionDatabase linear scan, the
-/// ShardedFeatureIndex partition scan and coarse pass, k-means, FCM,
-/// GK, classifier kNN — therefore pick up the dispatched backend with
-/// no call-site changes.
+/// ShardedFeatureIndex partition scan, k-means, FCM, GK, classifier
+/// kNN — therefore pick up the dispatched backend with no call-site
+/// changes.
 ///
 /// **Bit-exactness contract.** Every backend reproduces the scalar
 /// reference bit-for-bit, for every shape, dimension and input
 /// (including NaN/Inf propagation): the double kernels implement the
 /// exact 4-lane accumulation order of distance_kernels.h (one 4-wide
 /// vector accumulator, multiply then add — never FMA — with scalar
-/// remainder handling in the same lanes), the float32 mirror kernels
-/// implement the identical 4-lane order at fp32 precision, and the
-/// integer coarse kernels are exact by construction (int32 sums of
-/// squared byte diffs are associative). Switching backends can never
-/// change a kNN result, a pruning decision, or a clustering iterate —
-/// only the wall-clock. The contract is enforced by
+/// remainder handling in the same lanes), and the float32 mirror
+/// kernels implement the identical 4-lane order at fp32 precision.
+/// Switching backends can never change a kNN result, a pruning
+/// decision, or a clustering iterate — only the wall-clock. The contract is enforced by
 /// tests/util/kernel_dispatch_test.cc across dims 1–67 for every
 /// backend the binary carries.
 ///
@@ -59,9 +57,9 @@ enum class KernelBackend : int {
 };
 
 /// \brief Function-pointer table one backend fills in. All entries are
-/// non-null and honour the contracts of distance_kernels.h /
-/// quant_kernels.h. The `*_f32*` entries scan the float32 SoA mirror
-/// of the exact tier: fp32 accumulation with the same literal 4-lane
+/// non-null and honour the contracts of distance_kernels.h. The
+/// `*_f32*` entries scan the float32 SoA mirror of the exact tier:
+/// fp32 accumulation with the same literal 4-lane
 /// order (bit-exact across backends like the double family), plus one
 /// fp64-accumulate variant (`l2dot_f32d_one_to_many`) used by the
 /// float-precision error-bound analysis and its tests.
@@ -87,8 +85,6 @@ struct KernelOps {
                             size_t rows, size_t d, double* out);
   void (*row_norms)(const double* block, size_t rows, size_t d,
                     double* out);
-  void (*ssd8_one_to_many)(const uint8_t* qcodes, const uint8_t* codes,
-                           size_t rows, size_t d, uint32_t* out);
   void (*l2_f32_one_to_many)(const float* query, const float* block,
                              size_t rows, size_t d, float* out);
   void (*l2dot_f32_one_to_many)(const float* query, float query_sq,
@@ -112,9 +108,6 @@ struct KernelOps {
   void (*l2_gather)(const double* query, const double* block,
                     const uint32_t* row_indices, size_t n, size_t d,
                     double* out);
-  void (*ssd8_many_to_many)(const uint8_t* qcodes, size_t num_queries,
-                            const uint8_t* codes, size_t rows, size_t d,
-                            uint32_t* out, size_t out_stride);
 };
 
 /// \brief Stable lowercase name ("auto", "scalar", "avx2", ...).

@@ -11,14 +11,7 @@
 /// code, and the lanes combine as (a0 + a1) + (a2 + a3). Every lane
 /// performs the same IEEE ops in the same order as the scalar loop, so
 /// the result is bit-identical for every input, NaN/Inf included.
-///
-/// The integer coarse kernels are exact whatever the evaluation order:
-/// |q − c| via max_epu8/min_epu8, widened to i16 and squared pairwise
-/// into i32 lanes with pmaddwd (the widening-MAC class; vpdpbusd is
-/// unusable here because |q − c| can exceed the signed-byte range).
-/// Per-i32-lane sums stay below 2^31 for d up to the
-/// index build gate (60000), and the true total is < 2^32, so the
-/// uint32 result equals the scalar reference exactly.
+
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -232,63 +225,6 @@ void Avx2L2DotF32F64OneToMany(const float* query, double query_sq,
 }
 
 // ---------------------------------------------------------------------
-// int8 coarse kernel.
-
-inline uint32_t HorizontalSumU32(__m128i v) {
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<uint32_t>(_mm_cvtsi128_si32(v));
-}
-
-inline uint32_t Ssd8Row(const uint8_t* q, const uint8_t* c, size_t d) {
-  const __m256i zero256 = _mm256_setzero_si256();
-  __m256i acc256 = zero256;
-  size_t j = 0;
-  for (; j + 32 <= d; j += 32) {
-    const __m256i vq =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + j));
-    const __m256i ad =
-        _mm256_sub_epi8(_mm256_max_epu8(vq, vc), _mm256_min_epu8(vq, vc));
-    const __m256i lo = _mm256_unpacklo_epi8(ad, zero256);
-    const __m256i hi = _mm256_unpackhi_epi8(ad, zero256);
-    acc256 = _mm256_add_epi32(acc256, _mm256_madd_epi16(lo, lo));
-    acc256 = _mm256_add_epi32(acc256, _mm256_madd_epi16(hi, hi));
-  }
-  __m128i acc = _mm_add_epi32(_mm256_castsi256_si128(acc256),
-                              _mm256_extracti128_si256(acc256, 1));
-  if (j + 16 <= d) {
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i vq =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + j));
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + j));
-    const __m128i ad =
-        _mm_sub_epi8(_mm_max_epu8(vq, vc), _mm_min_epu8(vq, vc));
-    const __m128i lo = _mm_unpacklo_epi8(ad, zero);
-    const __m128i hi = _mm_unpackhi_epi8(ad, zero);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(lo, lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(hi, hi));
-    j += 16;
-  }
-  uint32_t sum = HorizontalSumU32(acc);
-  for (; j < d; ++j) {
-    const int32_t diff =
-        static_cast<int32_t>(q[j]) - static_cast<int32_t>(c[j]);
-    sum += static_cast<uint32_t>(diff * diff);
-  }
-  return sum;
-}
-
-void Avx2Ssd8OneToMany(const uint8_t* qcodes, const uint8_t* codes,
-                       size_t rows, size_t d, uint32_t* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Ssd8Row(qcodes, codes + r * d, d);
-  }
-}
-
-// ---------------------------------------------------------------------
 // block (many-to-many) family. The one-to-many kernels above are
 // latency-bound: one accumulator per pair means every 4-dim step waits
 // on the previous vector add. Here 4 independent (query, row) pairs are
@@ -458,22 +394,6 @@ void Avx2L2Gather(const double* query, const double* block,
   }
 }
 
-// Integer sums are exact at any order, so the code-block variants just
-// tile the one-to-many kernels for cache residency (64 KiB of codes per
-// tile at d = 64), streaming each tile once per query block.
-void Avx2Ssd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
-                        const uint8_t* codes, size_t rows, size_t d,
-                        uint32_t* out, size_t out_stride) {
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      Avx2Ssd8OneToMany(qcodes + q * d, codes + r0 * d, tile, d,
-                        out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& Avx2KernelOps() {
@@ -484,7 +404,6 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2OneToMany,
       Avx2L2DotOneToMany,
       Avx2RowNorms,
-      Avx2Ssd8OneToMany,
       Avx2L2F32OneToMany,
       Avx2L2DotF32OneToMany,
       Avx2RowNormsF32,
@@ -492,7 +411,6 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2DotManyToMany,
       Avx2L2DotF32ManyToMany,
       Avx2L2Gather,
-      Avx2Ssd8ManyToMany,
   };
   return ops;
 }

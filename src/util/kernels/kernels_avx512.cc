@@ -8,13 +8,7 @@
 /// its two 4-dim halves are added into the accumulator *sequentially*
 /// (low half first), which is exactly the order the scalar reference's
 /// lanes see (lane j sums dims i+j then i+4+j). Multiply then add,
-/// never FMA. Integer kernels widen |q − c| with pmaddwd into i32 lanes
-/// exactly as the AVX2 backend, just 64 bytes per step; all horizontal
-/// reductions use vector adds (defined wraparound) so the uint32 result
-/// is exact for totals < 2^32 (guaranteed by the d <= 60000 build
-/// gate). VNNI's vpdpbusd is unusable (|q − c| exceeds signed-byte
-/// range); pmaddwd is the widening-MAC class used instead, so the
-/// backend needs no VNNI feature bit and covers more CPUs.
+/// never FMA.
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -257,155 +251,6 @@ void Avx512L2DotF32F64OneToMany(const float* query, double query_sq,
 }
 
 // ---------------------------------------------------------------------
-// integer coarse kernels.
-
-inline uint32_t HorizontalSumU32(__m128i v) {
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  return static_cast<uint32_t>(_mm_cvtsi128_si32(v));
-}
-
-inline __m128i Reduce512To128(__m512i v) {
-  const __m256i half = _mm256_add_epi32(_mm512_castsi512_si256(v),
-                                        _mm512_extracti64x4_epi64(v, 1));
-  return _mm_add_epi32(_mm256_castsi256_si128(half),
-                       _mm256_extracti128_si256(half, 1));
-}
-
-// Small-dimension path (d < 64): per-row work is a couple of 128-bit
-// blocks, so the 512-bit reduction plus a scalar remainder loop would
-// dominate — at d = 16..30 that made the wide kernel ~1.6x slower than
-// the auto-vectorized scalar loop. Instead: 128-bit blocks only, the
-// d % 16 tail as ONE maskz byte load (BW+VL), and rows in groups of 4
-// so 4 independent accumulators reduce with three phaddd instead of a
-// shuffle chain per row. Integer sums are exact at any width and
-// order, so this is bit-identical to the scalar reference.
-
-inline __m128i Ssd8AccSmall(const uint8_t* q, const uint8_t* c, size_t d,
-                            __mmask16 tail) {
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc = zero;
-  size_t j = 0;
-  for (; j + 16 <= d; j += 16) {
-    const __m128i vq =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + j));
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + j));
-    const __m128i ad =
-        _mm_sub_epi8(_mm_max_epu8(vq, vc), _mm_min_epu8(vq, vc));
-    const __m128i lo = _mm_unpacklo_epi8(ad, zero);
-    const __m128i hi = _mm_unpackhi_epi8(ad, zero);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(lo, lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(hi, hi));
-  }
-  if (tail) {
-    const __m128i vq = _mm_maskz_loadu_epi8(tail, q + j);
-    const __m128i vc = _mm_maskz_loadu_epi8(tail, c + j);
-    const __m128i ad =
-        _mm_sub_epi8(_mm_max_epu8(vq, vc), _mm_min_epu8(vq, vc));
-    const __m128i lo = _mm_unpacklo_epi8(ad, zero);
-    const __m128i hi = _mm_unpackhi_epi8(ad, zero);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(lo, lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(hi, hi));
-  }
-  return acc;
-}
-
-inline void Ssd8SmallDim(const uint8_t* qcodes, const uint8_t* codes,
-                         size_t rows, size_t d, uint32_t* out) {
-  const __mmask16 tail =
-      static_cast<__mmask16>((1u << (d % 16)) - 1u);
-  size_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const uint8_t* c = codes + r * d;
-    const __m128i a0 = Ssd8AccSmall(qcodes, c, d, tail);
-    const __m128i a1 = Ssd8AccSmall(qcodes, c + d, d, tail);
-    const __m128i a2 = Ssd8AccSmall(qcodes, c + 2 * d, d, tail);
-    const __m128i a3 = Ssd8AccSmall(qcodes, c + 3 * d, d, tail);
-    const __m128i sums = _mm_hadd_epi32(_mm_hadd_epi32(a0, a1),
-                                        _mm_hadd_epi32(a2, a3));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r), sums);
-  }
-  for (; r < rows; ++r) {
-    out[r] = HorizontalSumU32(Ssd8AccSmall(qcodes, codes + r * d, d, tail));
-  }
-}
-
-inline uint32_t Ssd8Row(const uint8_t* q, const uint8_t* c, size_t d) {
-  const __m512i zero512 = _mm512_setzero_si512();
-  __m512i acc512 = zero512;
-  size_t j = 0;
-  for (; j + 64 <= d; j += 64) {
-    const __m512i vq =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(q + j));
-    const __m512i vc =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(c + j));
-    const __m512i ad =
-        _mm512_sub_epi8(_mm512_max_epu8(vq, vc), _mm512_min_epu8(vq, vc));
-    const __m512i lo = _mm512_unpacklo_epi8(ad, zero512);
-    const __m512i hi = _mm512_unpackhi_epi8(ad, zero512);
-    acc512 = _mm512_add_epi32(acc512, _mm512_madd_epi16(lo, lo));
-    acc512 = _mm512_add_epi32(acc512, _mm512_madd_epi16(hi, hi));
-  }
-  __m128i acc = Reduce512To128(acc512);
-  if (j + 32 <= d) {
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i vq =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j));
-    const __m256i vc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c + j));
-    const __m256i ad =
-        _mm256_sub_epi8(_mm256_max_epu8(vq, vc), _mm256_min_epu8(vq, vc));
-    const __m256i lo = _mm256_unpacklo_epi8(ad, zero);
-    const __m256i hi = _mm256_unpackhi_epi8(ad, zero);
-    const __m256i part = _mm256_add_epi32(_mm256_madd_epi16(lo, lo),
-                                          _mm256_madd_epi16(hi, hi));
-    acc = _mm_add_epi32(acc, _mm_add_epi32(_mm256_castsi256_si128(part),
-                                           _mm256_extracti128_si256(part, 1)));
-    j += 32;
-  }
-  if (j + 16 <= d) {
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i vq =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + j));
-    const __m128i vc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(c + j));
-    const __m128i ad =
-        _mm_sub_epi8(_mm_max_epu8(vq, vc), _mm_min_epu8(vq, vc));
-    const __m128i lo = _mm_unpacklo_epi8(ad, zero);
-    const __m128i hi = _mm_unpackhi_epi8(ad, zero);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(lo, lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(hi, hi));
-    j += 16;
-  }
-  if (j < d) {
-    const __mmask16 tail =
-        static_cast<__mmask16>((1u << (d - j)) - 1u);
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i vq = _mm_maskz_loadu_epi8(tail, q + j);
-    const __m128i vc = _mm_maskz_loadu_epi8(tail, c + j);
-    const __m128i ad =
-        _mm_sub_epi8(_mm_max_epu8(vq, vc), _mm_min_epu8(vq, vc));
-    const __m128i lo = _mm_unpacklo_epi8(ad, zero);
-    const __m128i hi = _mm_unpackhi_epi8(ad, zero);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(lo, lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(hi, hi));
-  }
-  return HorizontalSumU32(acc);
-}
-
-void Avx512Ssd8OneToMany(const uint8_t* qcodes, const uint8_t* codes,
-                         size_t rows, size_t d, uint32_t* out) {
-  if (d < 64) {
-    Ssd8SmallDim(qcodes, codes, rows, d, out);
-    return;
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    out[r] = Ssd8Row(qcodes, codes + r * d, d);
-  }
-}
-
-// ---------------------------------------------------------------------
 // block (many-to-many) family: 4 independent (query, row) accumulator
 // chains in flight per step, sharing one query load, to hide the
 // vector-add latency the one-to-many kernels serialize on. Each chain
@@ -604,21 +449,6 @@ void Avx512L2Gather(const double* query, const double* block,
   }
 }
 
-// Integer sums are exact at any order; tile the one-to-many kernels so
-// a code tile streamed once serves every query in the block.
-void Avx512Ssd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
-                          const uint8_t* codes, size_t rows, size_t d,
-                          uint32_t* out, size_t out_stride) {
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      Avx512Ssd8OneToMany(qcodes + q * d, codes + r0 * d, tile, d,
-                          out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& Avx512KernelOps() {
@@ -629,7 +459,6 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2OneToMany,
       Avx512L2DotOneToMany,
       Avx512RowNorms,
-      Avx512Ssd8OneToMany,
       Avx512L2F32OneToMany,
       Avx512L2DotF32OneToMany,
       Avx512RowNormsF32,
@@ -637,7 +466,6 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2DotManyToMany,
       Avx512L2DotF32ManyToMany,
       Avx512L2Gather,
-      Avx512Ssd8ManyToMany,
   };
   return ops;
 }

@@ -82,23 +82,6 @@ void ScalarL2DotF32F64OneToMany(const float* query, double query_sq,
   }
 }
 
-void ScalarSsd8OneToMany(const uint8_t* qcodes, const uint8_t* codes,
-                         size_t rows, size_t d, uint32_t* out) {
-  // Exact int32 accumulation; the shape (byte loads widened to i16,
-  // multiply-accumulated to i32) is what the vectorizer turns into
-  // pmaddwd-class code even in this portable TU.
-  for (size_t r = 0; r < rows; ++r) {
-    const uint8_t* c = codes + r * d;
-    uint32_t acc = 0;
-    for (size_t j = 0; j < d; ++j) {
-      const int32_t diff =
-          static_cast<int32_t>(qcodes[j]) - static_cast<int32_t>(c[j]);
-      acc += static_cast<uint32_t>(diff * diff);
-    }
-    out[r] = acc;
-  }
-}
-
 // Block (many-to-many) family: per pair these are exactly the
 // one-to-many entries above, tiled over rows so a row tile streamed
 // from memory is reused by every query while L2-resident. Tiling and
@@ -152,19 +135,6 @@ void ScalarL2Gather(const double* query, const double* block,
   }
 }
 
-void ScalarSsd8ManyToMany(const uint8_t* qcodes, size_t num_queries,
-                          const uint8_t* codes, size_t rows, size_t d,
-                          uint32_t* out, size_t out_stride) {
-  constexpr size_t kCodeRowTile = 1024;
-  for (size_t r0 = 0; r0 < rows; r0 += kCodeRowTile) {
-    const size_t tile = std::min(rows - r0, kCodeRowTile);
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScalarSsd8OneToMany(qcodes + q * d, codes + r0 * d, tile, d,
-                          out + q * out_stride + r0);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelOps& ScalarKernelOps() {
@@ -175,7 +145,6 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2OneToMany,
       ScalarL2DotOneToMany,
       ScalarRowNorms,
-      ScalarSsd8OneToMany,
       ScalarL2F32OneToMany,
       ScalarL2DotF32OneToMany,
       ScalarRowNormsF32,
@@ -183,7 +152,6 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2DotManyToMany,
       ScalarL2DotF32ManyToMany,
       ScalarL2Gather,
-      ScalarSsd8ManyToMany,
   };
   return ops;
 }

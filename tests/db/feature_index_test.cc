@@ -246,44 +246,13 @@ TEST(FeatureIndexTest, StaleAfterMutationFailsUntilRebuild) {
   EXPECT_FALSE(index->NearestNeighbors({0.0, 0.0, 0.0}, 1).ok());
 }
 
-// The coarse tier must actually prune full-precision work on clustered
-// data — that is the whole point of the int8 codes.
-TEST(FeatureIndexTest, CoarseTierPrunesExactEvaluations) {
-  MotionDatabase db = MakeDbDim(2000, 32, 70);
-  FeatureIndexOptions opts;
-  opts.num_partitions = 4;  // fat partitions: little triangle pruning
-  auto index = BuildIndex(&db, opts);
-  ASSERT_TRUE(index.ok());
-  Rng rng(71);
-  IndexQueryStats stats;
-  for (int q = 0; q < 10; ++q) {
-    std::vector<double> query(32);
-    for (size_t j = 0; j < query.size(); ++j) {
-      query[j] = (j == 0 ? rng.Uniform(-5.0, 65.0) : rng.Gaussian(0, 2.0));
-    }
-    auto hits = index->NearestNeighbors(query, 5, &stats);
-    ASSERT_TRUE(hits.ok());
-    EXPECT_GT(stats.coarse_pruned, 0u) << "query " << q;
-    EXPECT_LT(stats.distance_computations,
-              stats.coarse_computations / 2 + 64)
-        << "query " << q
-        << ": coarse tier should discard most of the partition";
-    auto linear = db.NearestNeighbors(query, 5);
-    ASSERT_TRUE(linear.ok());
-    for (size_t i = 0; i < linear->size(); ++i) {
-      EXPECT_EQ((*hits)[i].record_index, (*linear)[i].record_index);
-      EXPECT_EQ((*hits)[i].distance, (*linear)[i].distance);
-    }
-  }
-}
-
-// Satellite 3: randomized property test that the quantized bound never
-// prunes a true top-k neighbour. Dimensions 1..128 sweep every unroll
-// remainder; the adversarial geometry puts large fractions of the
-// records at near-identical distances (differences far below the
-// quantization error), so any unsound bound WOULD reorder or drop
-// hits. quantized_min_rows = 1 forces codes onto every partition.
-TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
+// Randomized property test that the partition prune and the dot-form
+// re-check gate never drop a true top-k neighbour. Dimensions 1..128
+// sweep every unroll remainder; the adversarial geometry puts large
+// fractions of the records at near-identical distances (differences far
+// below the dot form's rounding), so any unsound margin WOULD reorder
+// or drop hits.
+TEST(FeatureIndexTest, ExactPruneNeverDropsTrueNeighbors) {
   for (size_t dim : {1, 2, 3, 5, 16, 31, 64, 128}) {
     Rng rng(90 + dim);
     MotionDatabase db;
@@ -296,7 +265,7 @@ TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
       r.feature.resize(dim);
       if (i % 2 == 0) {
         // Near-tie shell: unit-ish direction scaled to radius 10, then
-        // jitter ~1e-13 — thousands of ULPs below the int8 grid step.
+        // jitter ~1e-13 — below the dot form's rounding at this scale.
         double norm_sq = 0.0;
         for (size_t j = 0; j < dim; ++j) {
           r.feature[j] = rng.Gaussian(0, 1.0);
@@ -309,7 +278,7 @@ TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
         }
       } else {
         // Background spread, including coordinates of wildly different
-        // magnitude to stress the per-dimension affine grid.
+        // magnitude to stress the error margin.
         for (size_t j = 0; j < dim; ++j) {
           r.feature[j] = rng.Gaussian(0, (j % 2) ? 100.0 : 0.01);
         }
@@ -317,7 +286,6 @@ TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
       ASSERT_TRUE(db.Insert(std::move(r)).ok());
     }
     FeatureIndexOptions opts;
-    opts.quantized_min_rows = 1;
     opts.num_partitions = 4;
     auto index = BuildIndex(&db, opts);
     ASSERT_TRUE(index.ok()) << index.status();
@@ -353,39 +321,8 @@ TEST(FeatureIndexTest, QuantizedPruneNeverDropsTrueNeighbors) {
   }
 }
 
-// Coding no partition (quantized_min_rows = SIZE_MAX) must give the
-// same bits through the dot-form path alone (the coarse tier is a pure
-// work optimization).
-TEST(FeatureIndexTest, QuantizedOffMatchesQuantizedOn) {
-  MotionDatabase db = MakeDbDim(300, 33, 80);
-  FeatureIndexOptions on;
-  on.quantized_min_rows = 1;
-  FeatureIndexOptions off;
-  off.quantized_min_rows = std::numeric_limits<size_t>::max();
-  auto index_on = BuildIndex(&db, on);
-  auto index_off = BuildIndex(&db, off);
-  ASSERT_TRUE(index_on.ok());
-  ASSERT_TRUE(index_off.ok());
-  Rng rng(81);
-  for (int q = 0; q < 20; ++q) {
-    std::vector<double> query(33);
-    for (double& v : query) v = rng.Gaussian(10.0, 15.0);
-    auto a = index_on->NearestNeighbors(query, 6);
-    auto b = index_off->NearestNeighbors(query, 6);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].record_index, (*b)[i].record_index);
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-    }
-  }
-}
-
 FeatureIndexOptions F32TierOptions(size_t threads = 0) {
   FeatureIndexOptions opts;
-  // Only non-coded partitions carry the mirror.
-  opts.quantized_min_rows = std::numeric_limits<size_t>::max();
   opts.exact_precision = ExactPrecision::kF32;
   opts.num_partitions = 4;
   if (threads > 0) opts.parallel.max_threads = threads;
@@ -400,7 +337,6 @@ TEST(FeatureIndexTest, F32TierBitIdenticalToF64AcrossDimsAndThreads) {
   for (size_t dim : {1, 5, 16, 33, 67}) {
     MotionDatabase db = MakeDbDim(200, dim, 140 + dim);
     FeatureIndexOptions f64opts;
-    f64opts.quantized_min_rows = std::numeric_limits<size_t>::max();
     f64opts.num_partitions = 4;
     auto f64idx = BuildIndex(&db, f64opts);
     ASSERT_TRUE(f64idx.ok()) << f64idx.status();
@@ -587,7 +523,6 @@ TEST(FeatureIndexTest, F32NormGateFallsBackToF64) {
     auto f32idx = BuildIndex(&db, F32TierOptions());
     ASSERT_TRUE(f32idx.ok()) << f32idx.status();
     FeatureIndexOptions f64opts;
-    f64opts.quantized_min_rows = std::numeric_limits<size_t>::max();
     f64opts.num_partitions = 4;
     auto f64idx = BuildIndex(&db, f64opts);
     ASSERT_TRUE(f64idx.ok());
@@ -682,31 +617,25 @@ TEST(FeatureIndexTest, StatsAccumulatorSumsEveryField) {
   a.distance_computations = 1;
   a.partitions_visited = 2;
   a.partitions_pruned = 3;
-  a.coarse_computations = 4;
-  a.coarse_pruned = 5;
-  a.f32_scans = 6;
-  a.f32_refined = 7;
+  a.f32_scans = 4;
+  a.f32_refined = 5;
   IndexQueryStats b;
   b.distance_computations = 100;
   b.partitions_visited = 200;
   b.partitions_pruned = 300;
-  b.coarse_computations = 400;
-  b.coarse_pruned = 500;
-  b.f32_scans = 600;
-  b.f32_refined = 700;
+  b.f32_scans = 400;
+  b.f32_refined = 500;
   // Every field is a size_t: a new counter changes the struct size and
   // must be added to operator+= and to this test.
-  static_assert(sizeof(IndexQueryStats) == 7 * sizeof(size_t),
+  static_assert(sizeof(IndexQueryStats) == 5 * sizeof(size_t),
                 "update IndexQueryStats::operator+= and this test");
   IndexQueryStats& ret = (a += b);
   EXPECT_EQ(&ret, &a);
   EXPECT_EQ(a.distance_computations, 101u);
   EXPECT_EQ(a.partitions_visited, 202u);
   EXPECT_EQ(a.partitions_pruned, 303u);
-  EXPECT_EQ(a.coarse_computations, 404u);
-  EXPECT_EQ(a.coarse_pruned, 505u);
-  EXPECT_EQ(a.f32_scans, 606u);
-  EXPECT_EQ(a.f32_refined, 707u);
+  EXPECT_EQ(a.f32_scans, 404u);
+  EXPECT_EQ(a.f32_refined, 505u);
   EXPECT_EQ(b.distance_computations, 100u) << "the right side is unchanged";
 }
 

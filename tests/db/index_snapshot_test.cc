@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,21 +33,18 @@ MotionDatabase MakeDb(size_t n, size_t dim, uint64_t seed) {
   return db;
 }
 
-/// Small partitions still get int8 codes, so the snapshot covers the
-/// quantized tier at test scale.
-FeatureIndexOptions QuantizedOptions() {
+/// Four partitions, so a degraded answer's partition budget leaves
+/// some out and its bound is exercised.
+FeatureIndexOptions FourPartitionOptions() {
   FeatureIndexOptions opts;
   opts.num_partitions = 4;
-  opts.quantized_min_rows = 1;
   return opts;
 }
 
-/// Mirrored fp32 options: quantization off, so every partition carries
-/// the fp32 mirror instead of int8 codes.
+/// Mirrored fp32 options: every partition carries the fp32 mirror.
 FeatureIndexOptions F32Options() {
   FeatureIndexOptions opts;
   opts.num_partitions = 4;
-  opts.quantized_min_rows = std::numeric_limits<size_t>::max();
   opts.exact_precision = ExactPrecision::kF32;
   return opts;
 }
@@ -139,7 +135,7 @@ void InstallForgedShard(const std::string& path, size_t shard,
                                                 body.data(), body.size()))
                   .ok());
   ASSERT_TRUE(WriteStringToFile(path + ".shard" + std::to_string(shard),
-                                TestFrame("MOCEMGSH4\n", payload.data(),
+                                TestFrame("MOCEMGSH5\n", payload.data(),
                                           payload.size()))
                   .ok());
 }
@@ -164,8 +160,8 @@ void ExpectHitsEqual(const std::vector<QueryHit>& a,
   }
 }
 
-/// Exact and coarse answers (and the coarse bound) of `a` and `b` agree
-/// bit for bit.
+/// Exact and budgeted answers (and the budgeted bound) of `a` and `b`
+/// agree bit for bit.
 void ExpectAnswersEqual(const ShardedFeatureIndex& a,
                         const ShardedFeatureIndex& b, size_t dim,
                         uint64_t seed) {
@@ -175,12 +171,12 @@ void ExpectAnswersEqual(const ShardedFeatureIndex& a,
     ASSERT_TRUE(ha.ok());
     ASSERT_TRUE(hb.ok());
     ExpectHitsEqual(*ha, *hb);
-    double bound_a = 0.0, bound_b = 0.0;
-    auto ca = a.CoarseNearestNeighbors(q, 5, &bound_a);
-    auto cb = b.CoarseNearestNeighbors(q, 5, &bound_b);
+    std::vector<double> bound_a, bound_b;
+    auto ca = a.BatchBudgetedNearestNeighbors({q}, 5, &bound_a);
+    auto cb = b.BatchBudgetedNearestNeighbors({q}, 5, &bound_b);
     ASSERT_TRUE(ca.ok());
     ASSERT_TRUE(cb.ok());
-    ExpectHitsEqual(*ca, *cb);
+    ExpectHitsEqual((*ca)[0], (*cb)[0]);
     EXPECT_EQ(bound_a, bound_b);
   }
 }
@@ -207,13 +203,12 @@ TEST(IndexSnapshotTest, SerializeRequiresBuiltIndex) {
 }
 
 // The round trip must be bit-exact: a reloaded index re-saves to the
-// same bytes, and answers queries — exact AND coarse — with the same
+// same bytes, and answers queries — exact AND budgeted — with the same
 // bits as the original.
 TEST(IndexSnapshotTest, RoundTripBitIdentity) {
   MotionDatabase db = MakeDb(120, 9, 31);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->has_quantized_tier());
   const std::string path = ::testing::TempDir() + "/idx_roundtrip";
   const std::string again = path + "_again";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -223,13 +218,11 @@ TEST(IndexSnapshotTest, RoundTripBitIdentity) {
   EXPECT_EQ(loaded->applied_epoch(), index->applied_epoch());
   EXPECT_EQ(loaded->num_shards(), 1u);
   EXPECT_EQ(loaded->num_partitions(), index->num_partitions());
-  EXPECT_TRUE(loaded->has_quantized_tier());
   // The manifest's build options survive the trip.
   const FeatureIndexOptions& saved = index->options().index;
   const FeatureIndexOptions& restored = loaded->options().index;
   EXPECT_EQ(restored.num_partitions, saved.num_partitions);
   EXPECT_EQ(restored.seed, saved.seed);
-  EXPECT_EQ(restored.quantized_min_rows, saved.quantized_min_rows);
   EXPECT_EQ(restored.exact_precision, saved.exact_precision);
   EXPECT_EQ(restored.parallel.max_threads, saved.parallel.max_threads);
   EXPECT_EQ(restored.parallel.grain, saved.parallel.grain);
@@ -244,7 +237,7 @@ TEST(IndexSnapshotTest, RoundTripBitIdentity) {
 
 TEST(IndexSnapshotTest, SaveCommitsAtomicallyAndLoads) {
   MotionDatabase db = MakeDb(80, 5, 33);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/idx_snapshot.bin";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -263,10 +256,10 @@ TEST(IndexSnapshotTest, SaveCommitsAtomicallyAndLoads) {
 // rebuild (damaged manifest), never to wrong answers.
 TEST(IndexSnapshotTest, BitFlipCorruptionDetectedAndRecovered) {
   MotionDatabase db = MakeDb(90, 6, 34);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   ShardedIndexOptions rebuild;
-  rebuild.index = QuantizedOptions();
+  rebuild.index = FourPartitionOptions();
   const std::string path = ::testing::TempDir() + "/idx_bitflip.bin";
   ServingFaultInjector injector(ServingFaultOptions{});
 
@@ -307,10 +300,10 @@ TEST(IndexSnapshotTest, BitFlipCorruptionDetectedAndRecovered) {
 // truncated, and recovery repacks or rebuilds.
 TEST(IndexSnapshotTest, TruncationDetectedAndRecovered) {
   MotionDatabase db = MakeDb(70, 4, 36);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   ShardedIndexOptions rebuild;
-  rebuild.index = QuantizedOptions();
+  rebuild.index = FourPartitionOptions();
   const std::string path = ::testing::TempDir() + "/idx_trunc.bin";
   ServingFaultInjector injector(ServingFaultOptions{});
 
@@ -339,7 +332,7 @@ TEST(IndexSnapshotTest, TruncationDetectedAndRecovered) {
 TEST(IndexSnapshotTest, MissingFileFallsBackToRebuild) {
   MotionDatabase db = MakeDb(30, 3, 37);
   ShardedIndexOptions rebuild;
-  rebuild.index = QuantizedOptions();
+  rebuild.index = FourPartitionOptions();
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(
       ::testing::TempDir() + "/idx_does_not_exist.bin", &db, rebuild,
@@ -354,7 +347,7 @@ TEST(IndexSnapshotTest, MissingFileFallsBackToRebuild) {
 // the recovery path rebuilds against the current epoch.
 TEST(IndexSnapshotTest, StaleEpochTriggersRebuild) {
   MotionDatabase db = MakeDb(60, 4, 38);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/idx_stale.bin";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -367,7 +360,7 @@ TEST(IndexSnapshotTest, StaleEpochTriggersRebuild) {
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
 
   ShardedIndexOptions rebuild;
-  rebuild.index = QuantizedOptions();
+  rebuild.index = FourPartitionOptions();
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(path, &db, rebuild, &info);
   ASSERT_TRUE(recovered.ok());
@@ -380,7 +373,7 @@ TEST(IndexSnapshotTest, StaleEpochTriggersRebuild) {
 
 TEST(IndexSnapshotTest, DimensionMismatchRejected) {
   MotionDatabase db = MakeDb(40, 5, 39);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/idx_dim.bin";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -395,7 +388,7 @@ TEST(IndexSnapshotTest, DimensionMismatchRejected) {
 // at the manifest path or stand in for a shard file.
 TEST(IndexSnapshotTest, GarbageAndShortFilesRejected) {
   MotionDatabase db = MakeDb(20, 3, 41);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/idx_garbage.bin";
   for (const std::string& garbage :
@@ -411,25 +404,26 @@ TEST(IndexSnapshotTest, GarbageAndShortFilesRejected) {
   RemoveSnapshot(path, 1);
 }
 
-// Versions other than 4 — the pre-code-width version 1, the
-// pre-fp32-mirror version 2 and the version 3 that still carried
-// code-width fields alike — are refused with the *detected* version
+// Versions other than 5 — the pre-code-width version 1, the
+// pre-fp32-mirror version 2, the version 3 that still carried
+// code-width fields and the version 4 that still carried coarse codes
+// alike — are refused with the *detected* version
 // named and the supported one, so the operator knows to regenerate
 // rather than debug. Manifest and shard files both; the boot-time
 // recovery path rebuilds from the database instead.
 TEST(IndexSnapshotTest, VersionOneMagicRejected) {
   MotionDatabase db = MakeDb(60, 5, 57);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/idx_v1";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
   const std::string manifest = ReadBytes(path);
   const std::string shard = ReadBytes(path + ".shard0");
-  ASSERT_EQ(manifest.compare(0, 10, "MOCEMGSM4\n"), 0);
-  ASSERT_EQ(shard.compare(0, 10, "MOCEMGSH4\n"), 0);
+  ASSERT_EQ(manifest.compare(0, 10, "MOCEMGSM5\n"), 0);
+  ASSERT_EQ(shard.compare(0, 10, "MOCEMGSH5\n"), 0);
   ShardedIndexOptions rebuild;
-  rebuild.index = QuantizedOptions();
-  for (const char version : {'1', '2', '3'}) {
+  rebuild.index = FourPartitionOptions();
+  for (const char version : {'1', '2', '3', '4'}) {
     std::string old = manifest;
     old[8] = version;
     ASSERT_TRUE(WriteStringToFile(path, old).ok());
@@ -440,7 +434,7 @@ TEST(IndexSnapshotTest, VersionOneMagicRejected) {
                   std::string("container version ") + version),
               std::string::npos)
         << loaded.status();
-    EXPECT_NE(loaded.status().message().find("supports version 4"),
+    EXPECT_NE(loaded.status().message().find("supports version 5"),
               std::string::npos)
         << loaded.status();
     ShardedSnapshotLoadInfo info;
@@ -474,18 +468,18 @@ TEST(IndexSnapshotTest, VersionOneMagicRejected) {
 // version, regeneration hint — never mis-parsed.
 TEST(IndexSnapshotTest, FutureVersionRejectedWithDetectedVersion) {
   MotionDatabase db = MakeDb(40, 4, 59);
-  auto index = BuildIndex(&db, QuantizedOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
-  const std::string path = ::testing::TempDir() + "/idx_v5";
+  const std::string path = ::testing::TempDir() + "/idx_v6";
   for (const std::string& victim : {path, path + ".shard0"}) {
     ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-    std::string v5 = ReadBytes(victim);
-    v5[8] = '5';
-    ASSERT_TRUE(WriteStringToFile(victim, v5).ok());
+    std::string v6 = ReadBytes(victim);
+    v6[8] = '6';
+    ASSERT_TRUE(WriteStringToFile(victim, v6).ok());
     auto loaded = LoadShardedFeatureIndex(path, &db);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-    EXPECT_NE(loaded.status().message().find("container version 5"),
+    EXPECT_NE(loaded.status().message().find("container version 6"),
               std::string::npos)
         << loaded.status();
     EXPECT_NE(loaded.status().message().find("regenerate"),
@@ -495,21 +489,20 @@ TEST(IndexSnapshotTest, FutureVersionRejectedWithDetectedVersion) {
   RemoveSnapshot(path, 1);
 }
 
-// A code array whose row width disagrees with the partition's
+// A packed block whose row width disagrees with the partition's
 // dimension must be rejected even when checksum and manifest digest
 // are valid — the size is part of the validated structure, not
-// advisory. We forge it by rewriting the code array as the ⌈dim/2⌉
-// bytes per row a nibble-packed array would take (the count field is
-// the u64 holding rows × dim, followed by that many code bytes) and
-// re-installing the shard with a matching digest.
-TEST(IndexSnapshotTest, CodeWidthMismatchRejected) {
+// advisory. We forge it by rewriting the double block as ⌈dim/2⌉
+// values per row (the count field is the u64 holding rows × dim,
+// followed by that many doubles) and re-installing the shard with a
+// matching digest.
+TEST(IndexSnapshotTest, BlockWidthMismatchRejected) {
   const size_t rows = 60, dim = 5;
   MotionDatabase db = MakeDb(rows, dim, 58);
-  FeatureIndexOptions opts = QuantizedOptions();
+  FeatureIndexOptions opts = FourPartitionOptions();
   opts.num_partitions = 1;
   auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
-  ASSERT_TRUE(index->has_quantized_tier());
   const std::string path = ::testing::TempDir() + "/idx_width";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
   const std::string manifest = ReadBytes(path);
@@ -518,24 +511,24 @@ TEST(IndexSnapshotTest, CodeWidthMismatchRejected) {
   const size_t full = rows * dim;
   const size_t narrow = rows * ((dim + 1) / 2);
   bool width_rejected = false;
-  for (size_t off = 0; off + 8 + full <= payload.size(); ++off) {
+  for (size_t off = 0; off + 8 + full * 8 <= payload.size(); ++off) {
     if (U64At(payload, off) != full) continue;
     std::string forged = payload.substr(0, off + 8);
     PutU64At(&forged, off, narrow);
-    forged.append(payload, off + 8, narrow);
-    forged.append(payload, off + 8 + full, std::string::npos);
+    forged.append(payload, off + 8, narrow * 8);
+    forged.append(payload, off + 8 + full * 8, std::string::npos);
     ASSERT_TRUE(WriteStringToFile(path, manifest).ok());
     InstallForgedShard(path, 0, 1, forged);
     auto loaded = LoadShardedFeatureIndex(path, &db);
     if (loaded.ok()) continue;
-    if (loaded.status().message().find("code bytes but") !=
+    if (loaded.status().message().find("block size mismatch") !=
         std::string::npos) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
       width_rejected = true;
     }
   }
   EXPECT_TRUE(width_rejected)
-      << "no forged code-width mismatch was rejected by the size validation";
+      << "no forged block-width mismatch was rejected by the size validation";
   RemoveSnapshot(path, 1);
 }
 
@@ -551,8 +544,8 @@ TEST(IndexSnapshotTest, F32MirrorRoundTripBitIdentity) {
   const std::string path = ::testing::TempDir() + "/idx_f32";
   const std::string again = path + "_again";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
-  EXPECT_EQ(ReadBytes(path).compare(0, 10, "MOCEMGSM4\n"), 0);
-  EXPECT_EQ(ReadBytes(path + ".shard0").compare(0, 10, "MOCEMGSH4\n"), 0);
+  EXPECT_EQ(ReadBytes(path).compare(0, 10, "MOCEMGSM5\n"), 0);
+  EXPECT_EQ(ReadBytes(path + ".shard0").compare(0, 10, "MOCEMGSH5\n"), 0);
 
   auto loaded = LoadShardedFeatureIndex(path, &db);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -577,7 +570,7 @@ TEST(IndexSnapshotTest, F32MirrorRoundTripBitIdentity) {
 }
 
 // Every truncation point of a shard payload — partition headers,
-// double blocks, codes and the fp32 mirror blocks — re-framed and
+// double blocks and the fp32 mirror blocks — re-framed and
 // re-digested so the parse reaches the payload readers, is rejected as
 // ParseError without reading out of bounds (the asan run enforces no
 // over-read). Raw file prefixes (no re-framing) exercise the
@@ -647,9 +640,9 @@ TEST(IndexSnapshotTest, ForgedMirrorCountRejected) {
   RemoveSnapshot(path, 1);
 }
 
-ShardedIndexOptions QuantizedShardedOptions(size_t shards) {
+ShardedIndexOptions FourPartitionShardedOptions(size_t shards) {
   ShardedIndexOptions opts;
-  opts.index = QuantizedOptions();
+  opts.index = FourPartitionOptions();
   opts.num_shards = shards;
   return opts;
 }
@@ -663,9 +656,8 @@ TEST(ShardedSnapshotTest, SaveRequiresBuiltIndex) {
 
 TEST(ShardedSnapshotTest, RoundTripBitIdentity) {
   MotionDatabase db = MakeDb(150, 8, 42);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(3));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(3));
   ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->has_quantized_tier());
   const std::string path = ::testing::TempDir() + "/sh_roundtrip";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
 
@@ -758,7 +750,7 @@ TEST(ShardedSnapshotTest, ManifestTruncationSweepRejected) {
 // load untouched.
 TEST(ShardedSnapshotTest, SingleShardCorruptionRepacksOnlyThatShard) {
   MotionDatabase db = MakeDb(140, 7, 44);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(3));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(3));
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/sh_oneshard";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -771,7 +763,7 @@ TEST(ShardedSnapshotTest, SingleShardCorruptionRepacksOnlyThatShard) {
 
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(3), &info);
+      path, &db, FourPartitionShardedOptions(3), &info);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(info.loaded_from_snapshot);
   EXPECT_FALSE(info.rebuilt) << "a shard repack is not a full rebuild";
@@ -788,7 +780,7 @@ TEST(ShardedSnapshotTest, SingleShardCorruptionRepacksOnlyThatShard) {
 
 TEST(ShardedSnapshotTest, MissingShardFileRepacked) {
   MotionDatabase db = MakeDb(100, 6, 46);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(2));
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/sh_missing";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -796,7 +788,7 @@ TEST(ShardedSnapshotTest, MissingShardFileRepacked) {
 
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(2), &info);
+      path, &db, FourPartitionShardedOptions(2), &info);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(info.rebuilt);
   ASSERT_EQ(info.rebuilt_shards.size(), 1u);
@@ -811,7 +803,7 @@ TEST(ShardedSnapshotTest, MissingShardFileRepacked) {
 // index rebuilds from the database.
 TEST(ShardedSnapshotTest, ManifestCorruptionTriggersFullRebuild) {
   MotionDatabase db = MakeDb(110, 6, 48);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(3));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(3));
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/sh_manifest";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -821,7 +813,7 @@ TEST(ShardedSnapshotTest, ManifestCorruptionTriggersFullRebuild) {
 
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(3), &info);
+      path, &db, FourPartitionShardedOptions(3), &info);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(info.loaded_from_snapshot);
   EXPECT_TRUE(info.rebuilt);
@@ -838,7 +830,7 @@ TEST(ShardedSnapshotTest, ManifestCorruptionTriggersFullRebuild) {
 // A manifest from an older database epoch must not serve silently.
 TEST(ShardedSnapshotTest, StaleEpochTriggersFullRebuild) {
   MotionDatabase db = MakeDb(90, 5, 50);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(2));
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/sh_stale";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
@@ -846,7 +838,7 @@ TEST(ShardedSnapshotTest, StaleEpochTriggersFullRebuild) {
 
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path, &db, QuantizedShardedOptions(2), &info);
+      path, &db, FourPartitionShardedOptions(2), &info);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(info.rebuilt);
   EXPECT_NE(info.fallback_reason.find("epoch"), std::string::npos)
@@ -870,7 +862,7 @@ TEST(ShardedSnapshotTest, StaleEpochTriggersFullRebuild) {
 // valid checksum of its own, but the manifest's digest disowns it.
 TEST(ShardedSnapshotTest, CrossGenerationShardFileRejected) {
   MotionDatabase db = MakeDb(120, 6, 52);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(2));
   ASSERT_TRUE(index.ok());
   const std::string path_a = ::testing::TempDir() + "/sh_gen_a";
   const std::string path_b = ::testing::TempDir() + "/sh_gen_b";
@@ -892,7 +884,7 @@ TEST(ShardedSnapshotTest, CrossGenerationShardFileRejected) {
   EXPECT_FALSE(LoadShardedFeatureIndex(path_b, &db).ok());
   ShardedSnapshotLoadInfo info;
   auto recovered = LoadOrRebuildShardedFeatureIndex(
-      path_b, &db, QuantizedShardedOptions(2), &info);
+      path_b, &db, FourPartitionShardedOptions(2), &info);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_FALSE(info.rebuilt);
   ASSERT_EQ(info.rebuilt_shards.size(), 1u);
@@ -914,15 +906,15 @@ TEST(ShardedSnapshotTest, CrossGenerationShardFileRejected) {
 // even under a valid checksum.
 TEST(ShardedSnapshotTest, ManifestShardCountMismatchRejected) {
   MotionDatabase db = MakeDb(80, 5, 54);
-  auto index = ShardedFeatureIndex::Build(&db, QuantizedShardedOptions(2));
+  auto index = ShardedFeatureIndex::Build(&db, FourPartitionShardedOptions(2));
   ASSERT_TRUE(index.ok());
   const std::string path = ::testing::TempDir() + "/sh_count";
   ASSERT_TRUE(SaveShardedFeatureIndex(*index, path).ok());
   const std::string manifest = ReadBytes(path);
   // Payload u64 fields: applied epoch, dim, records, shard count, then
-  // the options (num_partitions, seed, quantized_min_rows,
-  // exact_precision, max_threads, grain, num_shards).
-  const size_t shards_opt_off = kHeader + 10 * 8;
+  // the options (num_partitions, seed, exact_precision, max_threads,
+  // grain, num_shards).
+  const size_t shards_opt_off = kHeader + 9 * 8;
   ASSERT_EQ(U64At(manifest, kHeader + 3 * 8), 2u);
   ASSERT_EQ(U64At(manifest, shards_opt_off), 2u);
   for (uint64_t forged_count : {0u, 1u, 3u}) {

@@ -1,15 +1,15 @@
 /// Query-block scan edge cases (DESIGN.md §16). Single queries and
 /// batches of every size run through the same (query-block × shard)
 /// engine, so the reference is the database's linear scan: exact hits
-/// must equal it bit for bit on every backend, precision and code
-/// width, and every coarse estimate must lie within its certified
-/// bound of the linear-scan distance. Stats and bounds must not depend
-/// on the batch size, thread count or shard count.
+/// must equal it bit for bit on every backend and precision, and stats
+/// must not depend on the batch size, thread count or shard count.
+/// Degraded (budgeted) answers must keep their certified interval and
+/// equal their single-query answers; the full degraded grid is the kNN
+/// oracle's (knn_oracle_test.cc).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -78,23 +78,25 @@ void ExpectMatchesLinearScan(const MotionDatabase& db,
   ExpectHitsIdentical(*linear, hits);
 }
 
-/// Every coarse estimate lies within `bound` of the true distance of
-/// the record it names (the certificate of DESIGN.md §12.2). The tiny
-/// relative slack covers only this check's own rounding of the true
-/// distance.
+/// The degraded answer keeps the ServedAnswer contract against the
+/// linear scan: every hit's distance is the linear-scan distance of the
+/// record it names, bit for bit, and the linear scan's i-th distance
+/// lies in [dᵢ − B, dᵢ].
 void ExpectCertified(const MotionDatabase& db,
                      const std::vector<double>& query,
                      const std::vector<QueryHit>& hits, double bound) {
-  for (const QueryHit& hit : hits) {
-    const std::vector<double>& r = db.record(hit.record_index).feature;
-    double sq = 0.0;
-    for (size_t j = 0; j < query.size(); ++j) {
-      sq += (query[j] - r[j]) * (query[j] - r[j]);
-    }
-    const double truth = std::sqrt(sq);
-    EXPECT_LE(std::abs(hit.distance - truth),
-              bound + 1e-12 * (1.0 + truth))
-        << "record " << hit.record_index;
+  auto all = db.NearestNeighbors(query, db.size());
+  ASSERT_TRUE(all.ok()) << all.status();
+  std::vector<double> record_distance(db.size());
+  for (const QueryHit& h : *all) record_distance[h.record_index] = h.distance;
+  ASSERT_GE(bound, 0.0);
+  ASSERT_LE(hits.size(), all->size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].distance, record_distance[hits[i].record_index])
+        << "rank " << i;
+    EXPECT_LE((*all)[i].distance, hits[i].distance) << "rank " << i;
+    EXPECT_LE(hits[i].distance - bound, (*all)[i].distance)
+        << "rank " << i << " bound " << bound;
   }
 }
 
@@ -102,8 +104,6 @@ void ExpectStatsEqual(const IndexQueryStats& a, const IndexQueryStats& b) {
   EXPECT_EQ(a.distance_computations, b.distance_computations);
   EXPECT_EQ(a.partitions_visited, b.partitions_visited);
   EXPECT_EQ(a.partitions_pruned, b.partitions_pruned);
-  EXPECT_EQ(a.coarse_computations, b.coarse_computations);
-  EXPECT_EQ(a.coarse_pruned, b.coarse_pruned);
   EXPECT_EQ(a.f32_scans, b.f32_scans);
   EXPECT_EQ(a.f32_refined, b.f32_refined);
 }
@@ -145,8 +145,8 @@ struct BackendScope {
 // The batch sizes cover a single query (1), ragged tails (3, 7, 31,
 // 33, 70 against the 32-query block), an exactly full block (32) and
 // several whole blocks (64). Every shape must equal the linear scan —
-// on every usable backend, at both exact-tier precisions, with codes
-// off and on — and must fold to the same stats.
+// on every usable backend, at both exact-tier precisions — and must
+// fold to the same stats.
 TEST(QueryBlockTest, BatchSizeSweepBitIdenticalToLinearScan) {
   const size_t kDim = 8;
   const size_t kBatches[] = {1, 3, 7, 31, 32, 33, 64, 70};
@@ -156,51 +156,42 @@ TEST(QueryBlockTest, BatchSizeSweepBitIdenticalToLinearScan) {
   for (KernelBackend backend : UsableKernelBackends()) {
     ASSERT_TRUE(SetKernelBackend(backend).ok());
     for (ExactPrecision prec : {ExactPrecision::kF64, ExactPrecision::kF32}) {
-      for (const bool coded : {false, true}) {
-        SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
-                     " prec=" + ExactPrecisionName(prec) +
-                     " coded=" + std::to_string(coded));
-        FeatureIndexOptions opts;
-        opts.exact_precision = prec;
-        // Eight partitions of ~37 rows around the 40-row code floor:
-        // with codes on, coded and uncoded partitions both serve.
-        opts.num_partitions = 8;
-        opts.quantized_min_rows =
-            coded ? 40 : std::numeric_limits<size_t>::max();
-        auto index = BuildIndex(&db, opts);
-        ASSERT_TRUE(index.ok()) << index.status();
-        IndexQueryStats ref_stats;
-        for (size_t batch : kBatches) {
-          SCOPED_TRACE("batch=" + std::to_string(batch));
-          IndexQueryStats st;
-          const auto hits = AnswerInBatches(*index, queries, 5, batch, &st);
-          ASSERT_EQ(hits.size(), queries.size());
-          for (size_t q = 0; q < queries.size(); ++q) {
-            ExpectMatchesLinearScan(db, queries[q], 5, hits[q]);
-          }
-          if (batch == 1) {
-            ref_stats = st;
-            // The sweep exercises the tiers it claims to.
-            EXPECT_EQ(st.coarse_computations > 0, coded);
-            EXPECT_EQ(st.f32_scans > 0, prec == ExactPrecision::kF32);
-          }
-          ExpectStatsEqual(ref_stats, st);
+      SCOPED_TRACE(std::string("backend=") + KernelBackendName(backend) +
+                   " prec=" + ExactPrecisionName(prec));
+      FeatureIndexOptions opts;
+      opts.exact_precision = prec;
+      opts.num_partitions = 8;  // ~37 rows each
+      auto index = BuildIndex(&db, opts);
+      ASSERT_TRUE(index.ok()) << index.status();
+      IndexQueryStats ref_stats;
+      for (size_t batch : kBatches) {
+        SCOPED_TRACE("batch=" + std::to_string(batch));
+        IndexQueryStats st;
+        const auto hits = AnswerInBatches(*index, queries, 5, batch, &st);
+        ASSERT_EQ(hits.size(), queries.size());
+        for (size_t q = 0; q < queries.size(); ++q) {
+          ExpectMatchesLinearScan(db, queries[q], 5, hits[q]);
         }
+        if (batch == 1) {
+          ref_stats = st;
+          // The sweep exercises the tier it claims to.
+          EXPECT_EQ(st.f32_scans > 0, prec == ExactPrecision::kF32);
+        }
+        ExpectStatsEqual(ref_stats, st);
       }
     }
   }
 }
 
 // k at or beyond the partition size (and beyond the whole database)
-// exercises the never-full-heap paths: the coarse seed loop, the
-// frozen entry gate with entry_full=false, and heap_k clamping.
+// exercises the never-full-heap paths: the frozen entry gate with
+// entry_full=false and heap_k clamping.
 TEST(QueryBlockTest, KAtAndBeyondPartitionAndDatabaseSize) {
   const size_t kDim = 6;
   MotionDatabase db = MakeDb(120, kDim, 51);
   const auto queries = MakeQueries(9, kDim, 52);
   FeatureIndexOptions opts;
   opts.num_partitions = 4;  // ~30 records per partition
-  opts.quantized_min_rows = 1;  // force the coarse tier on
   auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   for (size_t k : {30, 120, 500}) {
@@ -240,21 +231,21 @@ TEST(QueryBlockTest, NonFiniteQueriesRejectedWithSlotContext) {
       << batch.status();
   EXPECT_NE(batch.status().message().find("non-finite"), std::string::npos)
       << batch.status();
-  auto coarse = index->BatchCoarseNearestNeighbors(queries, 3);
-  ASSERT_FALSE(coarse.ok());
-  EXPECT_NE(coarse.status().message().find("batch query 2"),
+  auto budgeted = index->BatchBudgetedNearestNeighbors(queries, 3);
+  ASSERT_FALSE(budgeted.ok());
+  EXPECT_NE(budgeted.status().message().find("batch query 2"),
             std::string::npos)
-      << coarse.status();
+      << budgeted.status();
 }
 
-// The single-query entry points validate exactly like the batch ones
-// but report the bare per-query error: code and full text are pinned
-// for every precondition, exact and coarse alike.
+// The single-query entry point validates exactly like the batch ones
+// but reports the bare per-query error: code and full text are pinned
+// for every precondition. The budgeted batch entry point fails with the
+// same code and text behind its slot context.
 TEST(QueryBlockTest, SingleQueryErrorStatusesPinned) {
   const size_t kDim = 4;
   MotionDatabase db = MakeDb(60, kDim, 65);
   FeatureIndexOptions opts;
-  opts.quantized_min_rows = 1;
   auto index = BuildIndex(&db, opts);
   ASSERT_TRUE(index.ok()) << index.status();
   const std::vector<double> good = {1, 2, 3, 4};
@@ -285,12 +276,14 @@ TEST(QueryBlockTest, SingleQueryErrorStatusesPinned) {
     ASSERT_FALSE(exact.ok());
     EXPECT_EQ(exact.status().code(), c.code);
     EXPECT_EQ(exact.status().message(), c.message);
-    double bound = -1.0;
-    auto coarse = c.index->CoarseNearestNeighbors(c.query, c.k, &bound);
-    ASSERT_FALSE(coarse.ok());
-    EXPECT_EQ(coarse.status().code(), c.code);
-    EXPECT_EQ(coarse.status().message(), c.message);
-    EXPECT_EQ(bound, -1.0);  // untouched on failure
+    std::vector<double> bounds = {-1.0};
+    auto budgeted =
+        c.index->BatchBudgetedNearestNeighbors({c.query}, c.k, &bounds);
+    ASSERT_FALSE(budgeted.ok());
+    EXPECT_EQ(budgeted.status().code(), c.code);
+    EXPECT_EQ(budgeted.status().message(),
+              "while answering batch query 0: " + c.message);
+    EXPECT_EQ(bounds, std::vector<double>{-1.0});  // untouched on failure
   }
   // Stale epoch: the database mutated past the index's applied epoch.
   MotionDatabase stale_db = MakeDb(60, kDim, 66);
@@ -304,10 +297,11 @@ TEST(QueryBlockTest, SingleQueryErrorStatusesPinned) {
   ASSERT_FALSE(exact.ok());
   EXPECT_EQ(exact.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(exact.status().message(), stale_msg);
-  auto coarse = stale->CoarseNearestNeighbors(good, 3);
-  ASSERT_FALSE(coarse.ok());
-  EXPECT_EQ(coarse.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(coarse.status().message(), stale_msg);
+  auto budgeted = stale->BatchBudgetedNearestNeighbors({good}, 3);
+  ASSERT_FALSE(budgeted.ok());
+  EXPECT_EQ(budgeted.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(budgeted.status().message(),
+            "while answering batch query 0: " + stale_msg);
 }
 
 // Duplicate queries sharing one block must not perturb each other:
@@ -360,8 +354,8 @@ TEST(QueryBlockTest, ShardedGridBitIdenticalAcrossThreadsAndBlocks) {
   }
 }
 
-// The blocked coarse scan: every estimate is certified against the
-// linear-scan distance, and batch answers AND bounds equal the
+// The blocked degraded scan: every answer keeps its certified interval
+// against the linear scan, and batch answers AND bounds equal the
 // single-query answers across shard counts, thread counts, and batch
 // sizes.
 TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
@@ -371,18 +365,19 @@ TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
   for (size_t shards : {1, 4}) {
     ShardedIndexOptions ropts;
     ropts.num_shards = shards;
-    ropts.index.quantized_min_rows = 1;
     auto rindex = ShardedFeatureIndex::Build(&db, ropts);
     ASSERT_TRUE(rindex.ok()) << rindex.status();
-    ASSERT_TRUE(rindex->has_quantized_tier());
     std::vector<std::vector<QueryHit>> ref(queries.size());
     std::vector<double> ref_bounds(queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
+      std::vector<double> bound;
       auto hits =
-          rindex->CoarseNearestNeighbors(queries[q], 5, &ref_bounds[q]);
+          rindex->BatchBudgetedNearestNeighbors({queries[q]}, 5, &bound);
       ASSERT_TRUE(hits.ok()) << hits.status();
-      ExpectCertified(db, queries[q], *hits, ref_bounds[q]);
-      ref[q] = std::move(*hits);
+      ASSERT_EQ(bound.size(), 1u);
+      ref_bounds[q] = bound[0];
+      ExpectCertified(db, queries[q], (*hits)[0], ref_bounds[q]);
+      ref[q] = std::move((*hits)[0]);
     }
     for (size_t threads : {1, 8}) {
       ShardedIndexOptions opts = ropts;
@@ -395,7 +390,7 @@ TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
           std::vector<std::vector<double>> slice(queries.begin() + q0,
                                                  queries.begin() + q1);
           std::vector<double> bounds;
-          auto hits = index->BatchCoarseNearestNeighbors(slice, 5, &bounds);
+          auto hits = index->BatchBudgetedNearestNeighbors(slice, 5, &bounds);
           ASSERT_TRUE(hits.ok()) << hits.status();
           ASSERT_EQ(bounds.size(), slice.size());
           for (size_t i = 0; i < slice.size(); ++i) {
@@ -408,27 +403,28 @@ TEST(QueryBlockTest, CoarseBatchMatchesPerQueryWithBounds) {
   }
 }
 
-// The one-shard coarse batch entry point (the query server's degraded
-// drain at the default shard count): certified against the linear
-// scan, and equal to its single-query counterpart.
+// The one-shard degraded batch (the query server's degraded drain at
+// the default shard count): certified against the linear scan, and
+// equal to its single-query counterpart.
 TEST(QueryBlockTest, SingleIndexCoarseBatchMatchesPerQuery) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(250, kDim, 101);
   const auto queries = MakeQueries(40, kDim, 102);
-  FeatureIndexOptions opts;
-  opts.quantized_min_rows = 1;
-  auto index = BuildIndex(&db, opts);
+  auto index = BuildIndex(&db);
   ASSERT_TRUE(index.ok()) << index.status();
   std::vector<double> bounds;
-  auto batch = index->BatchCoarseNearestNeighbors(queries, 5, &bounds);
+  auto batch = index->BatchBudgetedNearestNeighbors(queries, 5, &bounds);
   ASSERT_TRUE(batch.ok()) << batch.status();
+  ASSERT_EQ(bounds.size(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    double bound = 0.0;
-    auto solo = index->CoarseNearestNeighbors(queries[q], 5, &bound);
-    ASSERT_TRUE(solo.ok());
-    ExpectCertified(db, queries[q], *solo, bound);
-    ExpectHitsIdentical(*solo, (*batch)[q]);
-    EXPECT_EQ(bound, bounds[q]);
+    std::vector<double> bound;
+    auto solo =
+        index->BatchBudgetedNearestNeighbors({queries[q]}, 5, &bound);
+    ASSERT_TRUE(solo.ok()) << solo.status();
+    ASSERT_EQ(bound.size(), 1u);
+    ExpectCertified(db, queries[q], (*solo)[0], bound[0]);
+    ExpectHitsIdentical((*solo)[0], (*batch)[q]);
+    EXPECT_EQ(bound[0], bounds[q]);
   }
 }
 

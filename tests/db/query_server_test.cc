@@ -107,8 +107,8 @@ TEST(QueryServerTest, ExactFallbackBitIdenticalToLinearScan) {
 }
 
 // Served through a fresh index the answers are the same bits again —
-// the quantized coarse tier and the server batching change only the
-// work done, never the hits.
+// the index and the server batching change only the work done, never
+// the hits.
 TEST(QueryServerTest, IndexPathBitIdenticalToLinearScan) {
   MotionDatabase db = MakeDb(300, 17, 5);
   auto index = BuildIndex(&db);
@@ -387,25 +387,12 @@ TEST(QueryServerTest, ParallelWorkerServesConcurrentClients) {
 // backoff, fault injection.
 // ---------------------------------------------------------------------
 
-/// Index options that force the int8 tier on at test scale (the
-/// default quantized_min_rows=256 would leave √N-sized partitions
-/// unquantized and degradation could never fire).
-FeatureIndexOptions QuantizedIndexOptions() {
+/// Four partitions, so the degraded partition budget leaves some of
+/// them out at test scale.
+FeatureIndexOptions FourPartitionOptions() {
   FeatureIndexOptions opts;
   opts.num_partitions = 4;
-  opts.quantized_min_rows = 1;
   return opts;
-}
-
-double TrueDistance(const MotionDatabase& db, const std::vector<double>& q,
-                    size_t record) {
-  const std::vector<double>& f = db.record(record).feature;
-  double acc = 0.0;
-  for (size_t j = 0; j < q.size(); ++j) {
-    const double d = q[j] - f[j];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
 }
 
 TEST(QueryServerTest, CreateRejectsWatermarkAboveMaxQueue) {
@@ -525,14 +512,13 @@ TEST(QueryServerTest, RetryAfterHintParsesAndGrowsWithQueueDepth) {
 }
 
 // Watermark degradation end to end: while the queue is at or above the
-// watermark the batches answer from the coarse tier (tagged, bounded),
+// watermark the batches answer by the budgeted scan (tagged, bounded),
 // and once pressure clears the remaining batches are exact again — all
 // within one deterministic drain.
 TEST(QueryServerTest, WatermarkDegradesAndRecoversDeterministically) {
   MotionDatabase db = MakeDb(200, 9, 56);
-  auto index = BuildIndex(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
-  ASSERT_TRUE(index->has_quantized_tier());
   const auto queries = MakeQueries(24, 9, 57);
 
   QueryServerOptions opts;
@@ -560,15 +546,16 @@ TEST(QueryServerTest, WatermarkDegradesAndRecoversDeterministically) {
     ASSERT_TRUE(linear.ok());
     if (i < 16) {
       EXPECT_TRUE(answer->degraded) << "request " << i;
-      EXPECT_GT(answer->error_bound, 0.0);
-      // Certified bound: every reported distance is within B of that
-      // record's true distance.
-      for (const QueryHit& hit : answer->hits) {
-        const double truth = TrueDistance(db, queries[i], hit.record_index);
-        EXPECT_LE(std::abs(hit.distance - truth),
-                  answer->error_bound + 1e-9)
-            << "request " << i << " record " << hit.record_index;
+      // Certified interval: the linear scan's j-th distance lies in
+      // [dⱼ − B, dⱼ], and B = 0 means the linear scan's answer.
+      ASSERT_EQ(answer->hits.size(), linear->size());
+      for (size_t j = 0; j < linear->size(); ++j) {
+        const double d = answer->hits[j].distance;
+        EXPECT_LE((*linear)[j].distance, d) << "request " << i;
+        EXPECT_LE(d - answer->error_bound, (*linear)[j].distance)
+            << "request " << i;
       }
+      if (answer->error_bound == 0.0) ExpectHitsEqual(answer->hits, *linear);
     } else {
       EXPECT_FALSE(answer->degraded) << "request " << i;
       EXPECT_EQ(answer->error_bound, 0.0);
@@ -582,7 +569,7 @@ TEST(QueryServerTest, WatermarkDegradesAndRecoversDeterministically) {
 // approximation.
 TEST(QueryServerTest, DegradedAnswersAreNotCached) {
   MotionDatabase db = MakeDb(150, 5, 58);
-  auto index = BuildIndex(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const auto queries = MakeQueries(8, 5, 59);
 
@@ -618,7 +605,7 @@ TEST(QueryServerTest, DegradedAnswersAreNotCached) {
 // answer — is identical at every kernel-thread budget.
 TEST(QueryServerTest, ParallelDegradationIdenticalAcrossThreadCounts) {
   MotionDatabase db = MakeDb(220, 9, 60);
-  auto index = BuildIndex(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   const auto queries = MakeQueries(30, 9, 61);
   std::vector<std::vector<std::pair<bool, std::vector<QueryHit>>>> runs;
@@ -788,7 +775,7 @@ TEST(QueryServerTest, QueueHighWaterTracksPeakDepth) {
 // multi-thread rerun.)
 TEST(QueryServerTest, ServingFaultInjectedStressDeterministic) {
   MotionDatabase db = MakeDb(240, 9, 66);
-  auto index = BuildIndex(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   auto queries = MakeQueries(48, 9, 67);
   for (int i = 0; i < 12; ++i) queries.push_back(queries[i % 6]);
@@ -884,7 +871,7 @@ TEST(QueryServerTest, ServingFaultInjectedStressDeterministic) {
 // "ServingFault" keep it in the multi-thread rerun).
 TEST(QueryServerTest, ParallelServingFaultInjectedClientsSurvive) {
   MotionDatabase db = MakeDb(150, 5, 68);
-  auto index = BuildIndex(&db, QuantizedIndexOptions());
+  auto index = BuildIndex(&db, FourPartitionOptions());
   ASSERT_TRUE(index.ok());
   ServingFaultOptions fopts;
   fopts.seed = 11;
@@ -1007,10 +994,6 @@ TEST(QueryServerTest, ParallelShardedStatsDeterministicAcrossThreads) {
       EXPECT_EQ(other.shard_stats[s].scans, base.shard_stats[s].scans);
       EXPECT_EQ(other.shard_stats[s].distance_computations,
                 base.shard_stats[s].distance_computations);
-      EXPECT_EQ(other.shard_stats[s].coarse_computations,
-                base.shard_stats[s].coarse_computations);
-      EXPECT_EQ(other.shard_stats[s].coarse_pruned,
-                base.shard_stats[s].coarse_pruned);
     }
   }
 }
@@ -1152,18 +1135,17 @@ TEST(QueryServerTest, ShardedCacheSurvivesOtherShardMutation) {
 }
 
 // Degraded (watermark) serving through the sharded index must be
-// bit-identical to the one-shard coarse path at every shard count.
+// bit-identical to the one-shard budgeted path at every shard count.
 TEST(QueryServerTest, ShardedWatermarkDegradedIdenticalAcrossShardCounts) {
   const size_t kDim = 9;
   MotionDatabase db = MakeDb(240, kDim, 77);
   const auto queries = MakeQueries(16, kDim, 78);
   auto run = [&](size_t shards) {
     ShardedIndexOptions sopts;
-    sopts.index = QuantizedIndexOptions();
+    sopts.index = FourPartitionOptions();
     sopts.num_shards = shards;
     auto index = ShardedFeatureIndex::Build(&db, sopts);
     EXPECT_TRUE(index.ok());
-    EXPECT_TRUE(index->has_quantized_tier());
     QueryServerOptions opts;
     opts.max_batch = 4;
     opts.degrade_watermark = 8;
@@ -1279,7 +1261,7 @@ TEST(QueryServerTest, ParallelSwapIndexConcurrentSubmitsNeverTorn) {
 TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
   MotionDatabase db = MakeDb(240, 9, 81);
   ShardedIndexOptions sopts;
-  sopts.index = QuantizedIndexOptions();
+  sopts.index = FourPartitionOptions();
   sopts.num_shards = 3;
   auto index = ShardedFeatureIndex::Build(&db, sopts);
   ASSERT_TRUE(index.ok());
@@ -1374,8 +1356,6 @@ TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
                 base.stats.shard_stats[s].scans);
       EXPECT_EQ(other->stats.shard_stats[s].distance_computations,
                 base.stats.shard_stats[s].distance_computations);
-      EXPECT_EQ(other->stats.shard_stats[s].coarse_computations,
-                base.stats.shard_stats[s].coarse_computations);
     }
   }
 }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -52,22 +51,25 @@ void ExpectHitsIdentical(const std::vector<QueryHit>& a,
   }
 }
 
-/// Every coarse estimate lies within `bound` of the true distance of
-/// the record it names (DESIGN.md §12.2); the tiny relative slack
-/// covers only this check's own rounding of the true distance.
+/// The degraded answer keeps the ServedAnswer contract against the
+/// linear scan: every hit's distance is the linear-scan distance of the
+/// record it names, bit for bit, and the linear scan's i-th distance
+/// lies in [dᵢ − B, dᵢ].
 void ExpectCertified(const MotionDatabase& db,
                      const std::vector<double>& query,
                      const std::vector<QueryHit>& hits, double bound) {
-  for (const QueryHit& hit : hits) {
-    const std::vector<double>& r = db.record(hit.record_index).feature;
-    double sq = 0.0;
-    for (size_t j = 0; j < query.size(); ++j) {
-      sq += (query[j] - r[j]) * (query[j] - r[j]);
-    }
-    const double truth = std::sqrt(sq);
-    EXPECT_LE(std::abs(hit.distance - truth),
-              bound + 1e-12 * (1.0 + truth))
-        << "record " << hit.record_index;
+  auto all = db.NearestNeighbors(query, db.size());
+  ASSERT_TRUE(all.ok()) << all.status();
+  std::vector<double> record_distance(db.size());
+  for (const QueryHit& h : *all) record_distance[h.record_index] = h.distance;
+  ASSERT_GE(bound, 0.0);
+  ASSERT_LE(hits.size(), all->size());
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].distance, record_distance[hits[i].record_index])
+        << "rank " << i;
+    EXPECT_LE((*all)[i].distance, hits[i].distance) << "rank " << i;
+    EXPECT_LE(hits[i].distance - bound, (*all)[i].distance)
+        << "rank " << i << " bound " << bound;
   }
 }
 
@@ -112,8 +114,7 @@ TEST(ShardedIndexTest, ZeroShardsRejectedAndExcessShards) {
 // The bit-identity claim: for every shard count, exact kNN answers
 // (records AND distance bits) equal the linear scan, for several k —
 // on every usable backend and at both exact-tier precisions (eight
-// ~37-row partitions around a 40-row code floor, so coded and uncoded
-// partitions both serve).
+// ~37-row partitions).
 TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 21);
@@ -128,12 +129,10 @@ TEST(ShardedIndexTest, ExactBitIdenticalAcrossShardCounts) {
         ShardedIndexOptions sopts;
         sopts.index.exact_precision = prec;
         sopts.index.num_partitions = 8;
-        sopts.index.quantized_min_rows = 40;
         sopts.num_shards = shards;
         auto index = ShardedFeatureIndex::Build(&db, sopts);
         ASSERT_TRUE(index.ok()) << index.status();
         EXPECT_EQ(index->num_shards(), shards);
-        EXPECT_TRUE(index->has_quantized_tier());
         for (size_t k : {1, 3, 10}) {
           for (const auto& q : queries) {
             auto linear = db.NearestNeighbors(q, k);
@@ -190,36 +189,33 @@ TEST(ShardedIndexTest, ParallelBatchDeterministicAcrossThreads) {
   }
 }
 
-// Degraded answers must regroup identically too: the coarse estimates
-// and the certified bound are pure functions of the owning partition,
-// so every shard count answers exactly like the one-shard index — and
-// every estimate lies within that bound of the linear-scan distance.
+// Degraded answers must regroup identically too: the partition budget
+// and the certified bound are chosen once per query over the global
+// layout, so every shard count answers exactly like the one-shard
+// index — and every answer keeps its interval against the linear scan.
 TEST(ShardedIndexTest, CoarseBitIdenticalAcrossShardCounts) {
   const size_t kDim = 8;
   MotionDatabase db = MakeDb(300, kDim, 41);
-  ShardedIndexOptions one;
-  one.index.quantized_min_rows = 1;  // quantize every partition
-  const FeatureIndexOptions& fopts = one.index;
-  auto single = ShardedFeatureIndex::Build(&db, one);
+  auto single = ShardedFeatureIndex::Build(&db);
   ASSERT_TRUE(single.ok()) << single.status();
-  ASSERT_TRUE(single->has_quantized_tier());
   const auto queries = MakeQueries(20, kDim, 42);
+  std::vector<double> bounds_single;
+  auto ref = single->BatchBudgetedNearestNeighbors(queries, 5, &bounds_single);
+  ASSERT_TRUE(ref.ok()) << ref.status();
   for (size_t shards : {1, 2, 3, 8}) {
     ShardedIndexOptions sopts;
-    sopts.index = fopts;
     sopts.num_shards = shards;
     auto index = ShardedFeatureIndex::Build(&db, sopts);
     ASSERT_TRUE(index.ok()) << index.status();
-    ASSERT_TRUE(index->has_quantized_tier());
-    for (const auto& q : queries) {
-      double bound_single = 0.0, bound_sharded = 0.0;
-      auto ref = single->CoarseNearestNeighbors(q, 5, &bound_single);
-      auto got = index->CoarseNearestNeighbors(q, 5, &bound_sharded);
-      ASSERT_TRUE(ref.ok()) << ref.status();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::vector<double> bound;
+      auto got =
+          index->BatchBudgetedNearestNeighbors({queries[q]}, 5, &bound);
       ASSERT_TRUE(got.ok()) << got.status();
-      ExpectHitsIdentical(*ref, *got);
-      EXPECT_EQ(bound_single, bound_sharded);
-      ExpectCertified(db, q, *got, bound_sharded);
+      ASSERT_EQ(bound.size(), 1u);
+      ExpectHitsIdentical((*ref)[q], (*got)[0]);
+      EXPECT_EQ(bounds_single[q], bound[0]);
+      ExpectCertified(db, queries[q], (*got)[0], bound[0]);
     }
   }
 }
@@ -247,9 +243,9 @@ TEST(ShardedIndexTest, QueryValidations) {
     EXPECT_TRUE(none->empty());
     EXPECT_EQ(stats.partitions_visited, 0u);
     std::vector<double> bounds = {1.0};
-    auto coarse = idx->BatchCoarseNearestNeighbors({}, 3, &bounds);
-    ASSERT_TRUE(coarse.ok()) << coarse.status();
-    EXPECT_TRUE(coarse->empty());
+    auto budgeted = idx->BatchBudgetedNearestNeighbors({}, 3, &bounds);
+    ASSERT_TRUE(budgeted.ok()) << budgeted.status();
+    EXPECT_TRUE(budgeted->empty());
     EXPECT_TRUE(bounds.empty());
   }
 }

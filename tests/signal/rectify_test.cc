@@ -10,66 +10,8 @@ TEST(RectifyTest, FullWave) {
   EXPECT_EQ(out, (std::vector<double>{1.0, 2.0, 3.5, 0.0}));
 }
 
-TEST(RectifyTest, HalfWave) {
-  auto out = HalfWaveRectify({-1.0, 2.0, -3.5, 0.0});
-  EXPECT_EQ(out, (std::vector<double>{0.0, 2.0, 0.0, 0.0}));
-}
-
 TEST(RectifyTest, EmptySignals) {
   EXPECT_TRUE(FullWaveRectify({}).empty());
-  EXPECT_TRUE(HalfWaveRectify({}).empty());
-  EXPECT_TRUE(RemoveMean({}).empty());
-}
-
-TEST(RectifyTest, RemoveMean) {
-  auto out = RemoveMean({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(out[0], -1.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
-  EXPECT_DOUBLE_EQ(out[2], 1.0);
-}
-
-TEST(MovingAverageTest, RejectsZeroWindow) {
-  EXPECT_FALSE(MovingAverage({1.0}, 0).ok());
-}
-
-TEST(MovingAverageTest, ConstantSignalUnchanged) {
-  auto out = MovingAverage(std::vector<double>(10, 4.0), 3);
-  ASSERT_TRUE(out.ok());
-  for (double v : *out) EXPECT_DOUBLE_EQ(v, 4.0);
-}
-
-TEST(MovingAverageTest, SmoothsStep) {
-  std::vector<double> step(10, 0.0);
-  for (size_t i = 5; i < 10; ++i) step[i] = 1.0;
-  auto out = MovingAverage(step, 3);
-  ASSERT_TRUE(out.ok());
-  // Transition is spread: the sample just before the step edge averages
-  // one 1.0 into its window.
-  EXPECT_NEAR((*out)[4], 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR((*out)[5], 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ((*out)[0], 0.0);
-  EXPECT_DOUBLE_EQ((*out)[9], 1.0);
-}
-
-TEST(MovingAverageTest, WindowOneIsIdentity) {
-  std::vector<double> v{3.0, -1.0, 2.0};
-  auto out = MovingAverage(v, 1);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, v);
-}
-
-TEST(MovingAverageTest, PreservesMeanOfSignal) {
-  std::vector<double> v;
-  for (int i = 0; i < 100; ++i) v.push_back(i % 7);
-  auto out = MovingAverage(v, 5);
-  ASSERT_TRUE(out.ok());
-  double mean_in = 0.0;
-  double mean_out = 0.0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    mean_in += v[i];
-    mean_out += (*out)[i];
-  }
-  EXPECT_NEAR(mean_in, mean_out, mean_in * 0.05);
 }
 
 }  // namespace

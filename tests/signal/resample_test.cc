@@ -7,34 +7,6 @@
 namespace mocemg {
 namespace {
 
-TEST(DecimateTest, FactorOneIsIdentity) {
-  std::vector<double> v{1, 2, 3};
-  auto out = Decimate(v, 100.0, 1);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(*out, v);
-}
-
-TEST(DecimateTest, RejectsBadFactor) {
-  EXPECT_FALSE(Decimate({1.0}, 100.0, 0).ok());
-}
-
-TEST(DecimateTest, OutputLength) {
-  std::vector<double> v(1000, 1.0);
-  auto out = Decimate(v, 1000.0, 4);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->size(), 250u);
-}
-
-TEST(DecimateTest, PreservesDcLevel) {
-  std::vector<double> v(2000, 3.0);
-  auto out = Decimate(v, 1000.0, 5);
-  ASSERT_TRUE(out.ok());
-  // Interior samples stay at the DC level.
-  for (size_t i = 10; i + 10 < out->size(); ++i) {
-    EXPECT_NEAR((*out)[i], 3.0, 1e-6);
-  }
-}
-
 TEST(ResampleTest, SameRateIsIdentity) {
   std::vector<double> v{1, 2, 3};
   auto out = Resample(v, 120.0, 120.0);

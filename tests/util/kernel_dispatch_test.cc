@@ -52,12 +52,6 @@ std::vector<double> RandomVector(size_t n, Rng* rng) {
   return v;
 }
 
-std::vector<uint8_t> RandomCodes(size_t n, Rng* rng) {
-  std::vector<uint8_t> v(n);
-  for (uint8_t& x : v) x = static_cast<uint8_t>(rng->NextBelow(256));
-  return v;
-}
-
 TEST(KernelDispatchTest, NamesParseRoundTrip) {
   for (KernelBackend b :
        {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kAvx2,
@@ -121,7 +115,6 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2_one_to_many, nullptr);
     EXPECT_NE(ops->l2dot_one_to_many, nullptr);
     EXPECT_NE(ops->row_norms, nullptr);
-    EXPECT_NE(ops->ssd8_one_to_many, nullptr);
     EXPECT_NE(ops->l2_f32_one_to_many, nullptr);
     EXPECT_NE(ops->l2dot_f32_one_to_many, nullptr);
     EXPECT_NE(ops->row_norms_f32, nullptr);
@@ -129,7 +122,6 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2dot_many_to_many, nullptr);
     EXPECT_NE(ops->l2dot_f32_many_to_many, nullptr);
     EXPECT_NE(ops->l2_gather, nullptr);
-    EXPECT_NE(ops->ssd8_many_to_many, nullptr);
   }
 }
 
@@ -206,14 +198,6 @@ TEST(KernelDispatchTest, AllUsableBackendsMatchScalarBitExactly) {
         EXPECT_TRUE(BitsEqual(got[r], want[r]))
             << ops->name << " l2dot_one_to_many dim " << d << " row " << r;
       }
-
-      const std::vector<uint8_t> qc = RandomCodes(d, &rng);
-      const std::vector<uint8_t> codes = RandomCodes(rows * d, &rng);
-      std::vector<uint32_t> got_ssd(rows), want_ssd(rows);
-      ops->ssd8_one_to_many(qc.data(), codes.data(), rows, d, got_ssd.data());
-      ref->ssd8_one_to_many(qc.data(), codes.data(), rows, d,
-                            want_ssd.data());
-      EXPECT_EQ(got_ssd, want_ssd) << ops->name << " ssd8 dim " << d;
     }
   }
 }
@@ -425,22 +409,6 @@ TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
           EXPECT_TRUE(BitsEqualF(got_f[q * stride + r], want_f[r]))
               << ops->name << " l2dot_f32_many_to_many dim " << d << " q "
               << q << " row " << r;
-        }
-      }
-
-      // int8 block SSD vs per-query one-to-many.
-      const std::vector<uint8_t> qc = RandomCodes(nq * d, &rng);
-      const std::vector<uint8_t> codes = RandomCodes(rows * d, &rng);
-      std::vector<uint32_t> got_ssd(nq * stride, 0xDEADu), want_ssd(rows);
-      ops->ssd8_many_to_many(qc.data(), nq, codes.data(), rows, d,
-                             got_ssd.data(), stride);
-      for (size_t q = 0; q < nq; ++q) {
-        ops->ssd8_one_to_many(qc.data() + q * d, codes.data(), rows, d,
-                              want_ssd.data());
-        for (size_t r = 0; r < rows; ++r) {
-          EXPECT_EQ(got_ssd[q * stride + r], want_ssd[r])
-              << ops->name << " ssd8_many_to_many dim " << d << " q " << q
-              << " row " << r;
         }
       }
     }

@@ -10,8 +10,6 @@
 //               [--deadline-us N] [--watermark N] [--snapshot <path>]
 //               [--shards N] [--pipeline D]
 //   kernel-info [--json]       dispatch report + backend equivalence gate
-//   coarse-bench [--records N] [--dim D] [--queries Q] [--k K]
-//               [--seed S] [--json]   coarse-tier recall/bound/throughput
 //
 // Every subcommand accepts --kernel {auto,scalar,avx2,avx512} to
 // force the SIMD kernel backend (same semantics as MOCEMG_KERNEL, but
@@ -30,6 +28,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -45,6 +44,7 @@
 #include "emg/emg_io.h"
 #include "mocap/trc_io.h"
 #include "util/csv.h"
+#include "util/distance_kernels.h"
 #include "util/kernel_dispatch.h"
 #include "util/logging.h"
 #include "util/macros.h"
@@ -78,9 +78,6 @@ int Usage() {
                "                      [--shards N (>= 1, default 1)] "
                "[--pipeline D]\n"
                "  mocemg_cli kernel-info [--json]\n"
-               "  mocemg_cli coarse-bench [--records N] [--dim D] "
-               "[--queries Q] [--k K]\n"
-               "                      [--seed S] [--json]\n"
                "  (any subcommand) --kernel auto|scalar|avx2|avx512\n"
                "  (any subcommand) --exact-precision f64|f32\n");
   return 2;
@@ -246,11 +243,13 @@ int RunInfo(const Args& args) {
 // --- serve-bench: synthetic serving-throughput measurement ------------
 //
 // Builds a clustered synthetic database, then measures the same query
-// stream three ways: per-request linear scan, per-request quantized
-// index, and the batched QueryServer (index + cache) at each requested
-// thread budget. The served results are checked bit-identical to the
-// per-request scan before any number is reported. run_benchmarks.sh
-// consumes the --json form for BENCH_pr5.json's "serving" section.
+// stream three ways: per-request linear scan, per-request index, and
+// the batched QueryServer (index + cache) at each requested thread
+// budget. Exact served results are checked bit-identical to the
+// per-request scan, and degraded ones (--watermark) against their
+// certified interval, before any number is reported.
+// run_benchmarks.sh consumes the --json form for BENCH_pr5.json's
+// "serving" section.
 
 using BenchClock = std::chrono::steady_clock;
 
@@ -328,6 +327,37 @@ bool SameHits(const std::vector<QueryHit>& a,
   return true;
 }
 
+/// The degraded-answer contract (ServedAnswer): every hit's distance dᵢ
+/// is the linear scan's distance of that record, the linear scan's i-th
+/// distance lies in [dᵢ − B, dᵢ], and B = 0 means the linear scan's
+/// answer. Returns the number of hits shared with `expected`.
+Result<size_t> CheckDegraded(const MotionDatabase& db,
+                             const std::vector<double>& query,
+                             const ServedAnswer& answer,
+                             const std::vector<QueryHit>& expected) {
+  const std::vector<QueryHit>& hits = answer.hits;
+  const double bound = answer.error_bound;
+  const size_t dim = query.size();
+  bool ok = hits.size() == expected.size() && bound >= 0.0 &&
+            (bound > 0.0 || SameHits(hits, expected));
+  size_t shared = 0;
+  for (size_t i = 0; ok && i < hits.size(); ++i) {
+    const double* row =
+        db.packed_features().data() + hits[i].record_index * dim;
+    ok = hits[i].distance == std::sqrt(SquaredL2(query.data(), row, dim)) &&
+         expected[i].distance <= hits[i].distance &&
+         hits[i].distance - bound <= expected[i].distance;
+    for (const QueryHit& e : expected) {
+      if (e.record_index == hits[i].record_index) ++shared;
+    }
+  }
+  if (!ok) {
+    return Status::Unknown(
+        "a degraded answer broke its certified interval");
+  }
+  return shared;
+}
+
 int RunServeBench(const Args& args) {
   auto records = ParseInt(args.Get("--records", "20000"));
   auto dim = ParseInt(args.Get("--dim", "64"));
@@ -373,11 +403,6 @@ int RunServeBench(const Args& args) {
   ShardedIndexOptions iopts;
   iopts.num_shards = static_cast<size_t>(*shards);
   iopts.index.exact_precision = g_cli_exact_precision;
-  if (*watermark > 0) {
-    // Degraded mode answers from the int8 tier, so force codes on even
-    // for the small partitions a √N layout produces at bench scale.
-    iopts.index.quantized_min_rows = 1;
-  }
   auto index = ShardedFeatureIndex::Build(&db, iopts);
   if (!index.ok()) return Fail(index.status());
 
@@ -423,7 +448,7 @@ int RunServeBench(const Args& args) {
   }
   const ServeModeResult exact = SummarizeMode(lat, SecondsSince(t0));
 
-  // Mode 2: per-request quantized index (no batching, no cache),
+  // Mode 2: per-request index (no batching, no cache),
   // scatter-gathered across the shards.
   t0 = BenchClock::now();
   for (size_t i = 0; i < workload.size(); ++i) {
@@ -447,7 +472,15 @@ int RunServeBench(const Args& args) {
     ServeModeResult mode;
     QueryServerStats stats;
     uint64_t degraded_taken = 0;
+    uint64_t degraded_shared = 0;  ///< degraded hits in the true top k
+    double degraded_bound_sum = 0.0;
     uint64_t expired_taken = 0;
+    double DegradedRecall(size_t k) const {
+      return double(degraded_shared) / double(degraded_taken * k);
+    }
+    double MeanBound() const {
+      return degraded_bound_sum / double(degraded_taken);
+    }
     double wall_s = 0.0;
   };
   std::vector<ServedRow> served_rows;
@@ -498,8 +531,12 @@ int RunServeBench(const Args& args) {
           return Fail(answer.status());
         }
         if (answer->degraded) {
+          auto shared = CheckDegraded(db, workload[i], *answer, expected[i]);
+          if (!shared.ok()) return Fail(shared.status());
           ++row.degraded_taken;
-          continue;  // approximate by contract; not bit-checked
+          row.degraded_shared += *shared;
+          row.degraded_bound_sum += answer->error_bound;
+          continue;
         }
         if (!SameHits(answer->hits, expected[i])) {
           return Fail(Status::Unknown(
@@ -574,16 +611,20 @@ int RunServeBench(const Args& args) {
                       ? double(ist.f32_refined) / double(ist.f32_scans)
                       : 0.0);
       // Per-tier throughput over this run's wall clock: rows scored
-      // by the f64 exact tier (full-precision distance evaluations),
-      // the fp32 mirror tier, and the int8 coarse tier. Shows
-      // where the scan work landed and how fast each tier moved.
+      // by the f64 exact tier (full-precision distance evaluations)
+      // and the fp32 mirror tier. Shows where the scan work landed and
+      // how fast each tier moved.
       const double wall = r.wall_s > 0.0 ? r.wall_s : 1.0;
       std::printf(
           ", \"tier_throughput\": {\"exact_f64_rows_per_s\": %.1f, "
-          "\"exact_f32_rows_per_s\": %.1f, \"coarse_rows_per_s\": %.1f}",
+          "\"exact_f32_rows_per_s\": %.1f}",
           double(ist.distance_computations) / wall,
-          double(ist.f32_scans) / wall,
-          double(ist.coarse_computations) / wall);
+          double(ist.f32_scans) / wall);
+      if (r.degraded_taken > 0) {
+        std::printf(", \"degraded_recall\": %.4f, "
+                    "\"degraded_mean_bound\": %.6f",
+                    r.DegradedRecall(kk), r.MeanBound());
+      }
       // Micro-batch size histogram: bucket 0 = size 1, bucket b >= 1
       // = sizes (2^(b-1), 2^b] (query_server.h).
       std::printf(", \"batch_size_hist\": [");
@@ -599,16 +640,11 @@ int RunServeBench(const Args& args) {
           const ShardServeStats& ss = r.stats.shard_stats[s];
           std::printf("%s{\"shard\": %zu, \"scans\": %llu, "
                       "\"distance_computations\": %llu, "
-                      "\"coarse_computations\": %llu, "
-                      "\"coarse_pruned\": %llu, "
                       "\"cache_invalidations\": %llu}",
                       s > 0 ? ", " : "", s,
                       static_cast<unsigned long long>(ss.scans),
                       static_cast<unsigned long long>(
                           ss.distance_computations),
-                      static_cast<unsigned long long>(
-                          ss.coarse_computations),
-                      static_cast<unsigned long long>(ss.coarse_pruned),
                       static_cast<unsigned long long>(
                           ss.cache_invalidations));
         }
@@ -668,19 +704,17 @@ int RunServeBench(const Args& args) {
                   static_cast<unsigned long long>(r.stats.degraded),
                   static_cast<unsigned long long>(r.stats.queue_high_water));
     }
+    if (r.degraded_taken > 0) {
+      std::printf("  %-22s degraded recall@%zu=%.4f mean_bound=%.6f\n",
+                  "", kk, r.DegradedRecall(kk), r.MeanBound());
+    }
     for (size_t s = 0; s < r.stats.shard_stats.size(); ++s) {
       const ShardServeStats& ss = r.stats.shard_stats[s];
-      const uint64_t coarse_seen =
-          ss.coarse_computations + ss.coarse_pruned;
       std::printf("  %-22s shard %zu: scans=%llu dist=%llu "
-                  "coarse_prune=%.0f%% cache_inval=%llu\n", "", s,
+                  "cache_inval=%llu\n", "", s,
                   static_cast<unsigned long long>(ss.scans),
                   static_cast<unsigned long long>(
                       ss.distance_computations),
-                  coarse_seen > 0
-                      ? 100.0 * double(ss.coarse_pruned) /
-                            double(coarse_seen)
-                      : 0.0,
                   static_cast<unsigned long long>(
                       ss.cache_invalidations));
     }
@@ -690,8 +724,11 @@ int RunServeBench(const Args& args) {
                 snap_loaded ? "served from reloaded on-disk index"
                             : "rebuilt or repacked from the database");
   }
-  std::printf("  (all exact-mode answers were bit-identical; degraded "
-              "answers carry certified error bounds)\n");
+  uint64_t degraded_checked = 0;
+  for (const ServedRow& r : served_rows) degraded_checked += r.degraded_taken;
+  std::printf("  (all exact-mode answers were bit-identical; all %llu "
+              "degraded answers lay inside [d_i - B, d_i])\n",
+              static_cast<unsigned long long>(degraded_checked));
   return 0;
 }
 
@@ -699,8 +736,8 @@ int RunServeBench(const Args& args) {
 //
 // Prints which SIMD backend the dispatcher picked (and why it could),
 // then verifies every CPU-usable backend against the scalar reference
-// across dims 1..67 for every table entry (six f64/int ops, four
-// fp32-mirror ops, and the four query-block many-to-many/gather ops,
+// across dims 1..67 for every table entry (five f64 ops, four
+// fp32-mirror ops, and the three query-block many-to-many/gather ops,
 // exercised with out_stride > rows) — the same bit-exactness contract
 // the unit tests enforce, exercised on the actual production binary
 // and CPU. Also reports per-op backend coverage; a compiled backend
@@ -732,7 +769,6 @@ auto NamedOpPresence(const KernelOps* ops) {
       Entry{"l2_one_to_many", ops->l2_one_to_many != nullptr},
       Entry{"l2dot_one_to_many", ops->l2dot_one_to_many != nullptr},
       Entry{"row_norms", ops->row_norms != nullptr},
-      Entry{"ssd8_one_to_many", ops->ssd8_one_to_many != nullptr},
       Entry{"l2_f32_one_to_many", ops->l2_f32_one_to_many != nullptr},
       Entry{"l2dot_f32_one_to_many",
             ops->l2dot_f32_one_to_many != nullptr},
@@ -743,7 +779,6 @@ auto NamedOpPresence(const KernelOps* ops) {
       Entry{"l2dot_f32_many_to_many",
             ops->l2dot_f32_many_to_many != nullptr},
       Entry{"l2_gather", ops->l2_gather != nullptr},
-      Entry{"ssd8_many_to_many", ops->ssd8_many_to_many != nullptr},
   };
 }
 
@@ -778,9 +813,6 @@ Status VerifyKernelEquivalence() {
       ref->row_norms(block.data(), rows, d, norms.data());
       const double x_sq = ref->squared_l2_pair(
           x.data(), std::vector<double>(d, 0.0).data(), d);
-      std::vector<uint8_t> qc(d), codes(rows * d);
-      for (auto& v : qc) v = static_cast<uint8_t>(rng.NextBelow(256));
-      for (auto& v : codes) v = static_cast<uint8_t>(rng.NextBelow(256));
 
       const auto fail = [&](const char* op) {
         return Status::Unknown(
@@ -817,12 +849,6 @@ Status VerifyKernelEquivalence() {
       for (size_t r = 0; r < rows; ++r) {
         if (!BitsEqual(want[r], got[r])) return fail("row_norms");
       }
-      std::vector<uint32_t> wanti(rows), goti(rows);
-      ref->ssd8_one_to_many(qc.data(), codes.data(), rows, d,
-                            wanti.data());
-      ops->ssd8_one_to_many(qc.data(), codes.data(), rows, d,
-                            goti.data());
-      if (wanti != goti) return fail("ssd8_one_to_many");
       // fp32-mirror ops: same fixtures narrowed to float, compared at
       // the fp32 bit level (and at the f64 bit level for the
       // fp64-accumulate variant).
@@ -924,20 +950,6 @@ Status VerifyKernelEquivalence() {
           }
         }
       }
-      std::vector<uint8_t> qcm(nq * d);
-      for (auto& v : qcm) v = static_cast<uint8_t>(rng.NextBelow(256));
-      std::vector<uint32_t> wantim(rows), gotim(nq * ostride);
-      ops->ssd8_many_to_many(qcm.data(), nq, codes.data(), rows, d,
-                             gotim.data(), ostride);
-      for (size_t q = 0; q < nq; ++q) {
-        ref->ssd8_one_to_many(qcm.data() + q * d, codes.data(), rows, d,
-                              wantim.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (wantim[r] != gotim[q * ostride + r]) {
-            return fail("ssd8_many_to_many");
-          }
-        }
-      }
     }
   }
   return Status::OK();
@@ -1021,113 +1033,6 @@ int RunKernelInfo(const Args& args) {
   return equiv.ok() ? 0 : 1;
 }
 
-// --- coarse-bench: coarse tier vs linear scan ------------------------
-//
-// Builds the index with every partition coded, checks the exact path is
-// bit-identical to the linear scan, then measures the coarse tier
-// alone: queries/s, recall@k of the certified estimates against the
-// true kNN, mean certified error bound, and coarse bytes per record.
-// run_benchmarks.sh stores the --json form as BENCH_pr8.json's
-// "eight_bit" section.
-
-int RunCoarseBench(const Args& args) {
-  auto records = ParseInt(args.Get("--records", "20000"));
-  auto dim = ParseInt(args.Get("--dim", "64"));
-  auto queries = ParseInt(args.Get("--queries", "256"));
-  auto k = ParseInt(args.Get("--k", "5"));
-  auto seed = ParseInt(args.Get("--seed", "7"));
-  if (!records.ok() || !dim.ok() || !queries.ok() || !k.ok() ||
-      !seed.ok()) {
-    return Usage();
-  }
-  if (*records < 1 || *dim < 1 || *queries < 1 || *k < 1) return Usage();
-  const bool json = args.Has("--json");
-
-  const MotionDatabase db = MakeServeDb(
-      static_cast<size_t>(*records), static_cast<size_t>(*dim),
-      static_cast<uint64_t>(*seed));
-  const auto workload = MakeServeWorkload(
-      static_cast<size_t>(*queries), static_cast<size_t>(*queries),
-      static_cast<size_t>(*dim), static_cast<uint64_t>(*seed) + 1000);
-  const size_t kk = static_cast<size_t>(*k);
-
-  std::vector<std::vector<QueryHit>> expected(workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto hits = db.NearestNeighbors(workload[i], kk);
-    if (!hits.ok()) return Fail(hits.status());
-    expected[i] = *std::move(hits);
-  }
-
-  ShardedIndexOptions iopts;
-  iopts.index.exact_precision = g_cli_exact_precision;
-  iopts.index.quantized_min_rows = 1;  // code every partition at bench scale
-  auto index = ShardedFeatureIndex::Build(&db, iopts);
-  if (!index.ok()) return Fail(index.status());
-
-  // The exact path must stay bit-identical to the linear scan.
-  auto t0 = BenchClock::now();
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto hits = index->NearestNeighbors(workload[i], kk);
-    if (!hits.ok()) return Fail(hits.status());
-    if (!SameHits(*hits, expected[i])) {
-      return Fail(Status::Unknown(
-          "indexed results diverged from the linear scan"));
-    }
-  }
-  const double exact_qps = double(workload.size()) / SecondsSince(t0);
-
-  size_t found = 0;
-  double bound_sum = 0.0;
-  t0 = BenchClock::now();
-  for (size_t i = 0; i < workload.size(); ++i) {
-    double bound = 0.0;
-    auto hits = index->CoarseNearestNeighbors(workload[i], kk, &bound);
-    if (!hits.ok()) return Fail(hits.status());
-    bound_sum += bound;
-    for (const QueryHit& h : *hits) {
-      for (const QueryHit& e : expected[i]) {
-        if (h.record_index == e.record_index) {
-          ++found;
-          break;
-        }
-      }
-    }
-  }
-  const double coarse_qps = double(workload.size()) / SecondsSince(t0);
-  const double recall = double(found) / double(workload.size() * kk);
-  const double mean_bound = bound_sum / double(workload.size());
-
-  const KernelDispatchInfo kinfo = GetKernelDispatchInfo();
-  if (json) {
-    std::printf("{\n");
-    std::printf("  \"records\": %lld, \"dim\": %lld, \"queries\": %zu, "
-                "\"k\": %zu,\n",
-                static_cast<long long>(*records),
-                static_cast<long long>(*dim), workload.size(), kk);
-    std::printf("  \"kernel_backend\": \"%s\",\n", kinfo.active.c_str());
-    std::printf("  \"eight_bit\": {\"bits\": 8, \"bytes_per_record\": %lld, "
-                "\"coarse_qps\": %.1f, \"exact_qps\": %.1f, "
-                "\"recall_at_k\": %.4f, \"mean_error_bound\": %.6f, "
-                "\"exact_bit_identical\": true}\n",
-                static_cast<long long>(*dim), coarse_qps, exact_qps, recall,
-                mean_bound);
-    std::printf("}\n");
-    return 0;
-  }
-  std::printf("coarse-bench: %lld records x %lld dims, %zu queries, "
-              "k=%zu, kernel %s\n",
-              static_cast<long long>(*records),
-              static_cast<long long>(*dim), workload.size(), kk,
-              kinfo.active.c_str());
-  std::printf("  %16s %12s %12s %10s %12s\n", "bytes/record",
-              "coarse qps", "exact qps", "recall@k", "mean bound");
-  std::printf("  %16lld %12.0f %12.0f %10.4f %12.4f\n",
-              static_cast<long long>(*dim), coarse_qps, exact_qps, recall,
-              mean_bound);
-  std::printf("  (exact kNN answers were bit-identical to the linear scan)\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1159,7 +1064,5 @@ int main(int argc, char** argv) {
     return RunServeBench(args);
   if (std::strcmp(argv[1], "kernel-info") == 0)
     return RunKernelInfo(args);
-  if (std::strcmp(argv[1], "coarse-bench") == 0)
-    return RunCoarseBench(args);
   return Usage();
 }

@@ -16,7 +16,7 @@
 # a second serve-bench run at --shards 4 --pipeline 2. Pipeline-
 # overlap ratios are annotated, not gated, when cpus_online is too
 # low to overlap anything. The pr8 file holds the scalar-vs-dispatched
-# SIMD kernel pairs plus the 8-bit coarse-tier row. The pr9 file
+# SIMD kernel pairs. The pr9 file
 # holds the certified fp32 exact-tier families: cross-family
 # fp32-vs-f64 kernel ratios (the dispatched rows carry a gated 1.4x
 # claim on SIMD hosts; recorded-only on 1-cpu or scalar hosts), the
@@ -149,17 +149,9 @@ echo "== serve-bench (fp32 exact tier) ==" >&2
 
 # PR 8 host metadata + A/B sections. kernel-info doubles as the
 # bit-exactness gate: it exits 1 if any usable SIMD backend diverges
-# from the scalar reference on this CPU. coarse-bench measures the
-# 8-bit coarse tier (bytes/record, recall, certified bounds).
+# from the scalar reference on this CPU.
 echo "== kernel-info ==" >&2
 ./build/tools/mocemg_cli kernel-info --json >"$out/kernel_info.json"
-coarse_args=(--json)
-if [[ "$quick" == 1 ]]; then
-  coarse_args+=(--records 2000 --queries 64)
-fi
-echo "== coarse-bench ==" >&2
-./build/tools/mocemg_cli coarse-bench "${coarse_args[@]}" \
-  >"$out/coarse.json"
 
 MOCEMG_BENCH_UPDATE="$update" MOCEMG_BENCH_QUICK="$quick" \
   python3 - "$out" <<'PYEOF'
@@ -187,11 +179,10 @@ PR3_PREFIXES = ("BM_BatchFeaturization", "BM_StreamingPushFrame",
                 "BM_ExactWindowSvd", "BM_GramEigensolve")
 PR4_PREFIXES = ("BM_KnnScan", "BM_IndexedScan", "BM_FcmEstep",
                 "BM_IndexedKnnDim")
-# The quantized-tier and serving families (PR 5) pair mode 0 (exact
-# dot-form scan / per-request loop) against mode 1 (int8 coarse tier /
-# batched QueryServer) and live in BENCH_pr5.json together with the
+# The serving families pair mode 0 (per-request loop) against mode 1
+# (batched QueryServer) and live in BENCH_pr5.json together with the
 # serve-bench "serving" section.
-PR5_PREFIXES = ("BM_QuantIndexedKnnDim", "BM_ServedKnn")
+PR5_PREFIXES = ("BM_ServedKnn",)
 # The robustness-overhead pair (PR 6) measures the §12 machinery —
 # deadline stamping, expiry sweeps, the watermark check — armed but
 # never firing, against the plain PR 5 serving path. NOTE:
@@ -206,11 +197,10 @@ PR7_PREFIXES = ("BM_ShardedKnn", "BM_ServedKnnSharded",
                 "BM_ServedKnnMutate")
 # The SIMD-dispatch families (PR 8) pair mode 0 (the scalar reference
 # table called directly — the previous auto-vectorized build) against
-# mode 1 (the runtime-dispatched widest backend). The int8 families'
-# wins are gated directionally; the double families depend on how well
-# the auto-vectorizer already did and are annotated only.
-PR8_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked", "BM_L2OneToMany")
-PR8_GATED_PREFIXES = ("BM_SsdOneToMany", "BM_SsdBlocked")
+# mode 1 (the runtime-dispatched widest backend). The double family
+# depends on how well the auto-vectorizer already did and is annotated
+# only.
+PR8_PREFIXES = ("BM_L2OneToMany",)
 # The fp32 exact-tier families (PR 9). The kernel families carry the
 # usual {dim, mode} scalar-vs-dispatched pairing; the fp32-vs-f64
 # ratio is computed ACROSS families at mode 1 (dispatched) — each
@@ -289,11 +279,6 @@ kernel_info_path = os.path.join(out_dir, "kernel_info.json")
 if os.path.exists(kernel_info_path):
     with open(kernel_info_path) as f:
         kernel_info = json.load(f)
-coarse = None
-coarse_path = os.path.join(out_dir, "coarse.json")
-if os.path.exists(coarse_path):
-    with open(coarse_path) as f:
-        coarse = json.load(f)
 
 samples = {}
 items = {}
@@ -406,8 +391,8 @@ speedups7 = {k: v for k, v in speedups5.items()
              if k.startswith(PR7_PREFIXES)}
 speedups5 = {k: v for k, v in speedups5.items()
              if not k.startswith(PR6_PREFIXES + PR7_PREFIXES)}
-print_speedups("exact vs quantized/served (paired per-pass ratios; "
-               "speedup > 1 means the two-tier/served path is faster):",
+print_speedups("per-request vs served (paired per-pass ratios; "
+               "speedup > 1 means the served path is faster):",
                speedups5, "baseline_ns_per_op", "optimized_ns_per_op")
 print_speedups("plain vs robustness-armed serving (paired per-pass "
                "ratios; speedup < 1 means the armed path is slower — "
@@ -486,12 +471,6 @@ if kernel_info:
     print(f"kernel dispatch: active={kernel_info.get('active')} "
           f"usable={kernel_info.get('usable')} "
           f"equivalence_ok={kernel_info.get('equivalence_ok')}")
-if coarse and coarse.get("eight_bit"):
-    row = coarse["eight_bit"]
-    print(f"coarse tier {row['bits']}-bit: "
-          f"{row['bytes_per_record']} bytes/record, "
-          f"recall@k {row['recall_at_k']:.3f}, "
-          f"{row['coarse_qps']:.0f} coarse qps")
 if serving:
     print("serving (mocemg_cli serve-bench, "
           f"{serving['records']}x{serving['dim']}):")
@@ -761,32 +740,20 @@ for base, s in speedups7.items():
 # --- SIMD dispatch checks (PR 8) ---
 #
 # kernel-info already gated bit-exactness (the script would have died
-# on its non-zero exit). Here the int8 coarse families must not LOSE
-# to the scalar table: a directional loss (every pass slower) or a
-# stable ratio below 1.0 on a gated family fails the run. The double
-# families are annotated only — on hosts where the auto-vectorizer
-# already emits wide code their ratio is legitimately near 1.0.
+# on its non-zero exit). The double family is annotated only — on
+# hosts where the auto-vectorizer already emits wide code its ratio is
+# legitimately near 1.0.
 dispatch_check = {}
 for base, s in speedups8.items():
-    stable = s["cv"] <= CV_STABLE
-    directional_win = s.get("min_ratio", 0.0) >= 1.0
-    directional_loss = s.get("max_ratio", float("inf")) < 1.0
-    gated = base.startswith(PR8_GATED_PREFIXES)
-    ok = True
-    if gated and (directional_loss or (stable and s["speedup"] < 1.0)):
-        ok = False
-        failures.append(
-            f"{base}: dispatched SIMD backend lost to the scalar table "
-            f"(x{s['speedup']:.3f} < x1.0, cv={s['cv']:.2f})")
     dispatch_check[base] = {
         "speedup": s["speedup"],
         "min_ratio": s.get("min_ratio"),
         "max_ratio": s.get("max_ratio"),
         "cv": s["cv"],
-        "stable": stable,
-        "directional_win": directional_win,
-        "gated": gated,
-        "ok": ok,
+        "stable": s["cv"] <= CV_STABLE,
+        "directional_win": s.get("min_ratio", 0.0) >= 1.0,
+        "gated": False,
+        "ok": True,
     }
 if kernel_info is not None and not kernel_info.get("equivalence_ok"):
     failures.append("kernel-info reported a backend/scalar divergence")
@@ -994,9 +961,9 @@ doc5 = {
     "schema": "mocemg-bench-pr5",
     "host": {
         "cpus_online": cpus,
-        "note": "paired_speedups divide per-pass mode-0 (exact dot-form "
-                "scan / per-request loop) by mode-1 (int8 coarse tier / "
-                "batched QueryServer) runs of the same binary, so host "
+        "note": "paired_speedups divide per-pass mode-0 (per-request "
+                "loop) by mode-1 (batched QueryServer) runs of the same "
+                "binary, so host "
                 "load cancels. The serving section comes from one "
                 "mocemg_cli serve-bench process; its qps_vs_exact_scan "
                 "ratios are likewise in-process pairs. Served results "
@@ -1054,16 +1021,12 @@ doc8 = {
                 "dispatched widest SIMD backend) runs of the same "
                 "binary, so host load cancels; outputs are verified "
                 "bit-identical by kernel-info and the unit tests "
-                "before any number is reported. The int8 families "
-                "(BM_SsdOneToMany, BM_SsdBlocked) are gated "
-                "directionally; the double families are annotated. "
-                "The eight_bit section measures the coarse tier at "
-                "exact answers identical to the linear scan.",
+                "before any number is reported. The double family "
+                "is annotated, not gated.",
     },
     "benchmarks": results8,
     "paired_speedups": speedups8,
     "dispatch_check": dispatch_check,
-    "eight_bit": coarse.get("eight_bit") if coarse else None,
 }
 doc9 = {
     "schema": "mocemg-bench-pr9",
@@ -1173,8 +1136,7 @@ if update:
         json.dump(doc8, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {bench8_path} ({len(results8)} benchmarks, "
-          f"{len(speedups8)} paired speedups, "
-          f"{'with' if coarse else 'WITHOUT'} eight_bit section)")
+          f"{len(speedups8)} paired speedups)")
     with open(bench9_path, "w") as f:
         json.dump(doc9, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -37,7 +37,7 @@ ctest --preset "$preset" "$@"
 for kern in scalar avx2 auto; do
   echo "== $preset: kernel/index suites under MOCEMG_KERNEL=$kern =="
   MOCEMG_KERNEL="$kern" ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock' \
+    -R 'Kernel|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|KnnOracle' \
     --output-on-failure
 done
 
@@ -54,7 +54,7 @@ for kern in scalar avx2 auto; do
     "MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL=$kern =="
   MOCEMG_EXACT_PRECISION=f32 MOCEMG_KERNEL="$kern" \
     ctest --preset "$preset" \
-    -R 'Kernel|Quant|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock' \
+    -R 'Kernel|Distance|FeatureIndex|Sharded|Snapshot|QueryBlock|KnnOracle' \
     --output-on-failure
 done
 
