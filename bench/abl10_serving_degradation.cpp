@@ -190,45 +190,71 @@ PressureResult RunPressure(const MotionDatabase& db,
   return out;
 }
 
-// Reads the manifest and its shard files as one byte string.
-std::string SnapshotBytes(const std::string& path, size_t num_shards) {
-  std::string bytes;
-  for (size_t s = 0; s <= num_shards; ++s) {
-    const std::string file =
-        s == 0 ? path : path + ".shard" + std::to_string(s - 1);
-    auto part = ReadFileToString(file);
-    MOCEMG_CHECK_OK(part.status());
-    bytes += *part;
-  }
-  return bytes;
+// Every IndexQueryStats field, as one comparable row.
+std::vector<size_t> StatFields(const IndexQueryStats& s) {
+  return {s.distance_computations, s.partitions_visited,
+          s.partitions_pruned, s.f32_scans, s.f32_refined};
 }
 
-void RemoveSnapshot(const std::string& path, size_t num_shards) {
-  std::remove(path.c_str());
-  for (size_t s = 0; s < num_shards; ++s) {
-    std::remove((path + ".shard" + std::to_string(s)).c_str());
-  }
-}
-
+// Saves the index, reloads it, and checks that the reload re-saves to
+// the same bytes. The file holds the layout alone, so equal bytes do
+// not prove the load packed the same blocks: exact and budgeted
+// answers, bounds and scan stats (total and per shard) must match too.
 void CheckSnapshotRoundTrip(const MotionDatabase& db,
                             const ShardedFeatureIndex& index,
-                            const ShardedIndexOptions& iopts) {
+                            const ShardedIndexOptions& iopts,
+                            const std::vector<std::vector<double>>& queries) {
   const std::string path = "/tmp/abl10_snapshot.bin";
   const std::string resaved = path + ".resaved";
-  const size_t shards = index.num_shards();
   MOCEMG_CHECK_OK(SaveShardedFeatureIndex(index, path));
   ShardedSnapshotLoadInfo info;
   auto loaded = LoadOrRebuildShardedFeatureIndex(path, &db, iopts, &info);
   MOCEMG_CHECK_OK(loaded.status());
   MOCEMG_CHECK(info.loaded_from_snapshot);
   MOCEMG_CHECK_OK(SaveShardedFeatureIndex(*loaded, resaved));
-  const std::string a = SnapshotBytes(path, shards);
-  MOCEMG_CHECK(a == SnapshotBytes(resaved, shards));
-  RemoveSnapshot(path, shards);
-  RemoveSnapshot(resaved, shards);
-  std::printf("# snapshot round-trip: OK (%zu bytes, reload "
-              "re-serializes bit-identically)\n",
-              a.size());
+  auto bytes = ReadFileToString(path);
+  auto again = ReadFileToString(resaved);
+  MOCEMG_CHECK_OK(bytes.status());
+  MOCEMG_CHECK_OK(again.status());
+  MOCEMG_CHECK(*bytes == *again);
+  std::remove(path.c_str());
+  std::remove(resaved.c_str());
+  for (bool budgeted : {false, true}) {
+    const ShardedFeatureIndex* sides[2] = {&index, &*loaded};
+    std::vector<std::vector<QueryHit>> hits[2];
+    std::vector<double> bounds[2];
+    IndexQueryStats stats[2];
+    std::vector<IndexQueryStats> per_shard[2];
+    for (int s = 0; s < 2; ++s) {
+      auto r = budgeted ? sides[s]->BatchBudgetedNearestNeighbors(
+                              queries, kK, &bounds[s], &stats[s],
+                              &per_shard[s])
+                        : sides[s]->BatchNearestNeighbors(
+                              queries, kK, &stats[s], &per_shard[s]);
+      MOCEMG_CHECK_OK(r.status());
+      hits[s] = *std::move(r);
+    }
+    MOCEMG_CHECK(hits[0].size() == hits[1].size());
+    for (size_t q = 0; q < hits[0].size(); ++q) {
+      MOCEMG_CHECK(hits[0][q].size() == hits[1][q].size());
+      for (size_t h = 0; h < hits[0][q].size(); ++h) {
+        MOCEMG_CHECK(hits[0][q][h].record_index ==
+                     hits[1][q][h].record_index);
+        MOCEMG_CHECK(hits[0][q][h].distance == hits[1][q][h].distance);
+      }
+    }
+    MOCEMG_CHECK(bounds[0] == bounds[1]);
+    MOCEMG_CHECK(StatFields(stats[0]) == StatFields(stats[1]));
+    MOCEMG_CHECK(per_shard[0].size() == per_shard[1].size());
+    for (size_t s = 0; s < per_shard[0].size(); ++s) {
+      MOCEMG_CHECK(StatFields(per_shard[0][s]) ==
+                   StatFields(per_shard[1][s]));
+    }
+  }
+  std::printf("# snapshot round-trip: OK (%zu bytes; reload re-saves "
+              "bit-identically and answers exact and budgeted queries "
+              "with identical hits, bounds and stats)\n",
+              bytes->size());
 }
 
 }  // namespace
@@ -255,7 +281,7 @@ int main(int argc, char** argv) {
   MOCEMG_CHECK_OK(index.status());
   auto queries = MakeQueries(burst, dim, 18);
 
-  CheckSnapshotRoundTrip(db, *index, iopts);
+  CheckSnapshotRoundTrip(db, *index, iopts, queries);
 
   std::printf("stall_us\tserved\texpired\tdegraded\tdeg_batches\t"
               "recall@%zu\tbound_excess\n", kK);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "cluster/kmeans.h"
-#include "db/query_server.h"
 #include "linalg/vector_ops.h"
 #include "util/distance_kernels.h"
 #include "util/macros.h"
@@ -356,22 +355,8 @@ Result<std::vector<size_t>> MotionClassifier::ClassifyBatch(
       parallel);
   MOCEMG_RETURN_NOT_OK(st);
 
-  // Stage 2: one batched retrieval through the query server — the
-  // whole batch streams the final-feature block in tiles instead of
-  // running num_trials independent one-to-many sweeps, and repeated
-  // trials coalesce/hit the cache. Classify() is nearest-neighbour
-  // (k = 1), and a one-hit vote is that hit's label, so each element
-  // matches Classify's decision bit-for-bit. Any serving problem
-  // falls back to the per-trial path rather than failing the batch.
-  if (final_db_ != nullptr) {
-    QueryServerOptions srv;
-    srv.parallel = parallel;
-    auto server = QueryServer::Create(final_db_.get(), nullptr, srv);
-    if (server.ok()) {
-      auto labels = server->ClassifyBatch(features, 1);
-      if (labels.ok()) return *std::move(labels);
-    }
-  }
+  // Stage 2: Classify's own nearest-neighbour step per trial, so each
+  // label equals Classify's decision bit for bit.
   std::vector<size_t> labels(trials.size(), 0);
   for (size_t i = 0; i < trials.size(); ++i) {
     MOCEMG_ASSIGN_OR_RETURN(std::vector<MotionMatch> nn,

@@ -139,15 +139,11 @@ class MotionClassifier {
                           const EmgRecording& emg) const;
 
   /// \brief Classifies a batch of captures: a parallel featurization
-  /// pass over the trials, then one batched retrieval through a
-  /// QueryServer over the final-feature database (blocked many-to-many
-  /// kernels instead of num_trials one-to-many sweeps). Falls back to
-  /// per-trial Classify when the final database is unavailable.
-  /// `trials[i].label` is ignored; element i of the result equals
-  /// Classify(trials[i].mocap, trials[i].emg) exactly — the batched
-  /// kernels and the per-pair kernels agree bitwise and both paths
-  /// break distance ties toward the smaller training index — so
-  /// results are bit-identical at any thread count. On failure,
+  /// pass over the trials (the dominant cost), then Classify's
+  /// nearest-neighbour step per trial. `trials[i].label` is ignored;
+  /// element i of the result equals Classify(trials[i].mocap,
+  /// trials[i].emg) exactly, so results are bit-identical at any
+  /// thread count. On failure,
   /// returns the failing trial's error with its index in the message
   /// (lowest failing index among executed chunks).
   Result<std::vector<size_t>> ClassifyBatch(
@@ -180,9 +176,8 @@ class MotionClassifier {
   /// \brief The training set's final features as a MotionDatabase —
   /// the retrieval-side view of this classifier (record i holds final
   /// feature row i with labels_[i]). Built once at Train/FromParts;
-  /// null only if that build failed (batch classification then uses
-  /// the per-trial path). Callers use it to build a ShardedFeatureIndex
-  /// or a QueryServer over the trained model.
+  /// null only if that build failed. Callers use it to build a
+  /// ShardedFeatureIndex or a QueryServer over the trained model.
   const MotionDatabase* final_database() const { return final_db_.get(); }
 
   /// \brief Training-set final features as rows (one per motion).

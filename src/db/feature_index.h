@@ -109,8 +109,6 @@ struct IndexQueryStats {
   }
 };
 
-class IndexSnapshotCodec;
-
 /// \brief The global partition layout: k-means references plus each
 /// partition's member records (ascending database order). Empty
 /// partitions are already dropped. Every shard packs from the same
@@ -256,10 +254,6 @@ class IndexPartitionSet {
   const std::vector<Partition>& partitions() const { return partitions_; }
 
  private:
-  /// The snapshot codec (db/index_snapshot.cc) serializes and restores
-  /// the private representation verbatim.
-  friend class IndexSnapshotCodec;
-
   /// Fills everything but record_indices (already set) for one
   /// partition from the database's packed rows.
   void FillPartition(const double* packed, size_t dim,

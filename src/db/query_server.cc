@@ -977,12 +977,6 @@ void QueryServer::Stop() {
   }
 }
 
-void QueryServer::NoteSnapshotLoad(bool loaded_from_snapshot) {
-  std::unique_lock<std::mutex> lock(impl_->mu);
-  ++impl_->counters.snapshot_loads;
-  if (!loaded_from_snapshot) ++impl_->counters.snapshot_fallbacks;
-}
-
 QueryServerStats QueryServer::stats() const {
   std::unique_lock<std::mutex> lock(impl_->mu);
   QueryServerStats out = impl_->counters;

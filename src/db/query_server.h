@@ -199,10 +199,6 @@ struct QueryServerStats {
   std::vector<uint64_t> batch_size_hist;
   /// Most requests ever waiting at once (updated at admission).
   uint64_t queue_high_water = 0;
-  /// Index snapshot loads reported via NoteSnapshotLoad.
-  uint64_t snapshot_loads = 0;
-  /// Snapshot loads that fell back to a rebuild.
-  uint64_t snapshot_fallbacks = 0;
   /// Cache entries kept alive across a shard mutation by the per-shard
   /// revalidation certificate (index serving only).
   uint64_t cache_revalidations = 0;
@@ -330,11 +326,6 @@ class QueryServer {
   /// \brief Stops the worker after it drains the remaining queue.
   /// No-op when not started.
   void Stop();
-
-  /// \brief Records an index-snapshot load attempt in the serving
-  /// counters (the boot path calls this with
-  /// ShardedSnapshotLoadInfo::loaded_from_snapshot).
-  void NoteSnapshotLoad(bool loaded_from_snapshot);
 
   /// \brief Consistent snapshot of the serving counters.
   QueryServerStats stats() const;

@@ -75,33 +75,37 @@ Status ShardedFeatureIndex::Rebuild() {
   if (num_parts >= std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("partition count overflows the shard map");
   }
-  const size_t num_shards = options_.num_shards;
-  const size_t n = database_->size();
-  const size_t d = database_->feature_dimension();
-  record_to_partition_.assign(n, 0);
+  record_to_partition_.assign(database_->size(), 0);
   for (size_t p = 0; p < num_parts; ++p) {
     for (size_t rec : layout.members[p]) {
       record_to_partition_[rec] = static_cast<uint32_t>(p);
     }
   }
   global_references_ = std::move(layout.references);
+  MOCEMG_RETURN_NOT_OK(PackShards(layout.members));
+  shard_epochs_.assign(options_.num_shards, database_->epoch());
+  applied_epoch_ = database_->epoch();
+  return Status::OK();
+}
+
+Status ShardedFeatureIndex::PackShards(
+    const std::vector<std::vector<size_t>>& members) {
   // Shard s owns global partitions {p : p mod N == s} in ascending
   // order — a pure function of (partition id, shard count), so the
-  // snapshot manifest never has to store the mapping.
+  // snapshot never has to store the mapping.
+  const size_t num_shards = options_.num_shards;
   shards_.assign(num_shards, IndexPartitionSet{});
   for (size_t s = 0; s < num_shards; ++s) {
-    Matrix refs(0, d);
-    std::vector<std::vector<size_t>> members;
-    for (size_t p = s; p < num_parts; p += num_shards) {
+    Matrix refs(0, global_references_.cols());
+    std::vector<std::vector<size_t>> shard_members;
+    for (size_t p = s; p < members.size(); p += num_shards) {
       MOCEMG_RETURN_NOT_OK(
           refs.AppendRows(global_references_.RowSlice(p, p + 1)));
-      members.push_back(layout.members[p]);
+      shard_members.push_back(members[p]);
     }
     MOCEMG_RETURN_NOT_OK(
-        shards_[s].Pack(*database_, refs, members, options_.index));
+        shards_[s].Pack(*database_, refs, shard_members, options_.index));
   }
-  shard_epochs_.assign(num_shards, database_->epoch());
-  applied_epoch_ = database_->epoch();
   return Status::OK();
 }
 
@@ -210,13 +214,17 @@ void ShardedFeatureIndex::ChooseBudget(
     // − radius. ref_sq, radius and the records' own distances each
     // carry a relative rounding error far below 1e-9 (a few ulps per
     // dimension), so shrinking by 1e-9 · (d + radius) keeps lb below
-    // every left-out record's computed distance.
+    // every left-out record's computed distance. A NaN gap (inf − inf,
+    // when d² and radius² overflow for a far-off reference) proves
+    // nothing, so it drops lb to −inf instead of vanishing in std::min.
     for (size_t g = 0; g < p; ++g) {
       if (in_budget[g]) continue;
       const double radius = partition(g).radius;
       const double d = std::sqrt(rq[g]);
-      (*lower_bounds)[q] = std::min((*lower_bounds)[q],
-                                    d - radius - 1e-9 * (d + radius));
+      const double gap = d - radius - 1e-9 * (d + radius);
+      (*lower_bounds)[q] =
+          std::isnan(gap) ? -std::numeric_limits<double>::infinity()
+                          : std::min((*lower_bounds)[q], gap);
     }
   }
 }

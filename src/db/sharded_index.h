@@ -178,9 +178,16 @@ class ShardedFeatureIndex {
   const MotionDatabase* database() const { return database_; }
 
  private:
-  /// The snapshot codec (db/index_snapshot.cc) serializes and restores
-  /// the private representation verbatim.
+  /// The snapshot codec (db/index_snapshot.cc) saves the layout and
+  /// epochs, and restores them through PackShards.
   friend class IndexSnapshotCodec;
+
+  /// Distributes the global layout (global_references_ plus `members`,
+  /// one ascending record list per global partition) round-robin over
+  /// options_.num_shards shards and packs each from the database's
+  /// current rows — the step Rebuild runs after k-means and a snapshot
+  /// load runs in its place.
+  Status PackShards(const std::vector<std::vector<size_t>>& members);
 
   /// The query preconditions (built, fresh epoch, dimension, k >= 1,
   /// finite query) shared by every entry point, so an invalid query
@@ -223,9 +230,8 @@ class ShardedFeatureIndex {
   std::vector<uint64_t> shard_epochs_;
   uint64_t applied_epoch_ = 0;
   /// Global layout bookkeeping: every record's owning global partition
-  /// and the full reference matrix in global partition order — the
-  /// snapshot manifest persists these so a lost shard can be repacked
-  /// without re-running k-means.
+  /// and the full reference matrix in global partition order — all a
+  /// snapshot persists, so a load repacks without re-running k-means.
   std::vector<uint32_t> record_to_partition_;
   Matrix global_references_;
 };

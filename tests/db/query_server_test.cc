@@ -740,17 +740,6 @@ TEST(QueryServerTest, SubmitWithBackoffSucceedsOnceQueueDrains) {
   server->Stop();
 }
 
-TEST(QueryServerTest, NoteSnapshotLoadFeedsCounters) {
-  MotionDatabase db = MakeDb(10, 3, 64);
-  auto server = QueryServer::Create(&db);
-  ASSERT_TRUE(server.ok());
-  server->NoteSnapshotLoad(true);
-  server->NoteSnapshotLoad(false);
-  const QueryServerStats stats = server->stats();
-  EXPECT_EQ(stats.snapshot_loads, 2u);
-  EXPECT_EQ(stats.snapshot_fallbacks, 1u);
-}
-
 TEST(QueryServerTest, QueueHighWaterTracksPeakDepth) {
   MotionDatabase db = MakeDb(20, 3, 65);
   auto server = QueryServer::Create(&db);

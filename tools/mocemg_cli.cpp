@@ -407,11 +407,10 @@ int RunServeBench(const Args& args) {
   if (!index.ok()) return Fail(index.status());
 
   // --snapshot: exercise the crash-safe persistence path — save the
-  // built index as a manifest plus shard files, reload it (with
-  // corruption-checked validation and per-shard repack), and serve
-  // from the reloaded copy.
+  // built index's layout to one checksummed file, reload it (validate,
+  // then pack every shard), and serve from the reloaded copy.
   bool used_snapshot = false;
-  bool snap_loaded = false, snap_rebuilt = false;
+  bool snap_loaded = false;
   if (!snapshot_path.empty()) {
     Status saved = SaveShardedFeatureIndex(*index, snapshot_path);
     if (!saved.ok()) return Fail(saved);
@@ -421,7 +420,6 @@ int RunServeBench(const Args& args) {
     if (!reloaded.ok()) return Fail(reloaded.status());
     *index = *std::move(reloaded);
     snap_loaded = info.loaded_from_snapshot;
-    snap_rebuilt = info.rebuilt;
     used_snapshot = true;
   }
   const auto workload = MakeServeWorkload(
@@ -494,9 +492,6 @@ int RunServeBench(const Args& args) {
     opts.pipeline_depth = static_cast<size_t>(*pipeline);
     auto server = QueryServer::Create(&db, &*index, opts);
     if (!server.ok()) return Fail(server.status());
-    if (used_snapshot) {
-      server->NoteSnapshotLoad(snap_loaded);
-    }
 
     ServedRow row;
     std::vector<uint64_t> tickets(workload.size());
@@ -572,7 +567,7 @@ int RunServeBench(const Args& args) {
     if (used_snapshot) {
       std::printf("  \"snapshot\": {\"loaded\": %s, \"rebuilt\": %s},\n",
                   snap_loaded ? "true" : "false",
-                  snap_rebuilt ? "true" : "false");
+                  snap_loaded ? "false" : "true");
     }
     std::printf("  \"exact_scan\": {\"qps\": %.1f, \"p50_us\": %.1f, "
                 "\"p99_us\": %.1f},\n",
@@ -589,9 +584,7 @@ int RunServeBench(const Args& args) {
                   "\"cache_hits\": %llu, \"cache_misses\": %llu, "
                   "\"coalesced\": %llu, "
                   "\"expired\": %llu, \"degraded\": %llu, "
-                  "\"queue_high_water\": %llu, "
-                  "\"snapshot_loads\": %llu, "
-                  "\"snapshot_fallbacks\": %llu",
+                  "\"queue_high_water\": %llu",
                   r.threads, r.mode.qps, r.mode.p50_us, r.mode.p99_us,
                   exact.qps > 0.0 ? r.mode.qps / exact.qps : 0.0,
                   static_cast<unsigned long long>(r.stats.cache_hits),
@@ -599,9 +592,7 @@ int RunServeBench(const Args& args) {
                   static_cast<unsigned long long>(r.stats.coalesced),
                   static_cast<unsigned long long>(r.stats.expired),
                   static_cast<unsigned long long>(r.stats.degraded),
-                  static_cast<unsigned long long>(r.stats.queue_high_water),
-                  static_cast<unsigned long long>(r.stats.snapshot_loads),
-                  static_cast<unsigned long long>(r.stats.snapshot_fallbacks));
+                  static_cast<unsigned long long>(r.stats.queue_high_water));
       const IndexQueryStats& ist = r.stats.index_stats;
       std::printf(", \"f32_scans\": %llu, \"f32_refined\": %llu, "
                   "\"f32_refine_rate\": %.6f",
@@ -722,7 +713,7 @@ int RunServeBench(const Args& args) {
   if (used_snapshot) {
     std::printf("  snapshot: %s\n",
                 snap_loaded ? "served from reloaded on-disk index"
-                            : "rebuilt or repacked from the database");
+                            : "rebuilt from the database");
   }
   uint64_t degraded_checked = 0;
   for (const ServedRow& r : served_rows) degraded_checked += r.degraded_taken;
