@@ -24,9 +24,8 @@
 //   BM_ShardedKnn/<S>          scatter-gather batch kNN at S shards, one
 //                              thread — the fan-out overhead sweep
 //                              (BENCH_pr7.json).
-//   BM_ServedKnnSharded/<mode> mode 0: 1-shard server; mode 1: 4
-//                              shards + 2-deep wave pipeline (annotated,
-//                              not gated, on 1-CPU hosts).
+//   BM_ServedKnnSharded/<mode> mode 0: 1-shard server; mode 1: 4-shard
+//                              server (annotated, not gated).
 //   BM_ServedKnnMutate/<mode>  mutate-then-serve passes. mode 0: 1-shard
 //                              index left stale (no ApplyUpdate) → exact
 //                              fallback + full cache loss.
@@ -192,10 +191,9 @@ void BM_ShardedKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedKnn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// 1-shard serving vs 4-shard serving with a 2-deep wave pipeline,
-// identical workload and answers. With one CPU online the pipeline
-// cannot overlap stages and the pair measures scatter-gather overhead;
-// run_benchmarks.sh annotates (does not gate) the ratio accordingly.
+// 1-shard serving vs 4-shard serving, identical workload and answers:
+// the pair measures what fanning one address space out into shards
+// costs or buys. run_benchmarks.sh annotates (does not gate) the ratio.
 void BM_ServedKnnSharded(benchmark::State& state) {
   static const auto* workload =
       new std::vector<std::vector<double>>(MakeQueries(64, kDim, 505));
@@ -213,7 +211,6 @@ void BM_ServedKnnSharded(benchmark::State& state) {
       MOCEMG_CHECK_OK(built.status());
       return new ShardedFeatureIndex(std::move(*built));
     }();
-    opts.pipeline_depth = 2;
     auto server = QueryServer::Create(&SharedDb(), index, opts);
     MOCEMG_CHECK_OK(server.status());
     for (auto _ : state) {

@@ -73,7 +73,6 @@ struct QueryServer::Impl {
   size_t swapping = 0;
 
   struct Request {
-    bool classify = false;
     std::vector<double> query;
     size_t k = 1;
     uint64_t ticket = 0;
@@ -82,12 +81,10 @@ struct QueryServer::Impl {
   };
   struct Outcome {
     bool ready = false;
-    bool classify = false;
     bool degraded = false;
     double error_bound = 0.0;
     Status status;
     std::vector<QueryHit> hits;
-    size_t label = 0;
   };
   struct CacheEntry {
     uint64_t hash = 0;
@@ -105,17 +102,16 @@ struct QueryServer::Impl {
     double kth = 0.0;
   };
 
-  /// One micro-batch moving through the form → evaluate → commit
-  /// pipeline. Formation and commit run under the lock; evaluation
-  /// touches only the flight itself and the index captured into it,
-  /// so the flights of one wave evaluate concurrently.
+  /// One micro-batch moving through form → evaluate → commit.
+  /// Formation and commit run under the lock; evaluation touches only
+  /// the flight itself and the index captured into it, so it runs
+  /// outside the lock.
   struct Flight {
     enum Mode { kExact, kIndex };
     Mode mode = kExact;
     const ShardedFeatureIndex* via_index = nullptr;
     uint64_t epoch = 0;
     bool degraded = false;
-    bool formed = false;  ///< counted in `inflight`; must commit
     uint64_t n_expired = 0;
     Status fault_status;
     std::vector<Request> batch;
@@ -157,23 +153,20 @@ struct QueryServer::Impl {
   bool running = false;
   bool stopping = false;
 
-  Result<uint64_t> Submit(bool classify, std::vector<double> query,
-                          size_t k, uint64_t deadline_us);
-  /// Forms one micro-batch under the lock: expiry sweep, serving-mode
-  /// capture, watermark, extraction, fault draw, cache lookups with
-  /// revalidation, in-batch coalescing. Returns false when no batch
-  /// was formed (empty queue, or a swap is pending and `may_wait` is
-  /// false — callers holding uncommitted flights must not block, or
-  /// the swap could never quiesce).
-  bool FormFlight(Flight* f, bool may_wait);
+  Result<uint64_t> Submit(std::vector<double> query, size_t k,
+                          uint64_t deadline_us);
+  /// Forms one micro-batch under the lock (after any pending swap):
+  /// expiry sweep, serving-mode capture, watermark, extraction, fault
+  /// draw, cache lookups with revalidation, in-batch coalescing.
+  /// Returns false when the queue held nothing to serve.
+  bool FormFlight(Flight* f);
   /// Evaluates a formed flight's unique misses outside the lock.
   void EvaluateFlight(Flight* f) const;
-  /// Commits a flight under the lock in wave order: counters, EWMA,
-  /// cache inserts, outcome fulfilment, inflight release.
+  /// Commits a flight under the lock: counters, EWMA, cache inserts,
+  /// outcome fulfilment, inflight release.
   Status CommitFlight(Flight* f);
-  /// One wave: form up to pipeline_depth flights, evaluate them
-  /// concurrently, commit in formation order.
-  Status ServeWave(size_t* served_out);
+  /// Forms, evaluates and commits one micro-batch.
+  Status ServeBatch(size_t* served_out);
   Status ExactBatch(const std::vector<const std::vector<double>*>& queries,
                     size_t k,
                     std::vector<std::vector<QueryHit>*> hit_sinks) const;
@@ -198,13 +191,11 @@ struct QueryServer::Impl {
                           const std::vector<IndexQueryStats>& per_shard,
                           uint64_t scans_per_shard);
   Status Swap(const ShardedFeatureIndex* next);
-  /// expect: 0 = kNN ticket, 1 = classify ticket, -1 = either kind.
-  Result<Outcome> Take(uint64_t ticket, int expect);
+  Result<Outcome> Take(uint64_t ticket);
   void WorkerLoop();
 };
 
-Result<uint64_t> QueryServer::Impl::Submit(bool classify,
-                                           std::vector<double> query,
+Result<uint64_t> QueryServer::Impl::Submit(std::vector<double> query,
                                            size_t k, uint64_t deadline_us) {
   if (query.size() != db->feature_dimension()) {
     return Status::InvalidArgument(
@@ -239,7 +230,6 @@ Result<uint64_t> QueryServer::Impl::Submit(bool classify,
   }
   const uint64_t ticket = next_ticket++;
   Request req;
-  req.classify = classify;
   req.query = std::move(query);
   req.k = k;
   req.ticket = ticket;
@@ -247,8 +237,7 @@ Result<uint64_t> QueryServer::Impl::Submit(bool classify,
     req.deadline_at_us = clock->NowMicros() + deadline_us;
   }
   queue.push_back(std::move(req));
-  Outcome& out = outcomes[ticket];
-  out.classify = classify;
+  outcomes.emplace(ticket, Outcome{});
   ++counters.submitted;
   if (queue.size() > counters.queue_high_water) {
     counters.queue_high_water = queue.size();
@@ -391,14 +380,12 @@ Status QueryServer::Impl::ExactBatch(
       opts.parallel);
 }
 
-bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
+bool QueryServer::Impl::FormFlight(Flight* f) {
   std::unique_lock<std::mutex> lock(mu);
-  if (swapping > 0) {
-    // A swap is quiescing. A caller with uncommitted flights must not
-    // block here — the swap waits on those very commits.
-    if (!may_wait) return false;
-    cv_swap.wait(lock, [&] { return swapping == 0; });
-  }
+  // A swap is quiescing: hold off until it has installed its index.
+  // The caller holds no uncommitted batch, so the swap's wait for
+  // inflight == 0 cannot depend on this thread.
+  cv_swap.wait(lock, [&] { return swapping == 0; });
   const uint64_t epoch = db->epoch();
   f->epoch = epoch;
   f->fault_status = Status::OK();
@@ -438,7 +425,7 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
   }
   // Degradation trigger: a pure function of post-sweep queue depth,
   // so a replayed request sequence degrades identically at any
-  // thread count and pipeline depth (DESIGN.md §12.2). Degraded mode
+  // thread count (DESIGN.md §12.2). Degraded mode
   // is a budgeted index scan, so the exact fallback never degrades.
   f->degraded = f->mode == Flight::kIndex && opts.degrade_watermark > 0 &&
                 queue.size() >= opts.degrade_watermark;
@@ -484,7 +471,6 @@ bool QueryServer::Impl::FormFlight(Flight* f, bool may_wait) {
       f->uniq.push_back(i);
     }
   }
-  f->formed = true;
   ++inflight;
   return true;
 }
@@ -567,7 +553,7 @@ void QueryServer::Impl::EvaluateFlight(Flight* f) const {
 Status QueryServer::Impl::CommitFlight(Flight* f) {
   {
     std::unique_lock<std::mutex> lock(mu);
-    if (f->formed) --inflight;
+    --inflight;
     counters.served += f->batch.size();
     ++counters.batches;
     // Micro-batch size histogram: bucket 0 = size 1, bucket b >= 1 =
@@ -630,16 +616,7 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
           out.error_bound = f->eval_bounds[f->plan[i].eval_slot];
           ++counters.degraded;
         }
-        if (out.classify) {
-          auto label = db->VoteAmongHits(hits);
-          if (!label.ok()) {
-            out.status = label.status();
-          } else {
-            out.label = *label;
-          }
-        } else {
-          out.hits = hits;
-        }
+        out.hits = hits;
       }
       out.ready = true;
     }
@@ -649,54 +626,17 @@ Status QueryServer::Impl::CommitFlight(Flight* f) {
   return f->eval_status;
 }
 
-Status QueryServer::Impl::ServeWave(size_t* served_out) {
-  const size_t depth = std::max<size_t>(1, opts.pipeline_depth);
-  std::vector<Flight> flights;
-  flights.reserve(depth);
-  bool any_expired = false;
-  for (size_t i = 0; i < depth; ++i) {
-    Flight f;
-    // Only the first formation may wait out a pending swap: once this
-    // wave holds an uncommitted flight, blocking would deadlock the
-    // swap's quiesce.
-    const bool formed = FormFlight(&f, /*may_wait=*/flights.empty());
-    any_expired = any_expired || f.n_expired > 0;
-    if (!formed) break;
-    flights.push_back(std::move(f));
-  }
-  if (flights.empty()) {
+Status QueryServer::Impl::ServeBatch(size_t* served_out) {
+  Flight f;
+  if (!FormFlight(&f)) {
     if (served_out != nullptr) *served_out = 0;
-    if (any_expired) cv_done.notify_all();
+    // The expiry sweep may have readied tickets with nothing to serve.
+    if (f.n_expired > 0) cv_done.notify_all();
     return Status::OK();
   }
-  if (flights.size() == 1) {
-    EvaluateFlight(&flights[0]);
-  } else {
-    // Overlap the wave's evaluation stages on the thread pool. Each
-    // flight is evaluated whole (grain 1); index-internal ParallelFor
-    // calls nest inline, so the thread budget applies at flight level.
-    ParallelOptions wave = opts.parallel;
-    wave.grain = 1;
-    (void)ParallelFor(
-        flights.size(),
-        [&](size_t begin, size_t end, size_t /*chunk*/) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            EvaluateFlight(&flights[i]);
-          }
-          return Status::OK();
-        },
-        wave);
-  }
-  size_t served = 0;
-  Status status = Status::OK();
-  for (Flight& f : flights) {
-    Status st = CommitFlight(&f);
-    if (status.ok() && !st.ok()) status = st;
-    served += f.batch.size();
-  }
-  if (served_out != nullptr) *served_out = served;
-  if (any_expired) cv_done.notify_all();
-  return status;
+  EvaluateFlight(&f);
+  if (served_out != nullptr) *served_out = f.batch.size();
+  return CommitFlight(&f);
 }
 
 Status QueryServer::Impl::Swap(const ShardedFeatureIndex* next) {
@@ -711,36 +651,38 @@ Status QueryServer::Impl::Swap(const ShardedFeatureIndex* next) {
   return Status::OK();
 }
 
-Result<QueryServer::Impl::Outcome> QueryServer::Impl::Take(uint64_t ticket,
-                                                           int expect) {
+Result<QueryServer::Impl::Outcome> QueryServer::Impl::Take(
+    uint64_t ticket) {
   std::unique_lock<std::mutex> lock(mu);
   auto it = outcomes.find(ticket);
   if (it == outcomes.end()) {
     return Status::NotFound("unknown or already-taken ticket " +
                             std::to_string(ticket));
   }
-  if (expect >= 0 && it->second.classify != (expect == 1)) {
-    return Status::InvalidArgument(
-        expect == 1 ? "ticket belongs to a kNN request"
-                    : "ticket belongs to a classify request");
-  }
   while (!it->second.ready) {
     if (running) {
       cv_done.wait(lock);
     } else {
-      // No worker: serve inline until this ticket's wave has run.
+      // No worker: serve inline until this ticket's batch has run. A
+      // batch failure is recorded in its tickets' outcomes, so the
+      // status of a batch this ticket was not in is not this ticket's.
       lock.unlock();
       size_t served = 0;
-      Status st = ServeWave(&served);
+      (void)ServeBatch(&served);
       lock.lock();
       it = outcomes.find(ticket);
       if (it == outcomes.end()) {
         return Status::NotFound("ticket lost while serving inline");
       }
-      if (!st.ok() && !it->second.ready) return st;
       if (served == 0 && !it->second.ready) {
-        return Status::Unknown(
-            "ticket never served: queue drained without it");
+        // Nothing left to form: another thread may be evaluating the
+        // batch that holds this ticket, so wait for its commit.
+        if (inflight > 0) {
+          cv_done.wait(lock);
+        } else if (queue.empty()) {
+          return Status::Unknown(
+              "ticket never served: queue drained without it");
+        }
       }
     }
     it = outcomes.find(ticket);
@@ -763,8 +705,7 @@ void QueryServer::Impl::WorkerLoop() {
     }
     // Per-request failures are recorded in the outcomes; the worker
     // itself keeps serving.
-    size_t served = 0;
-    (void)ServeWave(&served);
+    (void)ServeBatch(nullptr);
   }
 }
 
@@ -792,9 +733,6 @@ Status ValidateServerOptions(const MotionDatabase* database,
   }
   if (options.max_batch == 0) {
     return Status::InvalidArgument("max_batch must be >= 1");
-  }
-  if (options.pipeline_depth == 0) {
-    return Status::InvalidArgument("pipeline_depth must be >= 1");
   }
   if (options.degrade_watermark > options.max_queue) {
     return Status::InvalidArgument(
@@ -833,54 +771,37 @@ Status QueryServer::SwapIndex(const ShardedFeatureIndex* index) {
 
 Result<uint64_t> QueryServer::SubmitNearestNeighbors(
     std::vector<double> query, size_t k) {
-  return impl_->Submit(false, std::move(query), k, 0);
+  return impl_->Submit(std::move(query), k, 0);
 }
 
 Result<uint64_t> QueryServer::SubmitNearestNeighbors(
     std::vector<double> query, size_t k, uint64_t deadline_us) {
-  return impl_->Submit(false, std::move(query), k, deadline_us);
-}
-
-Result<uint64_t> QueryServer::SubmitClassify(std::vector<double> query,
-                                             size_t k) {
-  return impl_->Submit(true, std::move(query), k, 0);
-}
-
-Result<uint64_t> QueryServer::SubmitClassify(std::vector<double> query,
-                                             size_t k,
-                                             uint64_t deadline_us) {
-  return impl_->Submit(true, std::move(query), k, deadline_us);
+  return impl_->Submit(std::move(query), k, deadline_us);
 }
 
 Status QueryServer::DrainOnce(size_t* served_out) {
-  return impl_->ServeWave(served_out);
+  return impl_->ServeBatch(served_out);
 }
 
 Status QueryServer::Drain() {
   size_t served = 0;
   do {
-    MOCEMG_RETURN_NOT_OK(impl_->ServeWave(&served));
+    MOCEMG_RETURN_NOT_OK(impl_->ServeBatch(&served));
   } while (served > 0);
   return Status::OK();
 }
 
 Result<std::vector<QueryHit>> QueryServer::TakeHits(uint64_t ticket) {
-  MOCEMG_ASSIGN_OR_RETURN(Impl::Outcome out, impl_->Take(ticket, 0));
+  MOCEMG_ASSIGN_OR_RETURN(Impl::Outcome out, impl_->Take(ticket));
   return std::move(out.hits);
 }
 
-Result<size_t> QueryServer::TakeLabel(uint64_t ticket) {
-  MOCEMG_ASSIGN_OR_RETURN(Impl::Outcome out, impl_->Take(ticket, 1));
-  return out.label;
-}
-
 Result<ServedAnswer> QueryServer::TakeAnswer(uint64_t ticket) {
-  MOCEMG_ASSIGN_OR_RETURN(Impl::Outcome out, impl_->Take(ticket, -1));
+  MOCEMG_ASSIGN_OR_RETURN(Impl::Outcome out, impl_->Take(ticket));
   ServedAnswer answer;
   answer.degraded = out.degraded;
   answer.error_bound = out.error_bound;
   answer.hits = std::move(out.hits);
-  answer.label = out.label;
   return answer;
 }
 
@@ -891,27 +812,19 @@ Result<std::vector<QueryHit>> QueryServer::NearestNeighbors(
   return TakeHits(ticket);
 }
 
-Result<size_t> QueryServer::Classify(const std::vector<double>& query,
-                                     size_t k) {
-  MOCEMG_ASSIGN_OR_RETURN(uint64_t ticket, SubmitClassify(query, k));
-  return TakeLabel(ticket);
-}
-
-namespace {
-
-/// Shared submit-all / take-all pump for the batch conveniences:
-/// admission rejections are handled with backpressure — take the
-/// oldest outstanding result (which blocks until its batch is served,
-/// freeing queue space) and retry.
-template <typename SubmitFn, typename TakeFn, typename ResultT>
-Status PumpBatch(size_t n, const SubmitFn& submit, const TakeFn& take,
-                 std::vector<ResultT>* results) {
+Result<std::vector<std::vector<QueryHit>>>
+QueryServer::NearestNeighborsBatch(
+    const std::vector<std::vector<double>>& queries, size_t k) {
+  // Admission rejections are handled with backpressure: take the
+  // oldest outstanding result (which blocks until its batch is served,
+  // freeing queue space) and retry.
+  const size_t n = queries.size();
   std::vector<uint64_t> tickets(n, 0);
-  results->resize(n);
+  std::vector<std::vector<QueryHit>> results(n);
   size_t taken = 0;
   for (size_t i = 0; i < n; ++i) {
     for (;;) {
-      auto ticket = submit(i);
+      auto ticket = SubmitNearestNeighbors(queries[i], k);
       if (ticket.ok()) {
         tickets[i] = *ticket;
         break;
@@ -920,36 +833,13 @@ Status PumpBatch(size_t n, const SubmitFn& submit, const TakeFn& take,
           taken >= i) {
         return ticket.status();
       }
-      MOCEMG_ASSIGN_OR_RETURN((*results)[taken], take(tickets[taken]));
+      MOCEMG_ASSIGN_OR_RETURN(results[taken], TakeHits(tickets[taken]));
       ++taken;
     }
   }
   for (; taken < n; ++taken) {
-    MOCEMG_ASSIGN_OR_RETURN((*results)[taken], take(tickets[taken]));
+    MOCEMG_ASSIGN_OR_RETURN(results[taken], TakeHits(tickets[taken]));
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<QueryHit>>>
-QueryServer::NearestNeighborsBatch(
-    const std::vector<std::vector<double>>& queries, size_t k) {
-  std::vector<std::vector<QueryHit>> results;
-  MOCEMG_RETURN_NOT_OK(PumpBatch(
-      queries.size(),
-      [&](size_t i) { return SubmitNearestNeighbors(queries[i], k); },
-      [&](uint64_t t) { return TakeHits(t); }, &results));
-  return results;
-}
-
-Result<std::vector<size_t>> QueryServer::ClassifyBatch(
-    const std::vector<std::vector<double>>& queries, size_t k) {
-  std::vector<size_t> results;
-  MOCEMG_RETURN_NOT_OK(PumpBatch(
-      queries.size(),
-      [&](size_t i) { return SubmitClassify(queries[i], k); },
-      [&](uint64_t t) { return TakeLabel(t); }, &results));
   return results;
 }
 
@@ -1024,7 +914,6 @@ void JitteredBackoff::Reset() { base_us_ = opts_.initial_us; }
 
 Result<uint64_t> SubmitWithBackoff(QueryServer* server,
                                    std::vector<double> query, size_t k,
-                                   bool classify,
                                    const BackoffOptions& backoff,
                                    const Clock* clock) {
   if (server == nullptr) {
@@ -1035,9 +924,7 @@ Result<uint64_t> SubmitWithBackoff(QueryServer* server,
   Status last = Status::OK();
   const size_t attempts = std::max<size_t>(1, backoff.max_attempts);
   for (size_t attempt = 0; attempt < attempts; ++attempt) {
-    Result<uint64_t> ticket =
-        classify ? server->SubmitClassify(query, k)
-                 : server->SubmitNearestNeighbors(query, k);
+    Result<uint64_t> ticket = server->SubmitNearestNeighbors(query, k);
     if (ticket.ok()) return ticket;
     if (!ticket.status().IsOutOfRange()) return ticket.status();
     last = ticket.status();

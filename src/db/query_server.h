@@ -20,15 +20,9 @@
 ///    Batch composition is a pure function of admission order, and the
 ///    kernels are bit-identical at any thread count, so the same
 ///    request sequence produces the same results *and the same
-///    cache-hit counts* at MOCEMG_THREADS=1/2/8.
-///  - **Stage-pipelined scheduling**: with `pipeline_depth` D > 1 a
-///    drain forms up to D micro-batches per wave and overlaps their
-///    evaluation stages on the thread pool (the formation and commit
-///    stages stay serialized under the server lock, in batch order).
-///    Every batch's answers are bit-identical to the depth-1 schedule
-///    — evaluation is a pure function of the batch contents — but
-///    cache-hit counts MAY differ across depths: batches formed in the
-///    same wave cannot see each other's not-yet-committed inserts.
+///    cache-hit counts* at MOCEMG_THREADS=1/2/8. Each drain forms one
+///    batch under the server lock, evaluates it outside the lock, and
+///    commits it under the lock again.
 ///  - **Seeded, shard-aware result cache**: hit lists are cached keyed
 ///    by (query bytes, k) under a seeded hash, with FIFO eviction at
 ///    `cache_capacity` entries. Each entry records the database epoch
@@ -148,18 +142,12 @@ struct QueryServerOptions {
   /// Fault injection seam for tests and the abl10 bench; nullptr in
   /// production. Must outlive the server.
   ServingFaultInjector* faults = nullptr;
-  /// Micro-batches formed (and evaluated concurrently) per drain wave.
-  /// 1 = the classic one-batch-at-a-time schedule; D > 1 overlaps up
-  /// to D batch evaluations on the thread pool. Answers are identical
-  /// at every depth; cache-hit counts may differ (batches in one wave
-  /// cannot see each other's inserts). Must be >= 1.
-  size_t pipeline_depth = 1;
 };
 
 /// \brief Per-shard serving counters, kept when the server serves
 /// through an index (empty otherwise). Aggregated in
 /// batch-commit order, so the vector is deterministic for a given
-/// request sequence at any thread count and pipeline depth.
+/// request sequence at any thread count.
 struct ShardServeStats {
   /// Per-(query, shard) scan tasks executed against this shard
   /// (exact and budgeted).
@@ -226,13 +214,10 @@ struct QueryServerStats {
 struct ServedAnswer {
   bool degraded = false;
   double error_bound = 0.0;
-  /// Filled for kNN requests; empty for classify requests.
   std::vector<QueryHit> hits;
-  /// Filled for classify requests.
-  size_t label = 0;
 };
 
-/// \brief Batched kNN / classification server. Movable, not copyable.
+/// \brief Batched kNN server. Movable, not copyable.
 class QueryServer {
  public:
   QueryServer() = default;
@@ -269,35 +254,24 @@ class QueryServer {
   Result<uint64_t> SubmitNearestNeighbors(std::vector<double> query,
                                           size_t k, uint64_t deadline_us);
 
-  /// \brief Enqueues a classify-by-vote request over the k nearest
-  /// neighbours; same admission, validation, and deadline rules.
-  Result<uint64_t> SubmitClassify(std::vector<double> query, size_t k);
-  Result<uint64_t> SubmitClassify(std::vector<double> query, size_t k,
-                                  uint64_t deadline_us);
-
-  /// \brief Serves one wave — up to pipeline_depth micro-batches of up
-  /// to max_batch requests, formed in admission order and evaluated
-  /// concurrently — and commits them in batch order. `served_out`,
-  /// when given, receives the number of requests fulfilled (0 when the
-  /// queue was empty; expired requests do not count — they were shed,
-  /// not served).
+  /// \brief Serves one micro-batch of up to max_batch requests, formed
+  /// in admission order. `served_out`, when given, receives the number
+  /// of requests fulfilled (0 when the queue was empty; expired
+  /// requests do not count — they were shed, not served).
   Status DrainOnce(size_t* served_out = nullptr);
 
-  /// \brief Serves waves until the queue is empty.
+  /// \brief Serves micro-batches until the queue is empty.
   Status Drain();
 
   /// \brief Blocks until the ticket's kNN result is ready and returns
   /// it (serving inline when no background worker is running). A
   /// ticket can be taken exactly once. Degraded answers are returned
-  /// like exact ones — use TakeAnswer to see the tag and bound.
+  /// like exact ones — use TakeAnswer to see the tag and bound. To
+  /// classify by vote, pass the hits to MotionDatabase::VoteAmongHits.
   Result<std::vector<QueryHit>> TakeHits(uint64_t ticket);
-
-  /// \brief Blocks until the ticket's classification is ready.
-  Result<size_t> TakeLabel(uint64_t ticket);
 
   /// \brief Blocks until the ticket is ready and returns the full
   /// answer with its degradation tag and certified error bound.
-  /// Works for both kNN and classify tickets.
   Result<ServedAnswer> TakeAnswer(uint64_t ticket);
 
   /// \brief Synchronous single kNN request through the full admission
@@ -305,18 +279,10 @@ class QueryServer {
   Result<std::vector<QueryHit>> NearestNeighbors(
       const std::vector<double>& query, size_t k);
 
-  /// \brief Synchronous single classification request.
-  Result<size_t> Classify(const std::vector<double>& query, size_t k);
-
   /// \brief Submits the whole set, serves it in deterministic
   /// micro-batches, and returns results in input order. Element i is
   /// bit-identical to database->NearestNeighbors(queries[i], k).
   Result<std::vector<std::vector<QueryHit>>> NearestNeighborsBatch(
-      const std::vector<std::vector<double>>& queries, size_t k);
-
-  /// \brief Batched classification: element i is the vote among
-  /// queries[i]'s k nearest neighbours.
-  Result<std::vector<size_t>> ClassifyBatch(
       const std::vector<std::vector<double>>& queries, size_t k);
 
   /// \brief Starts the background worker that drains the queue as
@@ -382,7 +348,6 @@ class JitteredBackoff {
 /// backoff.max_attempts. Non-OutOfRange errors propagate immediately.
 Result<uint64_t> SubmitWithBackoff(QueryServer* server,
                                    std::vector<double> query, size_t k,
-                                   bool classify = false,
                                    const BackoffOptions& backoff = {},
                                    const Clock* clock = nullptr);
 

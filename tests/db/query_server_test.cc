@@ -285,22 +285,6 @@ TEST(QueryServerTest, CacheEvictionRespectsCapacity) {
   EXPECT_EQ(server->stats().cache_hits, 1u);
 }
 
-TEST(QueryServerTest, ClassifyMatchesDatabaseVote) {
-  MotionDatabase db = MakeDb(120, 5, 18);
-  auto index = BuildIndex(&db);
-  ASSERT_TRUE(index.ok());
-  auto server = QueryServer::Create(&db, &*index);
-  ASSERT_TRUE(server.ok());
-  const auto queries = MakeQueries(25, 5, 19);
-  auto labels = server->ClassifyBatch(queries, 5);
-  ASSERT_TRUE(labels.ok()) << labels.status();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto want = db.ClassifyByVote(queries[i], 5);
-    ASSERT_TRUE(want.ok());
-    EXPECT_EQ((*labels)[i], *want) << "query " << i;
-  }
-}
-
 // Satellite 4: the same request sequence must produce bit-identical
 // results AND identical cache-hit counts at every thread budget. The
 // "Parallel" in the name keeps this test in the tsan multi-thread
@@ -380,6 +364,43 @@ TEST(QueryServerTest, ParallelWorkerServesConcurrentClients) {
     ExpectHitsEqual(got[i], *linear);
   }
   EXPECT_EQ(server->stats().served, queries.size());
+}
+
+// Two threads take tickets of the same batch with no worker running.
+// One of them forms and evaluates the batch inline; the other's own
+// serve finds the queue empty and must wait for that batch to commit,
+// not report its ticket as never served. The batch is large enough
+// that the second taker arrives while the first is still evaluating.
+TEST(QueryServerTest, ParallelInlineTakersShareOneBatch) {
+  const size_t kDim = 64;
+  MotionDatabase db = MakeDb(20000, kDim, 24);
+  const auto queries = MakeQueries(64, kDim, 25);
+  for (int round = 0; round < 3; ++round) {
+    auto server = QueryServer::Create(&db);
+    ASSERT_TRUE(server.ok());
+    std::vector<uint64_t> tickets;
+    for (const auto& q : queries) {
+      auto t = server->SubmitNearestNeighbors(q, 3);
+      ASSERT_TRUE(t.ok());
+      tickets.push_back(*t);
+    }
+    const size_t ends[2] = {0, queries.size() - 1};
+    Result<std::vector<QueryHit>> got[2] = {Status::Unknown("not taken"),
+                                            Status::Unknown("not taken")};
+    std::vector<std::thread> takers;
+    for (int c = 0; c < 2; ++c) {
+      takers.emplace_back(
+          [&, c] { got[c] = server->TakeHits(tickets[ends[c]]); });
+    }
+    for (auto& t : takers) t.join();
+    for (int c = 0; c < 2; ++c) {
+      ASSERT_TRUE(got[c].ok()) << "round " << round << ": " << got[c].status();
+      auto linear = db.NearestNeighbors(queries[ends[c]], 3);
+      ASSERT_TRUE(linear.ok());
+      ExpectHitsEqual(*linear, *got[c]);
+    }
+    EXPECT_EQ(server->stats().batches, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -707,7 +728,7 @@ TEST(QueryServerTest, SubmitWithBackoffHonorsRetryAfterHint) {
   backoff.max_us = 2;
   backoff.max_attempts = 4;
   const uint64_t before = clock.NowMicros();
-  auto result = SubmitWithBackoff(&*server, q, 1, false, backoff, &clock);
+  auto result = SubmitWithBackoff(&*server, q, 1, backoff, &clock);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsOutOfRange());
   // Three sleeps (between four attempts), each >= the hint.
@@ -730,7 +751,7 @@ TEST(QueryServerTest, SubmitWithBackoffSucceedsOnceQueueDrains) {
     BackoffOptions backoff;
     backoff.initial_us = 100;
     backoff.max_attempts = 50;
-    auto t = SubmitWithBackoff(&*server, q, 2, false, backoff);
+    auto t = SubmitWithBackoff(&*server, q, 2, backoff);
     ASSERT_TRUE(t.ok()) << t.status();
     tickets.push_back(*t);
   }
@@ -886,7 +907,7 @@ TEST(QueryServerTest, ParallelServingFaultInjectedClientsSurvive) {
         backoff.initial_us = 200;
         backoff.max_attempts = 100;
         backoff.seed = 100 + i;
-        auto t = SubmitWithBackoff(&*server, queries[i], 3, false, backoff);
+        auto t = SubmitWithBackoff(&*server, queries[i], 3, backoff);
         if (!t.ok()) {
           ++fail_count;
           continue;
@@ -910,13 +931,6 @@ TEST(QueryServerTest, ParallelServingFaultInjectedClientsSurvive) {
   // Conservation: every admitted request was either answered (served,
   // possibly with an injected failure) or shed by a deadline sweep.
   EXPECT_EQ(stats.served + stats.expired, stats.submitted);
-}
-
-TEST(QueryServerTest, CreateRejectsZeroPipelineDepth) {
-  MotionDatabase db = MakeDb(10, 3, 70);
-  QueryServerOptions opts;
-  opts.pipeline_depth = 0;
-  EXPECT_FALSE(QueryServer::Create(&db, nullptr, opts).ok());
 }
 
 TEST(QueryServerTest, ShardedServingBitIdenticalToLinearScan) {
@@ -984,59 +998,6 @@ TEST(QueryServerTest, ParallelShardedStatsDeterministicAcrossThreads) {
       EXPECT_EQ(other.shard_stats[s].distance_computations,
                 base.shard_stats[s].distance_computations);
     }
-  }
-}
-
-// Pipelined waves must answer every request with the same bits as the
-// one-batch-at-a-time schedule. (Cache-hit counts may legitimately
-// differ — batches of one wave cannot see each other's inserts — so
-// only answers and batch structure are compared.)
-TEST(QueryServerTest, PipelinedServingIdenticalAcrossDepths) {
-  const size_t kDim = 6;
-  MotionDatabase db = MakeDb(200, kDim, 75);
-  auto queries = MakeQueries(36, kDim, 76);
-  for (int i = 0; i < 8; ++i) queries.push_back(queries[i]);  // dupes
-  auto run = [&](size_t depth) {
-    ShardedIndexOptions sopts;
-    sopts.num_shards = 3;
-    auto index = ShardedFeatureIndex::Build(&db, sopts);
-    EXPECT_TRUE(index.ok());
-    QueryServerOptions opts;
-    opts.max_batch = 4;
-    opts.pipeline_depth = depth;
-    auto server = QueryServer::Create(&db, &*index, opts);
-    EXPECT_TRUE(server.ok());
-    std::vector<uint64_t> tickets;
-    for (const auto& q : queries) {
-      auto t = server->SubmitNearestNeighbors(q, 5);
-      EXPECT_TRUE(t.ok());
-      tickets.push_back(*t);
-    }
-    EXPECT_TRUE(server->Drain().ok());
-    std::vector<std::vector<QueryHit>> answers;
-    for (uint64_t t : tickets) {
-      auto hits = server->TakeHits(t);
-      EXPECT_TRUE(hits.ok());
-      answers.push_back(*hits);
-    }
-    return std::make_pair(std::move(answers), server->stats());
-  };
-  const auto base = run(1);
-  for (size_t depth : {2, 4}) {
-    const auto other = run(depth);
-    ASSERT_EQ(other.first.size(), base.first.size());
-    for (size_t i = 0; i < base.first.size(); ++i) {
-      ExpectHitsEqual(base.first[i], other.first[i]);
-    }
-    EXPECT_EQ(other.second.served, base.second.served);
-    EXPECT_EQ(other.second.batches, base.second.batches);
-    EXPECT_EQ(other.second.expired, base.second.expired);
-  }
-  // And the depth-1 answers themselves are exact.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto linear = db.NearestNeighbors(queries[i], 5);
-    ASSERT_TRUE(linear.ok());
-    ExpectHitsEqual(*linear, base.first[i]);
   }
 }
 
@@ -1197,7 +1158,6 @@ TEST(QueryServerTest, ParallelSwapIndexConcurrentSubmitsNeverTorn) {
   QueryServerOptions opts;
   opts.max_batch = 4;
   opts.cache_capacity = 0;  // force every request through evaluation
-  opts.pipeline_depth = 2;
   auto server = QueryServer::Create(&db, &*plain, opts);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE(server->Start().ok());
@@ -1227,7 +1187,7 @@ TEST(QueryServerTest, ParallelSwapIndexConcurrentSubmitsNeverTorn) {
         backoff.initial_us = 100;
         backoff.max_attempts = 200;
         backoff.seed = 300 + i;
-        auto t = SubmitWithBackoff(&*server, queries[i], 4, false, backoff);
+        auto t = SubmitWithBackoff(&*server, queries[i], 4, backoff);
         ASSERT_TRUE(t.ok()) << t.status();
         auto hits = server->TakeHits(*t);
         ASSERT_TRUE(hits.ok()) << hits.status();
@@ -1244,9 +1204,9 @@ TEST(QueryServerTest, ParallelSwapIndexConcurrentSubmitsNeverTorn) {
 }
 
 // The full fault gauntlet served through the sharded scatter-gather
-// path: outcome signatures must be identical across thread counts AND
-// pipeline depths (the fault tape, deadline sweeps, and watermark all
-// key off formation order, which waves preserve).
+// path: outcome signatures and per-shard counters must be identical
+// across thread counts (the fault tape, deadline sweeps, and watermark
+// all key off formation order).
 TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
   MotionDatabase db = MakeDb(240, 9, 81);
   ShardedIndexOptions sopts;
@@ -1261,7 +1221,7 @@ TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
     std::vector<std::string> outcomes;
     QueryServerStats stats;
   };
-  auto run = [&](size_t threads, size_t depth) -> RunResult {
+  auto run = [&](size_t threads) -> RunResult {
     FakeClock clock;
     ServingFaultOptions fopts;
     fopts.seed = 7;
@@ -1278,7 +1238,6 @@ TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
     opts.default_deadline_us = 9000;
     opts.faults = &injector;
     opts.parallel.max_threads = threads;
-    opts.pipeline_depth = depth;
     auto server = QueryServer::Create(&db, &*index, opts);
     EXPECT_TRUE(server.ok());
     std::vector<uint64_t> tickets;
@@ -1311,10 +1270,9 @@ TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
     return result;
   };
 
-  const RunResult base = run(1, 1);
-  const RunResult mt2 = run(2, 1);
-  const RunResult mt8 = run(8, 1);
-  const RunResult piped = run(8, 2);
+  const RunResult base = run(1);
+  const RunResult mt2 = run(2);
+  const RunResult mt8 = run(8);
 
   uint64_t n_expired = 0, n_failed = 0;
   for (const std::string& sig : base.outcomes) {
@@ -1326,7 +1284,7 @@ TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
   EXPECT_GT(base.stats.degraded, 0u) << "watermark should fire";
   ASSERT_EQ(base.stats.shard_stats.size(), 3u);
 
-  for (const RunResult* other : {&mt2, &mt8, &piped}) {
+  for (const RunResult* other : {&mt2, &mt8}) {
     ASSERT_EQ(other->outcomes.size(), base.outcomes.size());
     for (size_t i = 0; i < base.outcomes.size(); ++i) {
       EXPECT_EQ(other->outcomes[i], base.outcomes[i]) << "request " << i;
@@ -1335,9 +1293,6 @@ TEST(QueryServerTest, ServingFaultInjectedShardedStressDeterministic) {
     EXPECT_EQ(other->stats.expired, base.stats.expired);
     EXPECT_EQ(other->stats.degraded, base.stats.degraded);
     EXPECT_EQ(other->stats.batches, base.stats.batches);
-  }
-  // Same-schedule runs agree on every per-shard counter too.
-  for (const RunResult* other : {&mt2, &mt8}) {
     ASSERT_EQ(other->stats.shard_stats.size(),
               base.stats.shard_stats.size());
     for (size_t s = 0; s < base.stats.shard_stats.size(); ++s) {

@@ -8,7 +8,7 @@
 //   serve-bench [--records N] [--dim D] [--queries Q] [--unique U]
 //               [--k K] [--batch B] [--threads 1,2,8] [--seed S] [--json]
 //               [--deadline-us N] [--watermark N] [--snapshot <path>]
-//               [--shards N] [--pipeline D]
+//               [--shards N]
 //   kernel-info [--json]       dispatch report + backend equivalence gate
 //
 // Every subcommand accepts --kernel {auto,scalar,avx2,avx512} to
@@ -75,8 +75,7 @@ int Usage() {
                "[--threads 1,2,8] [--seed S] [--json]\n"
                "                      [--deadline-us N] [--watermark N] "
                "[--snapshot <path>]\n"
-               "                      [--shards N (>= 1, default 1)] "
-               "[--pipeline D]\n"
+               "                      [--shards N (>= 1, default 1)]\n"
                "  mocemg_cli kernel-info [--json]\n"
                "  (any subcommand) --kernel auto|scalar|avx2|avx512\n"
                "  (any subcommand) --exact-precision f64|f32\n");
@@ -369,16 +368,15 @@ int RunServeBench(const Args& args) {
   auto deadline_us = ParseInt(args.Get("--deadline-us", "0"));
   auto watermark = ParseInt(args.Get("--watermark", "0"));
   auto shards = ParseInt(args.Get("--shards", "1"));
-  auto pipeline = ParseInt(args.Get("--pipeline", "1"));
   const std::string snapshot_path = args.Get("--snapshot", "");
   if (!records.ok() || !dim.ok() || !queries.ok() || !unique.ok() ||
       !k.ok() || !batch.ok() || !seed.ok() || !deadline_us.ok() ||
-      !watermark.ok() || !shards.ok() || !pipeline.ok()) {
+      !watermark.ok() || !shards.ok()) {
     return Usage();
   }
   if (*records < 1 || *dim < 1 || *queries < 1 || *unique < 1 ||
       *k < 1 || *batch < 1 || *deadline_us < 0 || *watermark < 0 ||
-      *shards < 1 || *pipeline < 1) {
+      *shards < 1) {
     return Usage();
   }
   std::vector<size_t> threads;
@@ -489,7 +487,6 @@ int RunServeBench(const Args& args) {
     opts.parallel.max_threads = t;
     opts.default_deadline_us = static_cast<uint64_t>(*deadline_us);
     opts.degrade_watermark = static_cast<size_t>(*watermark);
-    opts.pipeline_depth = static_cast<size_t>(*pipeline);
     auto server = QueryServer::Create(&db, &*index, opts);
     if (!server.ok()) return Fail(server.status());
 
@@ -555,9 +552,7 @@ int RunServeBench(const Args& args) {
                 static_cast<long long>(*unique), kk,
                 static_cast<long long>(*batch));
     std::printf("  \"bit_identical\": true,\n");
-    std::printf("  \"shards\": %lld, \"pipeline\": %lld,\n",
-                static_cast<long long>(*shards),
-                static_cast<long long>(*pipeline));
+    std::printf("  \"shards\": %lld,\n", static_cast<long long>(*shards));
     const KernelDispatchInfo kinfo = GetKernelDispatchInfo();
     std::printf("  \"kernel_backend\": \"%s\", \"cpu_features\": \"%s\",\n",
                 kinfo.active.c_str(), kinfo.cpu_features.c_str());
@@ -661,9 +656,8 @@ int RunServeBench(const Args& args) {
                 ExactPrecisionName(
                     ResolveExactPrecision(iopts.index.exact_precision)));
   }
-  std::printf("  serving through %lld shard(s), pipeline depth %lld\n",
-              static_cast<long long>(*shards),
-              static_cast<long long>(*pipeline));
+  std::printf("  serving through %lld shard(s)\n",
+              static_cast<long long>(*shards));
   std::printf("  %-22s %10s %12s %12s\n", "mode", "qps", "p50 (us)",
               "p99 (us)");
   std::printf("  %-22s %10.0f %12.1f %12.1f\n", "exact scan/request",

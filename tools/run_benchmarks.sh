@@ -13,9 +13,8 @@
 # scatter-gather families: the BM_ShardedKnn shard-count sweep, the
 # single-vs-sharded serving pair, the mutate-while-serving pair
 # (whose stable win — shard-aware cache revalidation — IS gated), and
-# a second serve-bench run at --shards 4 --pipeline 2. Pipeline-
-# overlap ratios are annotated, not gated, when cpus_online is too
-# low to overlap anything. The pr8 file holds the scalar-vs-dispatched
+# a second serve-bench run at --shards 4. The 1-shard vs 4-shard
+# serving ratio is annotated, never gated. The pr8 file holds the scalar-vs-dispatched
 # SIMD kernel pairs. The pr9 file
 # holds the certified fp32 exact-tier families: cross-family
 # fp32-vs-f64 kernel ratios (the dispatched rows carry a gated 1.4x
@@ -136,7 +135,7 @@ echo "== serve-bench ==" >&2
   >"$out/serving.json"
 echo "== serve-bench (sharded) ==" >&2
 ./build/tools/mocemg_cli serve-bench "${serve_args[@]}" \
-  --shards 4 --pipeline 2 \
+  --shards 4 \
   >"$out/serving_sharded.json"
 # PR 9: the same serve-bench load through the certified fp32 exact
 # tier. Its JSON rows carry f32_scans / f32_refined / f32_refine_rate;
@@ -401,8 +400,8 @@ print_speedups("plain vs robustness-armed serving (paired per-pass "
 print_speedups("single-index vs sharded serving (paired per-pass "
                "ratios; BM_ServedKnnMutate > 1 is the shard-aware "
                "cache-revalidation win and is gated; "
-               "BM_ServedKnnSharded measures fan-out + pipeline and "
-               "is annotated only on low-cpu hosts):",
+               "BM_ServedKnnSharded measures 1 vs 4 shards and "
+               "is annotated only):",
                speedups7, "baseline_ns_per_op", "optimized_ns_per_op")
 speedups8 = paired_speedups(PR8_PREFIXES, "scalar_ns_per_op",
                             "dispatched_ns_per_op")
@@ -485,8 +484,7 @@ if serving:
               f"p50 {row['p50_us']:.0f}us p99 {row['p99_us']:.0f}us")
 if serving_sharded:
     print(f"sharded serving (serve-bench --shards "
-          f"{serving_sharded.get('shards')} --pipeline "
-          f"{serving_sharded.get('pipeline')}):")
+          f"{serving_sharded.get('shards')}):")
     for row in serving_sharded.get("served", []):
         print(f"  served ({row['threads']} threads)   "
               f"{row['qps']:10.0f} qps  "
@@ -691,10 +689,8 @@ for base, s in speedups6.items():
 # BM_ServedKnnMutate is the family the sharded cache key exists for:
 # its stable paired ratio (stale-index full-invalidation serving vs
 # ApplyUpdate + shard-aware revalidation) must be a win, and IS gated.
-# BM_ServedKnnSharded measures scatter-gather fan-out plus the wave
-# pipeline; on a host with too few CPUs the pipeline cannot overlap
-# stages and sharding is pure overhead, so that ratio is annotated,
-# never gated.
+# BM_ServedKnnSharded pairs 1-shard against 4-shard serving over one
+# address space; that ratio is annotated, never gated.
 sharded_check = {}
 for base, s in speedups7.items():
     stable = s["cv"] <= CV_STABLE
@@ -724,17 +720,15 @@ for base, s in speedups7.items():
     if is_mutate:
         label = "mutate-while-serving win"
     else:
-        label = "sharded fan-out/pipeline ratio"
+        label = "sharded fan-out ratio"
     note = ""
     if not stable and directional_win:
         note = (f" WIN in every pass (worst x{s['min_ratio']:.2f}); "
                 f"magnitude noisy (cv={s['cv']:.2f})")
     elif not stable:
         note = f" NOISY (cv={s['cv']:.2f}) — not gated"
-    elif not is_mutate and cpus < 2:
-        note = (f" (annotation only: cpus_online={cpus} cannot "
-                "overlap pipeline stages, so fan-out overhead "
-                "dominates)")
+    elif not is_mutate:
+        note = " (annotation only)"
     print(f"{label} {base}: x{s['speedup']:.3f}{note}")
 
 # --- SIMD dispatch checks (PR 8) ---
@@ -996,14 +990,13 @@ doc7 = {
         "note": "BM_ShardedKnn sweeps shard count at one thread (the "
                 "fan-out overhead curve; on multi-core hosts it becomes "
                 "the scaling curve). BM_ServedKnnSharded pairs the "
-                "single-index server against 4 shards + a 2-deep wave "
-                "pipeline and is annotated, not gated, when cpus_online "
-                "is too low to overlap stages. BM_ServedKnnMutate pairs "
+                "1-shard server against the 4-shard server and is "
+                "annotated, not gated. BM_ServedKnnMutate pairs "
                 "stale-index serving (exact fallback + full cache loss "
                 "per mutation) against ApplyUpdate + shard-aware cache "
                 "revalidation; its stable win is gated. The "
                 "serving_sharded section is a second serve-bench run at "
-                "--shards 4 --pipeline 2 with per-shard counters.",
+                "--shards 4 with per-shard counters.",
     },
     "benchmarks": results7,
     "paired_speedups": speedups7,
