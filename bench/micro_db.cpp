@@ -73,9 +73,7 @@ BENCHMARK(BM_IndexedKnn)->Arg(100)->Arg(1000)->Arg(10000);
 
 // Dimension sweep at fixed n: the paper-typical final-feature width
 // (2c = 30) up to 8x wider, where the SoA dot-form scan's advantage
-// over pointer-chased AoS rows grows with the row length. Reported in
-// BENCH_pr4.json alongside the paired kernel-vs-scalar families of
-// micro_distance.
+// over pointer-chased AoS rows grows with the row length.
 void BM_IndexedKnnDim(benchmark::State& state) {
   const size_t dim = static_cast<size_t>(state.range(0));
   const size_t n = 4000;
@@ -91,7 +89,7 @@ void BM_IndexedKnnDim(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedKnnDim)->Arg(30)->Arg(64)->Arg(128)->Arg(240);
 
-// Paired fp32-exact-tier family (BENCH_pr9.json): mode 0 answers
+// Paired fp32-exact-tier family (gated by bench/gates.py): mode 0 answers
 // through the f64 dot-form scan, mode 1 through the certified fp32
 // mirror scan with error-bound-gated double refine. Same binary, same
 // pass, identical (bit-for-bit) answers — the ratio is the end-to-end

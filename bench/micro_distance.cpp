@@ -1,9 +1,8 @@
 // Microbenchmarks: the vectorized distance-kernel layer against the
 // pre-kernel scalar paths it replaced. Each family takes a trailing
 // mode arg (0 = scalar/AoS replica of the seed code, 1 = the kernel
-// path) so the two modes run inside one binary seconds apart and
-// tools/run_benchmarks.sh can report paired per-pass ratios that
-// cancel host load.
+// path) so the two modes run inside one binary seconds apart and their
+// per-pass ratio cancels host load (bench/gates.py).
 //
 // The mode-0 replicas are verbatim restatements of the seed inner
 // loops: strictly sequential scalar squared distances (no 4-lane

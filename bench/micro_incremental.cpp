@@ -1,9 +1,8 @@
 // Microbenchmarks for the incremental featurization engine: exact vs
 // incremental batch extraction across hop/window ratios, the streaming
 // per-frame path in both modes, and the two SVD kernels underneath
-// (w×3 one-sided Jacobi vs the 3×3 Gram eigensolver). The paired
-// exact/incremental ratios land in BENCH_pr3.json via
-// tools/run_benchmarks.sh.
+// (w×3 one-sided Jacobi vs the 3×3 Gram eigensolver). bench/gates.py
+// records each mode's ns/op in bench/record.jsonl.
 
 #include <benchmark/benchmark.h>
 

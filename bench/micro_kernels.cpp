@@ -4,8 +4,8 @@
 // auto-vectorized build, since kernels_scalar.cc compiles with the
 // project's default flags — and 1 = the dispatched table, the widest
 // backend this CPU can run) so both modes run inside one binary
-// seconds apart and tools/run_benchmarks.sh can report paired per-pass
-// ratios that cancel host load. Both sides drive the identical loop
+// seconds apart and their per-pass ratio cancels host load
+// (bench/gates.py). Both sides drive the identical loop
 // through a KernelOps pointer; only the table differs.
 //
 // Bit-exactness means the two modes return identical outputs — the

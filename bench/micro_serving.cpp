@@ -1,6 +1,7 @@
 // Microbenchmarks: the batched query-serving front end vs per-request
 // exact scans — the §11.1 serving path measured as paired families so
-// the per-pass ratio cancels host load (BENCH_pr5.json).
+// the per-pass ratio cancels host load. bench/gates.py gates the
+// Robust and Mutate pairs and BM_BatchedKnn.
 //
 //   BM_ServedKnnBatch/<mode>   mode 0: per-request linear scan loop
 //                              mode 1: QueryServer micro-batch through
@@ -20,10 +21,9 @@
 //                                      overhead of deadline stamping,
 //                                      expiry sweeps, and the watermark
 //                                      check on the non-degraded fast
-//                                      path (BENCH_pr6.json, < 5%).
+//                                      path (gated: < 5%).
 //   BM_ShardedKnn/<S>          scatter-gather batch kNN at S shards, one
-//                              thread — the fan-out overhead sweep
-//                              (BENCH_pr7.json).
+//                              thread — the fan-out overhead sweep.
 //   BM_ServedKnnSharded/<mode> mode 0: 1-shard server; mode 1: 4-shard
 //                              server (annotated, not gated).
 //   BM_ServedKnnMutate/<mode>  mutate-then-serve passes. mode 0: 1-shard
@@ -31,7 +31,7 @@
 //                              fallback + full cache loss.
 //                              mode 1: ApplyUpdate + shard-aware
 //                              revalidation keeps the untouched shards'
-//                              cache entries (BENCH_pr7.json).
+//                              cache entries (gated: no loss).
 //   BM_BatchedKnn/<batch>/<dim>/<mode>
 //                              mode 0: batch × NearestNeighbors in a
 //                              loop — blocks of one query through the
@@ -41,8 +41,8 @@
 //                              — the ratio isolates what sharing a
 //                              partition's bytes across a block buys
 //                              (DESIGN.md §16) from parallelism and
-//                              caching (BENCH_pr10.json; gated at
-//                              batch >= 16, dim >= 30 on SIMD hosts).
+//                              caching (gated on SIMD hosts: no loss,
+//                              1.3x at batch >= 16, dim >= 30).
 //
 // Results are bit-identical between the modes by construction (the
 // server's contract); the families measure only how fast the same
@@ -193,7 +193,7 @@ BENCHMARK(BM_ShardedKnn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // 1-shard serving vs 4-shard serving, identical workload and answers:
 // the pair measures what fanning one address space out into shards
-// costs or buys. run_benchmarks.sh annotates (does not gate) the ratio.
+// costs or buys. The ratio is recorded, not gated.
 void BM_ServedKnnSharded(benchmark::State& state) {
   static const auto* workload =
       new std::vector<std::vector<double>>(MakeQueries(64, kDim, 505));

@@ -1,15 +1,9 @@
 // mocemg — command-line front end for the library.
 //
-// Subcommands:
-//   train    --manifest <csv> --model <out> [--clusters N] [--window MS]
-//            [--hop MS] [--kmeans] [--no-emg | --no-mocap]
-//   classify --model <file> --trc <file> --emg <file> [--k N]
-//   info     --model <file>
-//   serve-bench [--records N] [--dim D] [--queries Q] [--unique U]
-//               [--k K] [--batch B] [--threads 1,2,8] [--seed S] [--json]
-//               [--deadline-us N] [--watermark N] [--snapshot <path>]
-//               [--shards N]
-//   kernel-info [--json]       dispatch report + backend equivalence gate
+// Subcommands: train, classify, info, serve-bench, and kernel-info (the
+// dispatch report + backend equivalence gate). Usage() lists each one's
+// flags; a flag outside that list, or one missing its value, prints
+// usage and exits 2.
 //
 // Every subcommand accepts --kernel {auto,scalar,avx2,avx512} to
 // force the SIMD kernel backend (same semantics as MOCEMG_KERNEL, but
@@ -32,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -72,7 +67,7 @@ int Usage() {
                "  mocemg_cli serve-bench [--records N] [--dim D] "
                "[--queries Q] [--unique U]\n"
                "                      [--k K] [--batch B] "
-               "[--threads 1,2,8] [--seed S] [--json]\n"
+               "[--threads 1,2,8] [--seed S]\n"
                "                      [--deadline-us N] [--watermark N] "
                "[--snapshot <path>]\n"
                "                      [--shards N (>= 1, default 1)]\n"
@@ -86,30 +81,53 @@ int Usage() {
 /// MOCEMG_EXACT_PRECISION and then f64 (env < options < CLI).
 ExactPrecision g_cli_exact_precision = ExactPrecision::kDefault;
 
-/// Pulls `--flag value` pairs out of argv; returns empty for missing.
+/// One subcommand's flags: `values` take the next token, `switches`
+/// stand alone. Every subcommand also takes --kernel and
+/// --exact-precision.
+struct FlagSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> switches;
+};
+
+/// Parses argv[2..] against a FlagSpec. A token outside the spec, or a
+/// value flag whose value is missing, is kept as bad() and the caller
+/// prints usage.
 class Args {
  public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) tokens_.emplace_back(argv[i]);
+  Args(int argc, char** argv, const FlagSpec& spec) {
+    auto listed = [](const std::vector<std::string>& list,
+                     const std::string& flag) {
+      return std::find(list.begin(), list.end(), flag) != list.end();
+    };
+    for (int i = 2; i < argc && bad_.empty(); ++i) {
+      const std::string flag = argv[i];
+      const bool takes_value = listed(spec.values, flag) ||
+                               flag == "--kernel" ||
+                               flag == "--exact-precision";
+      if (listed(spec.switches, flag)) {
+        values_[flag] = "";
+      } else if (takes_value && i + 1 < argc &&
+                 std::strncmp(argv[i + 1], "--", 2) != 0) {
+        values_[flag] = argv[++i];
+      } else {
+        bad_ = flag;
+      }
+    }
   }
+
+  const std::string& bad() const { return bad_; }
 
   std::string Get(const std::string& flag,
                   const std::string& fallback = "") const {
-    for (size_t i = 0; i + 1 < tokens_.size(); ++i) {
-      if (tokens_[i] == flag) return tokens_[i + 1];
-    }
-    return fallback;
+    auto it = values_.find(flag);
+    return it == values_.end() ? fallback : it->second;
   }
 
-  bool Has(const std::string& flag) const {
-    for (const auto& t : tokens_) {
-      if (t == flag) return true;
-    }
-    return false;
-  }
+  bool Has(const std::string& flag) const { return values_.count(flag) != 0; }
 
  private:
-  std::vector<std::string> tokens_;
+  std::map<std::string, std::string> values_;
+  std::string bad_;
 };
 
 Result<std::vector<LabeledMotion>> LoadManifest(const std::string& path) {
@@ -247,8 +265,6 @@ int RunInfo(const Args& args) {
 // budget. Exact served results are checked bit-identical to the
 // per-request scan, and degraded ones (--watermark) against their
 // certified interval, before any number is reported.
-// run_benchmarks.sh consumes the --json form for BENCH_pr5.json's
-// "serving" section.
 
 using BenchClock = std::chrono::steady_clock;
 
@@ -393,8 +409,6 @@ int RunServeBench(const Args& args) {
     }
     if (threads.empty()) return Usage();
   }
-  const bool json = args.Has("--json");
-
   const MotionDatabase db = MakeServeDb(
       static_cast<size_t>(*records), static_cast<size_t>(*dim),
       static_cast<uint64_t>(*seed));
@@ -543,105 +557,6 @@ int RunServeBench(const Args& args) {
     served_rows.push_back(row);
   }
 
-  if (json) {
-    std::printf("{\n");
-    std::printf("  \"records\": %lld, \"dim\": %lld, \"queries\": %zu,"
-                " \"unique\": %lld, \"k\": %zu, \"batch\": %lld,\n",
-                static_cast<long long>(*records),
-                static_cast<long long>(*dim), workload.size(),
-                static_cast<long long>(*unique), kk,
-                static_cast<long long>(*batch));
-    std::printf("  \"bit_identical\": true,\n");
-    std::printf("  \"shards\": %lld,\n", static_cast<long long>(*shards));
-    const KernelDispatchInfo kinfo = GetKernelDispatchInfo();
-    std::printf("  \"kernel_backend\": \"%s\", \"cpu_features\": \"%s\",\n",
-                kinfo.active.c_str(), kinfo.cpu_features.c_str());
-    std::printf("  \"exact_precision\": \"%s\",\n",
-                ExactPrecisionName(
-                    ResolveExactPrecision(iopts.index.exact_precision)));
-    if (used_snapshot) {
-      std::printf("  \"snapshot\": {\"loaded\": %s, \"rebuilt\": %s},\n",
-                  snap_loaded ? "true" : "false",
-                  snap_loaded ? "false" : "true");
-    }
-    std::printf("  \"exact_scan\": {\"qps\": %.1f, \"p50_us\": %.1f, "
-                "\"p99_us\": %.1f},\n",
-                exact.qps, exact.p50_us, exact.p99_us);
-    std::printf("  \"indexed\": {\"qps\": %.1f, \"p50_us\": %.1f, "
-                "\"p99_us\": %.1f},\n",
-                indexed.qps, indexed.p50_us, indexed.p99_us);
-    std::printf("  \"served\": [\n");
-    for (size_t i = 0; i < served_rows.size(); ++i) {
-      const ServedRow& r = served_rows[i];
-      std::printf("    {\"threads\": %zu, \"qps\": %.1f, "
-                  "\"p50_us\": %.1f, \"p99_us\": %.1f, "
-                  "\"qps_vs_exact_scan\": %.3f, "
-                  "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                  "\"coalesced\": %llu, "
-                  "\"expired\": %llu, \"degraded\": %llu, "
-                  "\"queue_high_water\": %llu",
-                  r.threads, r.mode.qps, r.mode.p50_us, r.mode.p99_us,
-                  exact.qps > 0.0 ? r.mode.qps / exact.qps : 0.0,
-                  static_cast<unsigned long long>(r.stats.cache_hits),
-                  static_cast<unsigned long long>(r.stats.cache_misses),
-                  static_cast<unsigned long long>(r.stats.coalesced),
-                  static_cast<unsigned long long>(r.stats.expired),
-                  static_cast<unsigned long long>(r.stats.degraded),
-                  static_cast<unsigned long long>(r.stats.queue_high_water));
-      const IndexQueryStats& ist = r.stats.index_stats;
-      std::printf(", \"f32_scans\": %llu, \"f32_refined\": %llu, "
-                  "\"f32_refine_rate\": %.6f",
-                  static_cast<unsigned long long>(ist.f32_scans),
-                  static_cast<unsigned long long>(ist.f32_refined),
-                  ist.f32_scans > 0
-                      ? double(ist.f32_refined) / double(ist.f32_scans)
-                      : 0.0);
-      // Per-tier throughput over this run's wall clock: rows scored
-      // by the f64 exact tier (full-precision distance evaluations)
-      // and the fp32 mirror tier. Shows where the scan work landed and
-      // how fast each tier moved.
-      const double wall = r.wall_s > 0.0 ? r.wall_s : 1.0;
-      std::printf(
-          ", \"tier_throughput\": {\"exact_f64_rows_per_s\": %.1f, "
-          "\"exact_f32_rows_per_s\": %.1f}",
-          double(ist.distance_computations) / wall,
-          double(ist.f32_scans) / wall);
-      if (r.degraded_taken > 0) {
-        std::printf(", \"degraded_recall\": %.4f, "
-                    "\"degraded_mean_bound\": %.6f",
-                    r.DegradedRecall(kk), r.MeanBound());
-      }
-      // Micro-batch size histogram: bucket 0 = size 1, bucket b >= 1
-      // = sizes (2^(b-1), 2^b] (query_server.h).
-      std::printf(", \"batch_size_hist\": [");
-      for (size_t b = 0; b < r.stats.batch_size_hist.size(); ++b) {
-        std::printf("%s%llu", b > 0 ? ", " : "",
-                    static_cast<unsigned long long>(
-                        r.stats.batch_size_hist[b]));
-      }
-      std::printf("]");
-      if (!r.stats.shard_stats.empty()) {
-        std::printf(", \"shard_stats\": [");
-        for (size_t s = 0; s < r.stats.shard_stats.size(); ++s) {
-          const ShardServeStats& ss = r.stats.shard_stats[s];
-          std::printf("%s{\"shard\": %zu, \"scans\": %llu, "
-                      "\"distance_computations\": %llu, "
-                      "\"cache_invalidations\": %llu}",
-                      s > 0 ? ", " : "", s,
-                      static_cast<unsigned long long>(ss.scans),
-                      static_cast<unsigned long long>(
-                          ss.distance_computations),
-                      static_cast<unsigned long long>(
-                          ss.cache_invalidations));
-        }
-        std::printf("]");
-      }
-      std::printf("}%s\n", i + 1 < served_rows.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-    return 0;
-  }
-
   std::printf("serve-bench: %lld records x %lld dims, %zu queries "
               "(%lld unique), k=%zu, batch=%lld\n",
               static_cast<long long>(*records),
@@ -669,10 +584,28 @@ int RunServeBench(const Args& args) {
     std::snprintf(label, sizeof label, "served (%zu threads)",
                   r.threads);
     std::printf("  %-22s %10.0f %12.1f %12.1f   x%.2f vs scan, "
-                "%llu cache hits\n",
+                "%llu cache hits, %llu misses, %llu coalesced\n",
                 label, r.mode.qps, r.mode.p50_us, r.mode.p99_us,
                 exact.qps > 0.0 ? r.mode.qps / exact.qps : 0.0,
-                static_cast<unsigned long long>(r.stats.cache_hits));
+                static_cast<unsigned long long>(r.stats.cache_hits),
+                static_cast<unsigned long long>(r.stats.cache_misses),
+                static_cast<unsigned long long>(r.stats.coalesced));
+    // Per-tier throughput over this run's wall clock: rows scored by
+    // the f64 exact tier and by the fp32 mirror tier.
+    const IndexQueryStats& tiers = r.stats.index_stats;
+    const double wall = r.wall_s > 0.0 ? r.wall_s : 1.0;
+    std::printf("  %-22s f64_rows/s=%.0f f32_rows/s=%.0f\n", "",
+                double(tiers.distance_computations) / wall,
+                double(tiers.f32_scans) / wall);
+    // Micro-batch size histogram: bucket 0 = size 1, bucket b >= 1 =
+    // sizes (2^(b-1), 2^b] (query_server.h).
+    std::printf("  %-22s batch_size_hist=[", "");
+    for (size_t b = 0; b < r.stats.batch_size_hist.size(); ++b) {
+      std::printf("%s%llu", b > 0 ? " " : "",
+                  static_cast<unsigned long long>(
+                      r.stats.batch_size_hist[b]));
+    }
+    std::printf("]\n");
     if (r.stats.index_stats.f32_scans > 0) {
       const IndexQueryStats& ist = r.stats.index_stats;
       std::printf("  %-22s f32_scans=%llu f32_refined=%llu "
@@ -728,21 +661,13 @@ int RunServeBench(const Args& args) {
 // and CPU. Also reports per-op backend coverage; a compiled backend
 // with a missing (null) table entry fails the gate. Exits 1 on any mismatch
 // or hole, so CI can gate on `mocemg_cli kernel-info`.
-// run_benchmarks.sh embeds the --json form as BENCH_pr9.json host
-// metadata.
+// bench/gates.py records the --json form as host metadata in
+// bench/record.jsonl and gates on its verdicts.
 
-bool BitsEqual(double a, double b) {
-  uint64_t ab = 0, bb = 0;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ab == bb;
-}
-
-bool BitsEqualF(float a, float b) {
-  uint32_t ab = 0, bb = 0;
-  std::memcpy(&ab, &a, sizeof(ab));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ab == bb;
+/// Bit-level equality of `n` values (-0.0 != 0.0, NaN payloads count).
+template <typename T>
+bool BitsEqual(const T* a, const T* b, size_t n = 1) {
+  return std::memcmp(a, b, n * sizeof(T)) == 0;
 }
 
 /// Every KernelOps entry with its field name, for coverage reporting.
@@ -805,45 +730,42 @@ Status VerifyKernelEquivalence() {
             " diverges from scalar on " + op + " at dim " +
             std::to_string(d));
       };
+      std::vector<double> want(rows), got(rows);
       for (size_t r = 0; r < rows; ++r) {
         const double* y = block.data() + r * d;
-        if (!BitsEqual(ref->squared_l2_pair(x.data(), y, d),
-                       ops->squared_l2_pair(x.data(), y, d))) {
-          return fail("squared_l2_pair");
-        }
-        if (!BitsEqual(ref->dot_pair(x.data(), y, d),
-                       ops->dot_pair(x.data(), y, d))) {
-          return fail("dot_pair");
-        }
+        want[r] = ref->squared_l2_pair(x.data(), y, d);
+        got[r] = ops->squared_l2_pair(x.data(), y, d);
       }
-      std::vector<double> want(rows), got(rows);
+      if (!BitsEqual(want.data(), got.data(), rows)) {
+        return fail("squared_l2_pair");
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        const double* y = block.data() + r * d;
+        want[r] = ref->dot_pair(x.data(), y, d);
+        got[r] = ops->dot_pair(x.data(), y, d);
+      }
+      if (!BitsEqual(want.data(), got.data(), rows)) return fail("dot_pair");
       ref->l2_one_to_many(x.data(), block.data(), rows, d, want.data());
       ops->l2_one_to_many(x.data(), block.data(), rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqual(want[r], got[r])) return fail("l2_one_to_many");
+      if (!BitsEqual(want.data(), got.data(), rows)) {
+        return fail("l2_one_to_many");
       }
       ref->l2dot_one_to_many(x.data(), x_sq, block.data(), norms.data(),
                              rows, d, want.data());
       ops->l2dot_one_to_many(x.data(), x_sq, block.data(), norms.data(),
                              rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqual(want[r], got[r])) return fail("l2dot_one_to_many");
+      if (!BitsEqual(want.data(), got.data(), rows)) {
+        return fail("l2dot_one_to_many");
       }
       ref->row_norms(block.data(), rows, d, want.data());
       ops->row_norms(block.data(), rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqual(want[r], got[r])) return fail("row_norms");
-      }
+      if (!BitsEqual(want.data(), got.data(), rows)) return fail("row_norms");
       // fp32-mirror ops: same fixtures narrowed to float, compared at
       // the fp32 bit level (and at the f64 bit level for the
       // fp64-accumulate variant).
-      std::vector<float> xf(d), blockf(rows * d), normsf(rows);
-      for (size_t i = 0; i < d; ++i) {
-        xf[i] = static_cast<float>(x[i]);
-      }
-      for (size_t i = 0; i < rows * d; ++i) {
-        blockf[i] = static_cast<float>(block[i]);
-      }
+      const std::vector<float> xf(x.begin(), x.end());
+      const std::vector<float> blockf(block.begin(), block.end());
+      std::vector<float> normsf(rows);
       ref->row_norms_f32(blockf.data(), rows, d, normsf.data());
       float xf_sq = 0.0f;
       ref->row_norms_f32(xf.data(), 1, d, &xf_sq);
@@ -852,33 +774,27 @@ Status VerifyKernelEquivalence() {
                               wantf.data());
       ops->l2_f32_one_to_many(xf.data(), blockf.data(), rows, d,
                               gotf.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqualF(wantf[r], gotf[r])) {
-          return fail("l2_f32_one_to_many");
-        }
+      if (!BitsEqual(wantf.data(), gotf.data(), rows)) {
+        return fail("l2_f32_one_to_many");
       }
       ref->l2dot_f32_one_to_many(xf.data(), xf_sq, blockf.data(),
                                  normsf.data(), rows, d, wantf.data());
       ops->l2dot_f32_one_to_many(xf.data(), xf_sq, blockf.data(),
                                  normsf.data(), rows, d, gotf.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqualF(wantf[r], gotf[r])) {
-          return fail("l2dot_f32_one_to_many");
-        }
+      if (!BitsEqual(wantf.data(), gotf.data(), rows)) {
+        return fail("l2dot_f32_one_to_many");
       }
       ref->row_norms_f32(blockf.data(), rows, d, wantf.data());
       ops->row_norms_f32(blockf.data(), rows, d, gotf.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqualF(wantf[r], gotf[r])) return fail("row_norms_f32");
+      if (!BitsEqual(wantf.data(), gotf.data(), rows)) {
+        return fail("row_norms_f32");
       }
       ref->l2dot_f32d_one_to_many(xf.data(), x_sq, blockf.data(),
                                   norms.data(), rows, d, want.data());
       ops->l2dot_f32d_one_to_many(xf.data(), x_sq, blockf.data(),
                                   norms.data(), rows, d, got.data());
-      for (size_t r = 0; r < rows; ++r) {
-        if (!BitsEqual(want[r], got[r])) {
-          return fail("l2dot_f32d_one_to_many");
-        }
+      if (!BitsEqual(want.data(), got.data(), rows)) {
+        return fail("l2dot_f32d_one_to_many");
       }
       // Query-block many-to-many ops: the whole block must reproduce
       // the one-to-many scalar answer per (query, row) pair, with an
@@ -895,10 +811,8 @@ Status VerifyKernelEquivalence() {
       for (size_t q = 0; q < nq; ++q) {
         ref->l2dot_one_to_many(qs.data() + q * d, q_sqs[q], block.data(),
                                norms.data(), rows, d, wantm.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (!BitsEqual(wantm[r], gotm[q * ostride + r])) {
-            return fail("l2dot_many_to_many");
-          }
+        if (!BitsEqual(wantm.data(), gotm.data() + q * ostride, rows)) {
+          return fail("l2dot_many_to_many");
         }
       }
       std::vector<uint32_t> ridx;
@@ -910,16 +824,12 @@ Status VerifyKernelEquivalence() {
       ops->l2_gather(x.data(), block.data(), ridx.data(), ridx.size(), d,
                      gathered.data());
       for (size_t i = 0; i < ridx.size(); ++i) {
-        if (!BitsEqual(gathered[i],
-                       ref->squared_l2_pair(
-                           x.data(), block.data() + ridx[i] * d, d))) {
-          return fail("l2_gather");
-        }
+        const double want_i = ref->squared_l2_pair(
+            x.data(), block.data() + ridx[i] * d, d);
+        if (!BitsEqual(&gathered[i], &want_i)) return fail("l2_gather");
       }
-      std::vector<float> qsf32(nq * d), qsq32(nq);
-      for (size_t i = 0; i < nq * d; ++i) {
-        qsf32[i] = static_cast<float>(qs[i]);
-      }
+      const std::vector<float> qsf32(qs.begin(), qs.end());
+      std::vector<float> qsq32(nq);
       ref->row_norms_f32(qsf32.data(), nq, d, qsq32.data());
       std::vector<float> wantmf(rows), gotmf(nq * ostride);
       ops->l2dot_f32_many_to_many(qsf32.data(), qsq32.data(), nq,
@@ -929,10 +839,8 @@ Status VerifyKernelEquivalence() {
         ref->l2dot_f32_one_to_many(qsf32.data() + q * d, qsq32[q],
                                    blockf.data(), normsf.data(), rows, d,
                                    wantmf.data());
-        for (size_t r = 0; r < rows; ++r) {
-          if (!BitsEqualF(wantmf[r], gotmf[q * ostride + r])) {
-            return fail("l2dot_f32_many_to_many");
-          }
+        if (!BitsEqual(wantmf.data(), gotmf.data() + q * ostride, rows)) {
+          return fail("l2dot_f32_many_to_many");
         }
       }
     }
@@ -1021,8 +929,36 @@ int RunKernelInfo(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  struct Command {
+    const char* name;
+    int (*run)(const Args&);
+    FlagSpec flags;
+  };
+  const Command commands[] = {
+      {"train", RunTrain,
+       {{"--manifest", "--model", "--clusters", "--window", "--hop"},
+        {"--kmeans", "--no-emg", "--no-mocap"}}},
+      {"classify", RunClassify, {{"--model", "--trc", "--emg", "--k"}, {}}},
+      {"info", RunInfo, {{"--model"}, {}}},
+      {"serve-bench", RunServeBench,
+       {{"--records", "--dim", "--queries", "--unique", "--k", "--batch",
+         "--threads", "--seed", "--deadline-us", "--watermark", "--shards",
+         "--snapshot"},
+        {}}},
+      {"kernel-info", RunKernelInfo, {{}, {"--json"}}},
+  };
   if (argc < 2) return Usage();
-  const Args args(argc, argv);
+  const Command* command = nullptr;
+  for (const Command& c : commands) {
+    if (std::strcmp(argv[1], c.name) == 0) command = &c;
+  }
+  if (command == nullptr) return Usage();
+  const Args args(argc, argv, command->flags);
+  if (!args.bad().empty()) {
+    std::fprintf(stderr, "unknown flag or missing value: %s\n",
+                 args.bad().c_str());
+    return Usage();
+  }
   // --kernel: force the SIMD backend before any kernel runs. Unlike the
   // MOCEMG_KERNEL env override (warning + auto), an explicit flag
   // naming an unusable backend is a hard error.
@@ -1042,12 +978,5 @@ int main(int argc, char** argv) {
     if (!parsed.ok()) return Fail(parsed.status());
     g_cli_exact_precision = *parsed;
   }
-  if (std::strcmp(argv[1], "train") == 0) return RunTrain(args);
-  if (std::strcmp(argv[1], "classify") == 0) return RunClassify(args);
-  if (std::strcmp(argv[1], "info") == 0) return RunInfo(args);
-  if (std::strcmp(argv[1], "serve-bench") == 0)
-    return RunServeBench(args);
-  if (std::strcmp(argv[1], "kernel-info") == 0)
-    return RunKernelInfo(args);
-  return Usage();
+  return command->run(args);
 }
