@@ -13,6 +13,7 @@ appended even when a gate fails; the exit status is then 1.
 import datetime
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -43,12 +44,16 @@ FP32_KERNELS = tuple(F64_TWIN)
 
 
 def collect(docs):
-    """Per-pass ns/op samples {name: [ns, ...]} from benchmark JSON docs."""
+    """Per-pass ns/op samples {name: [ns, ...]} from benchmark JSON docs.
+    A benchmark's own ->MinTime(s) adds "/min_time:s" to its name; the
+    suffix is dropped so the row keeps its mode last and its record
+    name."""
     samples = {}
     for doc in docs:
         for run in doc["benchmarks"]:
             ns = run["real_time"] * UNIT_NS[run["time_unit"]]
-            samples.setdefault(run["name"], []).append(ns)
+            name = re.sub(r"/min_time:[0-9.]+$", "", run["name"])
+            samples.setdefault(name, []).append(ns)
     return samples
 
 

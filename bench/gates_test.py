@@ -62,6 +62,19 @@ class GateTest(unittest.TestCase):
                    lambda r: paired("BM_ServedKnnRobust", [r] * 3),
                    "BM_ServedKnnRobust")
 
+    def test_min_time_suffix_keeps_the_row(self):
+        # micro_serving runs BM_ServedKnnRobust with ->MinTime(1.0), which
+        # names its rows ".../0/min_time:1.000".
+        docs = [{"benchmarks": [
+            {"name": f"BM_ServedKnnRobust/{m}/min_time:1.000",
+             "real_time": t, "time_unit": "us"}
+            for m, t in ((0, 1000.0), (1, 1000.0 / 0.94))]}] * 3
+        samples = gates.collect(docs)
+        self.assertEqual(sorted(samples), ["BM_ServedKnnRobust/0",
+                                           "BM_ServedKnnRobust/1"])
+        gated = gates.evaluate(samples, host(), [])
+        self.assertFalse(gated["BM_ServedKnnRobust"]["ok"])
+
     def test_noisy_pair_is_not_gated(self):
         self.check(((0.105, True), (0.095, False)),
                    lambda cv: paired("BM_ServedKnnRobust", spread(0.9, cv)),

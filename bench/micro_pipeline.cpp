@@ -17,15 +17,24 @@
 namespace mocemg {
 namespace {
 
+CapturedMotion* MakeTrial(Limb limb) {
+  DatasetOptions lab;
+  lab.limb = limb;
+  lab.seed = 55;
+  auto t = GenerateTrial(lab, 1, 0, 99);
+  MOCEMG_CHECK_OK(t.status());
+  return new CapturedMotion(std::move(*t));
+}
+
+// A hand capture: 4 EMG channels, one full lane group.
 const CapturedMotion& SharedTrial() {
-  static const CapturedMotion* trial = [] {
-    DatasetOptions lab;
-    lab.limb = Limb::kRightHand;
-    lab.seed = 55;
-    auto t = GenerateTrial(lab, 1, 0, 99);
-    MOCEMG_CHECK_OK(t.status());
-    return new CapturedMotion(std::move(*t));
-  }();
+  static const CapturedMotion* trial = MakeTrial(Limb::kRightHand);
+  return *trial;
+}
+
+// A leg capture: 2 EMG channels, a half-filled lane group.
+const CapturedMotion& SharedLegTrial() {
+  static const CapturedMotion* trial = MakeTrial(Limb::kRightLeg);
   return *trial;
 }
 
@@ -55,8 +64,7 @@ void BM_ParseEmgCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseEmgCsv);
 
-void BM_ConditionRecording(benchmark::State& state) {
-  const CapturedMotion& trial = SharedTrial();
+void ConditionTrial(benchmark::State& state, const CapturedMotion& trial) {
   for (auto _ : state) {
     auto out = ConditionRecording(trial.emg_raw);
     benchmark::DoNotOptimize(out);
@@ -65,7 +73,16 @@ void BM_ConditionRecording(benchmark::State& state) {
       state.iterations() * trial.emg_raw.num_samples() *
       trial.emg_raw.num_channels()));
 }
+
+void BM_ConditionRecording(benchmark::State& state) {
+  ConditionTrial(state, SharedTrial());
+}
 BENCHMARK(BM_ConditionRecording);
+
+void BM_ConditionRecordingLeg(benchmark::State& state) {
+  ConditionTrial(state, SharedLegTrial());
+}
+BENCHMARK(BM_ConditionRecordingLeg);
 
 // Args: {window_ms, max_threads} with 0 = hardware thread budget.
 void BM_WindowFeatureExtraction(benchmark::State& state) {

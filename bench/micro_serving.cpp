@@ -343,7 +343,9 @@ void BM_ServedKnnRobust(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * workload->size()));
 }
-BENCHMARK(BM_ServedKnnRobust)->Arg(0)->Arg(1);
+// 1 s per mode: at the suite's 0.1 s the pair read 0.88–0.99 on
+// identical binaries, too noisy for its 0.95 gate.
+BENCHMARK(BM_ServedKnnRobust)->Arg(0)->Arg(1)->MinTime(1.0);
 
 // Per-query loop (blocks of one) vs whole-batch query blocks over the
 // identical single-thread index and the same scan engine. Answers are

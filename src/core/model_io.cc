@@ -1,5 +1,8 @@
 #include "core/model_io.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/csv.h"
@@ -92,6 +95,32 @@ Result<double> OneDouble(const Line& line) {
   return ParseDouble(line.fields[0]);
 }
 
+// A finite real: a NaN or infinite edge would design NaN filters.
+Result<double> OneFiniteDouble(const Line& line) {
+  MOCEMG_ASSIGN_OR_RETURN(double v, OneDouble(line));
+  if (!std::isfinite(v)) {
+    return Status::ParseError("key '" + line.key + "' must be finite");
+  }
+  return v;
+}
+
+// An exact integer in [lo, hi]: a count or order written as a real
+// ("2.5", "1e300", "nan") or out of range is corrupt, and converting it
+// to an integer type would be undefined.
+Result<int64_t> OneInt(const Line& line, int64_t lo, int64_t hi) {
+  if (line.fields.size() != 1) {
+    return Status::ParseError("key '" + line.key + "' needs one value");
+  }
+  MOCEMG_ASSIGN_OR_RETURN(int64_t v, ParseInt(line.fields[0]));
+  if (v < lo || v > hi) {
+    return Status::ParseError("key '" + line.key + "' = " +
+                              std::to_string(v) + " lies outside [" +
+                              std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]");
+  }
+  return v;
+}
+
 Result<std::vector<double>> AllDoubles(const Line& line, size_t expected) {
   if (line.fields.size() != expected) {
     return Status::ParseError(
@@ -181,7 +210,8 @@ Result<MotionClassifier> DeserializeClassifier(const std::string& text) {
   }
   {
     MOCEMG_ASSIGN_OR_RETURN(Line l, reader.Next("hop_frames"));
-    MOCEMG_ASSIGN_OR_RETURN(double v, OneDouble(l));
+    MOCEMG_ASSIGN_OR_RETURN(
+        int64_t v, OneInt(l, 0, std::numeric_limits<int64_t>::max()));
     opts.features.hop_frames = static_cast<size_t>(v);
   }
   {
@@ -218,15 +248,18 @@ Result<MotionClassifier> DeserializeClassifier(const std::string& text) {
   }
   {
     MOCEMG_ASSIGN_OR_RETURN(Line l, reader.Next("band_low_hz"));
-    MOCEMG_ASSIGN_OR_RETURN(opts.acquisition.band_low_hz, OneDouble(l));
+    MOCEMG_ASSIGN_OR_RETURN(opts.acquisition.band_low_hz,
+                            OneFiniteDouble(l));
   }
   {
     MOCEMG_ASSIGN_OR_RETURN(Line l, reader.Next("band_high_hz"));
-    MOCEMG_ASSIGN_OR_RETURN(opts.acquisition.band_high_hz, OneDouble(l));
+    MOCEMG_ASSIGN_OR_RETURN(opts.acquisition.band_high_hz,
+                            OneFiniteDouble(l));
   }
   {
     MOCEMG_ASSIGN_OR_RETURN(Line l, reader.Next("filter_order"));
-    MOCEMG_ASSIGN_OR_RETURN(double v, OneDouble(l));
+    MOCEMG_ASSIGN_OR_RETURN(
+        int64_t v, OneInt(l, 1, std::numeric_limits<int>::max()));
     opts.acquisition.filter_order = static_cast<int>(v);
   }
   {
@@ -241,20 +274,30 @@ Result<MotionClassifier> DeserializeClassifier(const std::string& text) {
     MOCEMG_ASSIGN_OR_RETURN(fuzziness, OneDouble(l));
   }
 
+  // Every center value takes at least two bytes of the text ("\t0"), so
+  // a model declaring more than text.size() / 2 of them is corrupt — and
+  // would otherwise size the center matrix from the corrupt counts.
+  const int64_t max_values = static_cast<int64_t>(text.size() / 2);
   size_t dim = 0;
   size_t clusters = 0;
   {
     MOCEMG_ASSIGN_OR_RETURN(Line l, reader.Next("dim"));
-    MOCEMG_ASSIGN_OR_RETURN(double v, OneDouble(l));
+    MOCEMG_ASSIGN_OR_RETURN(int64_t v, OneInt(l, 0, max_values));
     dim = static_cast<size_t>(v);
   }
   {
     MOCEMG_ASSIGN_OR_RETURN(Line l, reader.Next("clusters"));
-    MOCEMG_ASSIGN_OR_RETURN(double v, OneDouble(l));
+    MOCEMG_ASSIGN_OR_RETURN(int64_t v, OneInt(l, 0, max_values));
     clusters = static_cast<size_t>(v);
   }
   if (dim == 0 || clusters == 0) {
     return Status::ParseError("model declares zero dim or clusters");
+  }
+  if (clusters > static_cast<size_t>(max_values) / dim) {
+    return Status::ParseError(
+        "model declares " + std::to_string(clusters) + " centers of dim " +
+        std::to_string(dim) + ", more values than its " +
+        std::to_string(text.size()) + " bytes hold");
   }
 
   MOCEMG_ASSIGN_OR_RETURN(Line mean_line, reader.Next("normalizer_mean"));
@@ -285,6 +328,12 @@ Result<MotionClassifier> DeserializeClassifier(const std::string& text) {
   MOCEMG_ASSIGN_OR_RETURN(int64_t flen, ParseInt(motions_line.fields[1]));
   if (count <= 0 || flen <= 0) {
     return Status::ParseError("non-positive motion count/feature length");
+  }
+  if (flen > max_values || count > max_values / flen) {
+    return Status::ParseError(
+        "model declares " + std::to_string(count) + " motions of length " +
+        std::to_string(flen) + ", more values than its " +
+        std::to_string(text.size()) + " bytes hold");
   }
 
   Matrix finals(static_cast<size_t>(count), static_cast<size_t>(flen));

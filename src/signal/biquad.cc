@@ -4,6 +4,8 @@
 #include <cmath>
 #include <complex>
 
+#include "util/kernel_dispatch.h"
+
 namespace mocemg {
 
 double Biquad::MagnitudeAt(double w) const {
@@ -17,7 +19,11 @@ double Biquad::MagnitudeAt(double w) const {
 
 BiquadCascade::BiquadCascade(std::vector<BiquadCoefficients> sections) {
   sections_.reserve(sections.size());
-  for (const auto& c : sections) sections_.emplace_back(c);
+  packed_.reserve(5 * sections.size());
+  for (const auto& c : sections) {
+    sections_.emplace_back(c);
+    packed_.insert(packed_.end(), {c.b0, c.b1, c.b2, c.a1, c.a2});
+  }
 }
 
 std::vector<double> BiquadCascade::ProcessSignal(
@@ -30,31 +36,52 @@ std::vector<double> BiquadCascade::ProcessSignal(
 std::vector<double> BiquadCascade::FiltFilt(
     const std::vector<double>& input) const {
   if (input.empty()) return {};
-  // Pad with reflected edges (3 time-constants' worth, capped by length)
-  // so the filter state is warmed up before the true samples arrive.
-  const size_t pad = std::min<size_t>(input.size() - 1, 256);
-  std::vector<double> padded;
-  padded.reserve(input.size() + 2 * pad);
-  for (size_t i = pad; i > 0; --i) {
-    padded.push_back(2.0 * input.front() - input[i]);
-  }
-  padded.insert(padded.end(), input.begin(), input.end());
+  const size_t n = input.size();
+  const size_t pad = FiltFiltPad(n);
+  std::vector<double> frames((n + 2 * pad) * kBiquadLanes, 0.0);
+  for (size_t i = 0; i < n; ++i) frames[(pad + i) * kBiquadLanes] = input[i];
+  FiltFiltLanes(frames.data(), n, /*lanes=*/1);
+  std::vector<double> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = frames[(pad + i) * kBiquadLanes];
+  return out;
+}
+
+size_t BiquadCascade::FiltFiltPad(size_t n) {
+  // Reflected edges (3 time-constants' worth, capped by length) warm the
+  // filter state up before the true samples arrive.
+  return std::min<size_t>(n - 1, 256);
+}
+
+void BiquadCascade::ProcessLanes(double* data, ptrdiff_t frame_stride,
+                                 size_t frames, size_t lanes,
+                                 bool rectify) const {
+  internal::ActiveKernelOps().biquad_cascade_x4(packed_.data(),
+                                                sections_.size(), data,
+                                                frame_stride, frames, lanes,
+                                                rectify);
+}
+
+void BiquadCascade::FiltFiltLanes(double* data, size_t n,
+                                  size_t lanes) const {
+  constexpr size_t L = kBiquadLanes;
+  const size_t pad = FiltFiltPad(n);
+  const size_t head = pad * L;            // frame of sample 0
+  const size_t tail = (pad + n - 1) * L;  // frame of sample n - 1
   for (size_t i = 1; i <= pad; ++i) {
-    padded.push_back(2.0 * input.back() - input[input.size() - 1 - i]);
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      data[head - i * L + lane] =
+          2.0 * data[head + lane] - data[head + i * L + lane];
+      data[tail + i * L + lane] =
+          2.0 * data[tail + lane] - data[tail - i * L + lane];
+    }
   }
-
-  BiquadCascade forward = *this;
-  forward.Reset();
-  std::vector<double> once = forward.ProcessSignal(padded);
-  std::reverse(once.begin(), once.end());
-  BiquadCascade backward = *this;
-  backward.Reset();
-  std::vector<double> twice = backward.ProcessSignal(once);
-  std::reverse(twice.begin(), twice.end());
-
-  return std::vector<double>(twice.begin() + static_cast<ptrdiff_t>(pad),
-                             twice.begin() + static_cast<ptrdiff_t>(
-                                                 pad + input.size()));
+  // Forward over every frame, then backward in place from the last
+  // frame down to `pad`: running the reversed signal through a fresh
+  // cascade is the old reverse → filter → reverse, without the copies.
+  const size_t total = n + 2 * pad;
+  ProcessLanes(data, 1, total, lanes, /*rectify=*/false);
+  ProcessLanes(data + (total - 1) * L, -1, n + pad, lanes,
+               /*rectify=*/false);
 }
 
 void BiquadCascade::Reset() {

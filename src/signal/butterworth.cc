@@ -14,10 +14,11 @@ Status ValidateArgs(int order, double cutoff_hz, double sample_rate_hz) {
         "Butterworth order must be positive and even, got " +
         std::to_string(order));
   }
-  if (sample_rate_hz <= 0.0) {
+  // Written so NaN fails each range check.
+  if (!(sample_rate_hz > 0.0 && std::isfinite(sample_rate_hz))) {
     return Status::InvalidArgument("sample rate must be positive");
   }
-  if (cutoff_hz <= 0.0 || cutoff_hz >= sample_rate_hz / 2.0) {
+  if (!(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0)) {
     return Status::InvalidArgument(
         "cutoff must lie in (0, fs/2): fc=" + std::to_string(cutoff_hz) +
         " fs=" + std::to_string(sample_rate_hz));
@@ -89,14 +90,14 @@ Result<BiquadCascade> DesignButterworthHighPass(int order, double cutoff_hz,
 
 Result<BiquadCascade> DesignNotch(double center_hz, double q,
                                   double sample_rate_hz) {
-  if (sample_rate_hz <= 0.0) {
+  if (!(sample_rate_hz > 0.0 && std::isfinite(sample_rate_hz))) {
     return Status::InvalidArgument("sample rate must be positive");
   }
-  if (center_hz <= 0.0 || center_hz >= sample_rate_hz / 2.0) {
+  if (!(center_hz > 0.0 && center_hz < sample_rate_hz / 2.0)) {
     return Status::InvalidArgument("notch center must lie in (0, fs/2)");
   }
-  if (q <= 0.0) {
-    return Status::InvalidArgument("notch Q must be positive");
+  if (!(q > 0.0 && std::isfinite(q))) {
+    return Status::InvalidArgument("notch Q must be positive and finite");
   }
   const double w0 = 2.0 * M_PI * center_hz / sample_rate_hz;
   const double cw = std::cos(w0);
@@ -114,7 +115,7 @@ Result<BiquadCascade> DesignNotch(double center_hz, double q,
 Result<BiquadCascade> DesignBandPass(int order_per_edge, double low_hz,
                                      double high_hz,
                                      double sample_rate_hz) {
-  if (low_hz >= high_hz) {
+  if (!(low_hz < high_hz)) {
     return Status::InvalidArgument(
         "band-pass requires low < high, got [" + std::to_string(low_hz) +
         ", " + std::to_string(high_hz) + "]");

@@ -1,6 +1,6 @@
 /// \file kernel_dispatch.h
 /// \brief Runtime selection of SIMD backends for the distance kernel
-/// family.
+/// family and the EMG conditioning filter (`biquad_cascade_x4`).
 ///
 /// The library ships several implementations of the hot kernels —
 /// portable scalar (the bit-exactness reference, see
@@ -11,9 +11,10 @@
 /// publishes a function-pointer table (`KernelOps`) that every kernel
 /// entry point (`SquaredL2OneToMany`, `SquaredL2DotManyToMany`, …) routes
 /// through. Consumers — MotionDatabase linear scan, the
-/// ShardedFeatureIndex partition scan, k-means, FCM, GK, classifier
-/// kNN — therefore pick up the dispatched backend with no call-site
-/// changes.
+/// ShardedFeatureIndex partition scan, k-means, FCM, classifier kNN,
+/// and BiquadCascade's lane passes (ConditionRecording, FiltFilt,
+/// Resample) — therefore pick up the dispatched backend with no
+/// call-site changes.
 ///
 /// **Bit-exactness contract.** Every backend reproduces the scalar
 /// reference bit-for-bit, for every shape, dimension and input
@@ -108,6 +109,19 @@ struct KernelOps {
   void (*l2_gather)(const double* query, const double* block,
                     const uint32_t* row_indices, size_t n, size_t d,
                     double* out);
+  /// Runs lanes [0, lanes) of `frames` interleaved 4-lane frames in
+  /// place through `sections` Direct Form II transposed biquads, each
+  /// starting from zero state; 1 ≤ lanes ≤ 4. `coeffs` holds b0, b1,
+  /// b2, a1, a2 per section; frame i is data[4·i·frame_stride .. +4), so
+  /// a negative stride walks backward from `data`. With `rectify` every
+  /// stored sample is |y|. Lanes at or past `lanes` are scratch: a
+  /// backend may leave them or filter them too, so callers never read
+  /// them. Each lane performs Biquad::Process's operations in its order
+  /// (multiply then add, never FMA), so every filled lane equals the
+  /// scalar per-sample cascade bit for bit — NaN/Inf included.
+  void (*biquad_cascade_x4)(const double* coeffs, size_t sections,
+                            double* data, ptrdiff_t frame_stride,
+                            size_t frames, size_t lanes, bool rectify);
 };
 
 /// \brief Stable lowercase name ("auto", "scalar", "avx2", ...).

@@ -18,6 +18,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "util/kernels/kernel_backend.h"
 
@@ -394,6 +396,89 @@ void Avx2L2Gather(const double* query, const double* block,
   }
 }
 
+// ---------------------------------------------------------------------
+// biquad_cascade_x4: one ymm per frame, lane j of every vector op is the
+// scalar op of Biquad::Process on lane j, in the same order, and |y|
+// clears only the sign bit as std::fabs does. The AVX-512 table points
+// at this same function.
+
+// Sections per sweep: 4 keeps the 8 state vectors of a sweep in
+// registers (16 ymm). The cascades the library designs have 1 (notch)
+// or 4 (band-pass, anti-alias) sections.
+constexpr size_t kAvxSweepSections = 4;
+
+// One sweep of N sections over every frame, state held in registers.
+template <size_t N, bool kStoreAbs>
+void BiquadSweepX4(const double* coeffs, double* data,
+                   ptrdiff_t frame_stride, size_t frames) {
+  constexpr size_t kSlots = N > 0 ? N : 1;  // no zero-length arrays
+  __m256d b0[kSlots], b1[kSlots], b2[kSlots], a1[kSlots], a2[kSlots],
+      s1[kSlots], s2[kSlots];
+  for (size_t k = 0; k < N; ++k) {
+    b0[k] = _mm256_set1_pd(coeffs[5 * k]);
+    b1[k] = _mm256_set1_pd(coeffs[5 * k + 1]);
+    b2[k] = _mm256_set1_pd(coeffs[5 * k + 2]);
+    a1[k] = _mm256_set1_pd(coeffs[5 * k + 3]);
+    a2[k] = _mm256_set1_pd(coeffs[5 * k + 4]);
+    s1[k] = _mm256_setzero_pd();
+    s2[k] = _mm256_setzero_pd();
+  }
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(INT64_MAX));
+  ptrdiff_t at = 0;
+  for (size_t f = 0; f < frames; ++f, at += 4 * frame_stride) {
+    __m256d x = _mm256_loadu_pd(data + at);
+    for (size_t k = 0; k < N; ++k) {
+      // y = b0·x + s1; s1 = (b1·x − a1·y) + s2; s2 = b2·x − a2·y.
+      const __m256d y = _mm256_add_pd(_mm256_mul_pd(b0[k], x), s1[k]);
+      s1[k] = _mm256_add_pd(
+          _mm256_sub_pd(_mm256_mul_pd(b1[k], x), _mm256_mul_pd(a1[k], y)),
+          s2[k]);
+      s2[k] = _mm256_sub_pd(_mm256_mul_pd(b2[k], x), _mm256_mul_pd(a2[k], y));
+      x = y;
+    }
+    if constexpr (kStoreAbs) x = _mm256_and_pd(x, abs_mask);
+    _mm256_storeu_pd(data + at, x);
+  }
+}
+
+template <bool kStoreAbs>
+void BiquadSweepX4(size_t n, const double* coeffs, double* data,
+                   ptrdiff_t frame_stride, size_t frames) {
+  switch (n) {
+    case 0:
+      return BiquadSweepX4<0, kStoreAbs>(coeffs, data, frame_stride, frames);
+    case 1:
+      return BiquadSweepX4<1, kStoreAbs>(coeffs, data, frame_stride, frames);
+    case 2:
+      return BiquadSweepX4<2, kStoreAbs>(coeffs, data, frame_stride, frames);
+    case 3:
+      return BiquadSweepX4<3, kStoreAbs>(coeffs, data, frame_stride, frames);
+    default:
+      return BiquadSweepX4<4, kStoreAbs>(coeffs, data, frame_stride, frames);
+  }
+}
+
+// The op: sweeps of up to kAvxSweepSections sections, the rectify fused
+// into the last sweep's store. Chunking cannot change a bit: a
+// section's output depends only on its input sequence. All four lanes
+// are filtered whatever `lanes` says: a lane costs nothing extra here.
+void Avx2BiquadCascadeX4(const double* coeffs, size_t sections,
+                         double* data, ptrdiff_t frame_stride, size_t frames,
+                         size_t /*lanes*/, bool rectify) {
+  size_t first = 0;
+  do {
+    const size_t n = std::min(sections - first, kAvxSweepSections);
+    if (rectify && first + n == sections) {
+      BiquadSweepX4<true>(n, coeffs + 5 * first, data, frame_stride, frames);
+    } else {
+      BiquadSweepX4<false>(n, coeffs + 5 * first, data, frame_stride,
+                           frames);
+    }
+    first += n;
+  } while (first < sections);
+}
+
 }  // namespace
 
 const KernelOps& Avx2KernelOps() {
@@ -411,6 +496,7 @@ const KernelOps& Avx2KernelOps() {
       Avx2L2DotManyToMany,
       Avx2L2DotF32ManyToMany,
       Avx2L2Gather,
+      Avx2BiquadCascadeX4,
   };
   return ops;
 }

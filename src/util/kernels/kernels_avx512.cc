@@ -466,6 +466,10 @@ const KernelOps& Avx512KernelOps() {
       Avx512L2DotManyToMany,
       Avx512L2DotF32ManyToMany,
       Avx512L2Gather,
+      // The recurrence is latency-bound and one frame is 4 doubles, so
+      // a 512-bit form has nothing to add: reuse the AVX2 op (this TU's
+      // -mavx512f already implies AVX2).
+      Avx2KernelOps().biquad_cascade_x4,
   };
   return ops;
 }

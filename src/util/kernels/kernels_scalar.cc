@@ -5,6 +5,7 @@
 /// benchmarked against and bit-compared to.
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/distance_kernels.h"
 #include "util/kernels/kernel_backend.h"
@@ -135,6 +136,44 @@ void ScalarL2Gather(const double* query, const double* block,
   }
 }
 
+// Lane-interleaved DF2T cascade: each frame's filled lanes run through
+// the sections in Biquad::Process's exact order; the lanes past `lanes`
+// are never touched, so a partly filled group costs only its channels.
+// Sections are swept kSweepSections at a time so the state fits fixed
+// arrays; a section's output sequence depends only on its input
+// sequence, so sweeping in chunks cannot change a bit. A zero-section
+// call with `rectify` is a plain |x| pass.
+constexpr size_t kSweepSections = 8;
+
+void ScalarBiquadCascadeX4(const double* coeffs, size_t sections,
+                           double* data, ptrdiff_t frame_stride,
+                           size_t frames, size_t lanes, bool rectify) {
+  size_t first = 0;
+  do {
+    const size_t n = std::min(sections - first, kSweepSections);
+    const bool store_abs = rectify && first + n == sections;
+    const double* c = coeffs + 5 * first;
+    double s1[kSweepSections][4] = {};
+    double s2[kSweepSections][4] = {};
+    ptrdiff_t at = 0;
+    for (size_t f = 0; f < frames; ++f, at += 4 * frame_stride) {
+      double* frame = data + at;
+      for (size_t lane = 0; lane < lanes; ++lane) {
+        double x = frame[lane];
+        for (size_t k = 0; k < n; ++k) {
+          const double* ck = c + 5 * k;
+          const double y = ck[0] * x + s1[k][lane];
+          s1[k][lane] = ck[1] * x - ck[3] * y + s2[k][lane];
+          s2[k][lane] = ck[2] * x - ck[4] * y;
+          x = y;
+        }
+        frame[lane] = store_abs ? std::fabs(x) : x;
+      }
+    }
+    first += n;
+  } while (first < sections);
+}
+
 }  // namespace
 
 const KernelOps& ScalarKernelOps() {
@@ -152,6 +191,7 @@ const KernelOps& ScalarKernelOps() {
       ScalarL2DotManyToMany,
       ScalarL2DotF32ManyToMany,
       ScalarL2Gather,
+      ScalarBiquadCascadeX4,
   };
   return ops;
 }

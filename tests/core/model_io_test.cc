@@ -135,6 +135,77 @@ TEST_F(ModelIoTest, RoundTripOfHardClusterModel) {
   }
 }
 
+// The serialized model with the value of `key` replaced by `value`.
+std::string WithField(const std::string& text, const std::string& key,
+                      const std::string& value) {
+  const size_t start = text.find("\n" + key + "\t");
+  EXPECT_NE(start, std::string::npos) << key;
+  const size_t from = start + key.size() + 2;
+  const size_t end = text.find('\n', from);
+  return text.substr(0, from) + value + text.substr(end);
+}
+
+// Loads the model with `key` set to each of `values`; every one must be a
+// ParseError, and the unchanged value must still load.
+void ExpectFieldRejected(const std::string& text, const std::string& key,
+                         std::initializer_list<const char*> values) {
+  for (const char* value : values) {
+    const auto loaded = DeserializeClassifier(WithField(text, key, value));
+    ASSERT_FALSE(loaded.ok()) << key << " = " << value;
+    EXPECT_TRUE(loaded.status().IsParseError())
+        << key << " = " << value << ": " << loaded.status();
+  }
+}
+
+TEST_F(ModelIoTest, RejectsMalformedHopFrames) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ASSERT_TRUE(DeserializeClassifier(WithField(*text, "hop_frames", "3")).ok());
+  ExpectFieldRejected(
+      *text, "hop_frames",
+      {"-1", "2.5", "1e300", "nan", "inf", "99999999999999999999"});
+}
+
+TEST_F(ModelIoTest, RejectsMalformedFilterOrder) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ExpectFieldRejected(*text, "filter_order",
+                      {"0", "-4", "4.5", "4e0", "nan", "3000000000"});
+}
+
+TEST_F(ModelIoTest, RejectsMalformedDim) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ExpectFieldRejected(*text, "dim",
+                      {"0", "-3", "2.5", "nan", "1e18", "4611686018427387904"});
+}
+
+TEST_F(ModelIoTest, RejectsMalformedClusters) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ExpectFieldRejected(*text, "clusters",
+                      {"0", "-8", "8.5", "inf", "1e300", "100000000000"});
+}
+
+TEST_F(ModelIoTest, RejectsNonFiniteBandLow) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ExpectFieldRejected(*text, "band_low_hz", {"nan", "inf", "-inf"});
+}
+
+TEST_F(ModelIoTest, RejectsNonFiniteBandHigh) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ExpectFieldRejected(*text, "band_high_hz", {"nan", "inf", "-inf"});
+}
+
+TEST_F(ModelIoTest, RejectsMotionTableLargerThanText) {
+  auto text = SerializeClassifier(*trained_);
+  ASSERT_TRUE(text.ok());
+  ExpectFieldRejected(*text, "motions",
+                      {"1000000000000\t3", "3\t1000000000000"});
+}
+
 TEST_F(ModelIoTest, MissingModelFileFails) {
   EXPECT_FALSE(LoadClassifier("/no/such/model.file").ok());
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "util/random.h"
 
@@ -211,6 +213,47 @@ TEST(AcquisitionTest, NotchWarmStartTamesStartupTransient) {
   // The hum is 13× the clean RMS; an untamed transient multiplies the
   // head envelope. Warm-started it stays within 25%.
   EXPECT_NEAR(notched_head, clean_head, 0.25 * clean_head);
+}
+
+// A non-finite option must be refused up front: NaN passes every
+// ordered range check, and a NaN edge or Q used to condition a whole
+// recording into NaN with an OK status.
+void ExpectRejectsNonFinite(double AcquisitionOptions::*field,
+                            const char* name) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    AcquisitionOptions opts;
+    opts.notch_hz = 50.0;
+    opts.*field = bad;
+    auto out = ConditionRecording(MakeRawRecording(), opts);
+    ASSERT_FALSE(out.ok()) << name << " = " << bad;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+        << out.status();
+    EXPECT_NE(out.status().message().find(name), std::string::npos)
+        << out.status();
+  }
+}
+
+TEST(AcquisitionTest, RejectsNonFiniteBandLow) {
+  ExpectRejectsNonFinite(&AcquisitionOptions::band_low_hz, "band_low_hz");
+}
+
+TEST(AcquisitionTest, RejectsNonFiniteBandHigh) {
+  ExpectRejectsNonFinite(&AcquisitionOptions::band_high_hz, "band_high_hz");
+}
+
+TEST(AcquisitionTest, RejectsNonFiniteOutputRate) {
+  ExpectRejectsNonFinite(&AcquisitionOptions::output_rate_hz,
+                         "output_rate_hz");
+}
+
+TEST(AcquisitionTest, RejectsNonFiniteNotchFrequency) {
+  ExpectRejectsNonFinite(&AcquisitionOptions::notch_hz, "notch_hz");
+}
+
+TEST(AcquisitionTest, RejectsNonFiniteNotchQ) {
+  ExpectRejectsNonFinite(&AcquisitionOptions::notch_q, "notch_q");
 }
 
 TEST(AcquisitionTest, RejectsEmptyRecording) {

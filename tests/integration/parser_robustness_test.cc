@@ -13,6 +13,7 @@
 #include "db/motion_database.h"
 #include "emg/emg_io.h"
 #include "eval/protocols.h"
+#include "integration/mutate.h"
 #include "mocap/trc_io.h"
 #include "synth/dataset.h"
 #include "util/csv.h"
@@ -20,30 +21,6 @@
 
 namespace mocemg {
 namespace {
-
-// Applies `count` random single-character mutations (replace, delete,
-// insert, truncate) to a copy of `input`.
-std::string Mutate(const std::string& input, int count, Rng* rng) {
-  std::string s = input;
-  for (int i = 0; i < count && !s.empty(); ++i) {
-    const size_t at = static_cast<size_t>(rng->NextBelow(s.size()));
-    switch (rng->NextBelow(4)) {
-      case 0:
-        s[at] = static_cast<char>(rng->UniformInt(32, 126));
-        break;
-      case 1:
-        s.erase(at, 1);
-        break;
-      case 2:
-        s.insert(at, 1, static_cast<char>(rng->UniformInt(32, 126)));
-        break;
-      default:
-        s.resize(at);
-        break;
-    }
-  }
-  return s;
-}
 
 // Whatever a parser accepts must be rectangular and finite.
 void ExpectRectangularAndFinite(const MotionSequence& motion) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace mocemg {
 namespace {
@@ -21,6 +22,12 @@ TEST(ButterworthTest, RejectsBadCutoffs) {
   EXPECT_FALSE(DesignButterworthLowPass(4, 0.0, kFs).ok());
   EXPECT_FALSE(DesignButterworthLowPass(4, 500.0, kFs).ok());
   EXPECT_FALSE(DesignButterworthLowPass(4, 100.0, -1.0).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(DesignButterworthLowPass(4, nan, kFs).ok());
+  EXPECT_FALSE(DesignButterworthLowPass(4, 100.0, nan).ok());
+  EXPECT_FALSE(DesignButterworthLowPass(4, 100.0, inf).ok());
+  EXPECT_FALSE(DesignButterworthHighPass(4, nan, kFs).ok());
 }
 
 TEST(ButterworthTest, LowPassHalfPowerAtCutoff) {
@@ -69,6 +76,9 @@ TEST(ButterworthTest, BandPassEmgBand) {
 TEST(ButterworthTest, BandPassRejectsInvertedBand) {
   EXPECT_FALSE(DesignBandPass(4, 450.0, 20.0, kFs).ok());
   EXPECT_FALSE(DesignBandPass(4, 100.0, 100.0, kFs).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(DesignBandPass(4, nan, 450.0, kFs).ok());
+  EXPECT_FALSE(DesignBandPass(4, 20.0, nan, kFs).ok());
 }
 
 TEST(ButterworthTest, BandPassRejectsEdgeAboveNyquist) {
@@ -106,6 +116,11 @@ TEST(NotchTest, Validations) {
   EXPECT_FALSE(DesignNotch(600.0, 30.0, kFs).ok());
   EXPECT_FALSE(DesignNotch(60.0, 0.0, kFs).ok());
   EXPECT_FALSE(DesignNotch(60.0, 30.0, 0.0).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(DesignNotch(nan, 30.0, kFs).ok());
+  EXPECT_FALSE(DesignNotch(60.0, nan, kFs).ok());
+  EXPECT_FALSE(
+      DesignNotch(60.0, std::numeric_limits<double>::infinity(), kFs).ok());
 }
 
 TEST(ButterworthTest, FiltersSineInTimedomain) {

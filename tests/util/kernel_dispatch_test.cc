@@ -122,6 +122,7 @@ TEST(KernelDispatchTest, OpsTableLookup) {
     EXPECT_NE(ops->l2dot_many_to_many, nullptr);
     EXPECT_NE(ops->l2dot_f32_many_to_many, nullptr);
     EXPECT_NE(ops->l2_gather, nullptr);
+    EXPECT_NE(ops->biquad_cascade_x4, nullptr);
   }
 }
 
@@ -409,6 +410,136 @@ TEST(KernelDispatchTest, ManyToManyOpsMatchOneToManyBitExactly) {
           EXPECT_TRUE(BitsEqualF(got_f[q * stride + r], want_f[r]))
               << ops->name << " l2dot_f32_many_to_many dim " << d << " q "
               << q << " row " << r;
+        }
+      }
+    }
+  }
+}
+
+// Random stable sections (poles inside the unit circle), packed
+// b0, b1, b2, a1, a2 as biquad_cascade_x4 reads them.
+std::vector<double> RandomSections(size_t sections, Rng* rng) {
+  std::vector<double> coeffs;
+  for (size_t k = 0; k < sections; ++k) {
+    const double r = rng->Uniform(0.3, 0.99);
+    const double theta = rng->Uniform(0.0, M_PI);
+    coeffs.insert(coeffs.end(),
+                  {rng->Gaussian(0.0, 1.0), rng->Gaussian(0.0, 1.0),
+                   rng->Gaussian(0.0, 1.0), -2.0 * r * std::cos(theta),
+                   r * r});
+  }
+  return coeffs;
+}
+
+// The Direct Form II transposed recurrence of Biquad::Process, one lane
+// at a time, walking frames in the op's order.
+void ReferenceBiquadLanes(const std::vector<double>& coeffs, double* data,
+                          ptrdiff_t stride, size_t frames, size_t lanes,
+                          bool rectify) {
+  for (size_t lane = 0; lane < lanes; ++lane) {
+    for (size_t k = 0; 5 * k < coeffs.size(); ++k) {
+      const double* c = coeffs.data() + 5 * k;
+      double s1 = 0.0, s2 = 0.0;
+      for (size_t f = 0; f < frames; ++f) {
+        double& x = data[4 * stride * static_cast<ptrdiff_t>(f) + lane];
+        const double y = c[0] * x + s1;
+        s1 = c[1] * x - c[3] * y + s2;
+        s2 = c[2] * x - c[4] * y;
+        x = y;
+      }
+    }
+    if (!rectify) continue;
+    for (size_t f = 0; f < frames; ++f) {
+      double& x = data[4 * stride * static_cast<ptrdiff_t>(f) + lane];
+      x = std::fabs(x);
+    }
+  }
+}
+
+// biquad_cascade_x4 on every usable backend equals the per-lane
+// recurrence bit for bit on its filled lanes: 1–4 filled lanes (the
+// rest NaN, which must not leak into them), 0–9 sections (every
+// backend's sweep boundary), both stride signs, rectify off and on. One
+// guard frame on each side of the walked range must stay untouched.
+TEST(KernelDispatchTest, BiquadCascadeMatchesRecurrenceOnEveryBackend) {
+  Rng rng(37);
+  const double guard = -7.25;
+  for (KernelBackend b : UsableKernelBackends()) {
+    const KernelOps* ops = GetKernelOps(b);
+    ASSERT_NE(ops, nullptr);
+    for (size_t lanes = 1; lanes <= 4; ++lanes) {
+      for (size_t sections = 0; sections <= 9; ++sections) {
+        const std::vector<double> coeffs = RandomSections(sections, &rng);
+        for (const size_t frames : {1u, 2u, 37u}) {
+          std::vector<double> input(4 * (frames + 2), guard);
+          for (size_t f = 1; f <= frames; ++f) {
+            for (size_t lane = 0; lane < 4; ++lane) {
+              input[4 * f + lane] =
+                  lane < lanes ? rng.Gaussian(0.0, 1.0)
+                               : std::numeric_limits<double>::quiet_NaN();
+            }
+          }
+          for (const ptrdiff_t stride : {ptrdiff_t{1}, ptrdiff_t{-1}}) {
+            const size_t start = 4 * (stride > 0 ? 1 : frames);
+            for (const bool rectify : {false, true}) {
+              std::vector<double> want = input, got = input;
+              ReferenceBiquadLanes(coeffs, want.data() + start, stride,
+                                   frames, lanes, rectify);
+              ops->biquad_cascade_x4(coeffs.data(), sections,
+                                     got.data() + start, stride, frames,
+                                     lanes, rectify);
+              for (size_t i = 0; i < want.size(); ++i) {
+                const bool walked = i >= 4 && i < 4 * (frames + 1);
+                if (walked && i % 4 >= lanes) continue;  // scratch lane
+                ASSERT_TRUE(BitsEqual(got[i], want[i]))
+                    << ops->name << " lanes " << lanes << " sections "
+                    << sections << " frames " << frames << " stride "
+                    << stride << " rectify " << rectify << " at " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A NaN lane and an Inf lane propagate exactly as the scalar backend
+// propagates them, and never leak into the finite lanes.
+TEST(KernelDispatchTest, BiquadCascadeSpecialLanesMatchScalar) {
+  const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
+  ASSERT_NE(ref, nullptr);
+  Rng rng(38);
+  constexpr size_t kFrames = 29;
+  std::vector<double> input(4 * kFrames);
+  for (double& v : input) v = rng.Gaussian(0.0, 1.0);
+  input[4 * 3 + 1] = std::numeric_limits<double>::quiet_NaN();
+  input[4 * 5 + 2] = std::numeric_limits<double>::infinity();
+  input[4 * 9 + 2] = -std::numeric_limits<double>::infinity();
+  for (size_t sections = 0; sections <= 8; ++sections) {
+    const std::vector<double> coeffs = RandomSections(sections, &rng);
+    for (const bool rectify : {false, true}) {
+      std::vector<double> want = input;
+      ref->biquad_cascade_x4(coeffs.data(), sections, want.data(), 1,
+                             kFrames, /*lanes=*/4, rectify);
+      for (size_t f = 0; f < kFrames; ++f) {
+        EXPECT_TRUE(std::isfinite(want[4 * f]));
+        EXPECT_TRUE(std::isfinite(want[4 * f + 3]));
+      }
+      EXPECT_TRUE(std::isnan(want[4 * 3 + 1]));
+      if (sections > 0) {
+        // The recursion carries the NaN to every later frame of its lane.
+        EXPECT_TRUE(std::isnan(want[4 * (kFrames - 1) + 1]));
+      }
+      for (KernelBackend b : UsableKernelBackends()) {
+        const KernelOps* ops = GetKernelOps(b);
+        std::vector<double> got = input;
+        ops->biquad_cascade_x4(coeffs.data(), sections, got.data(), 1,
+                               kFrames, /*lanes=*/4, rectify);
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_TRUE(BitsEqual(got[i], want[i]))
+              << ops->name << " sections " << sections << " rectify "
+              << rectify << " at " << i;
         }
       }
     }

@@ -656,7 +656,8 @@ int RunServeBench(const Args& args) {
 // then verifies every CPU-usable backend against the scalar reference
 // across dims 1..67 for every table entry (five f64 ops, four
 // fp32-mirror ops, and the three query-block many-to-many/gather ops,
-// exercised with out_stride > rows) — the same bit-exactness contract
+// exercised with out_stride > rows), plus the biquad cascade op over
+// 0..8 sections in both directions — the same bit-exactness contract
 // the unit tests enforce, exercised on the actual production binary
 // and CPU. Also reports per-op backend coverage; a compiled backend
 // with a missing (null) table entry fails the gate. Exits 1 on any mismatch
@@ -689,6 +690,7 @@ auto NamedOpPresence(const KernelOps* ops) {
       Entry{"l2dot_f32_many_to_many",
             ops->l2dot_f32_many_to_many != nullptr},
       Entry{"l2_gather", ops->l2_gather != nullptr},
+      Entry{"biquad_cascade_x4", ops->biquad_cascade_x4 != nullptr},
   };
 }
 
@@ -700,6 +702,44 @@ constexpr size_t kNumKernelOps =
 static_assert(sizeof(KernelOps) ==
                   sizeof(const char*) + kNumKernelOps * sizeof(void (*)()),
               "NamedOpPresence must list every KernelOps function pointer");
+
+/// The biquad op on 4 filled lanes of random stable sections: every
+/// section count 0..8, both stride signs, rectify off and on.
+Status VerifyBiquadEquivalence(const KernelOps* ref, const KernelOps* ops,
+                               KernelBackend backend) {
+  constexpr size_t kFrames = 37;
+  Rng rng(0xB1 + static_cast<uint64_t>(backend));
+  std::vector<double> input(4 * kFrames);
+  for (double& v : input) v = rng.Gaussian(0.0, 1.0);
+  for (size_t sections = 0; sections <= 8; ++sections) {
+    std::vector<double> coeffs;
+    for (size_t k = 0; k < sections; ++k) {
+      const double r = rng.Uniform(0.5, 0.99);
+      const double theta = rng.Uniform(0.0, M_PI);
+      coeffs.insert(coeffs.end(),
+                    {rng.Gaussian(0.0, 1.0), rng.Gaussian(0.0, 1.0),
+                     rng.Gaussian(0.0, 1.0), -2.0 * r * std::cos(theta),
+                     r * r});
+    }
+    for (const ptrdiff_t stride : {ptrdiff_t{1}, ptrdiff_t{-1}}) {
+      const size_t start = stride > 0 ? 0 : 4 * (kFrames - 1);
+      for (const bool rectify : {false, true}) {
+        std::vector<double> want = input, got = input;
+        ref->biquad_cascade_x4(coeffs.data(), sections, want.data() + start,
+                               stride, kFrames, /*lanes=*/4, rectify);
+        ops->biquad_cascade_x4(coeffs.data(), sections, got.data() + start,
+                               stride, kFrames, /*lanes=*/4, rectify);
+        if (!BitsEqual(want.data(), got.data(), want.size())) {
+          return Status::Unknown(
+              std::string("kernel backend ") + KernelBackendName(backend) +
+              " diverges from scalar on biquad_cascade_x4 at " +
+              std::to_string(sections) + " sections");
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
 
 Status VerifyKernelEquivalence() {
   const KernelOps* ref = GetKernelOps(KernelBackend::kScalar);
@@ -714,6 +754,7 @@ Status VerifyKernelEquivalence() {
           std::string("usable backend has no ops table: ") +
           KernelBackendName(backend));
     }
+    MOCEMG_RETURN_NOT_OK(VerifyBiquadEquivalence(ref, ops, backend));
     const size_t rows = 7;
     for (size_t d = 1; d <= 67; ++d) {
       Rng rng(0xC0FFEE ^ (d * 131 + static_cast<size_t>(backend)));
